@@ -9,20 +9,22 @@ distribution yields "unassigned".
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import Post, canonicalize_hashtag
 from .labeling import UserProfile
+from .tables import read_table, write_table
 
 INTERNATIONAL = "international"
 UNASSIGNED = "unassigned"
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5
+
+ATLAS_COLUMNS = ("token", "assignment", "entropy", "n_users", "top_country_fraction")
 
 
 @dataclass
@@ -75,41 +77,6 @@ def _make_record(token: str, counts: Mapping[str, int], threshold: float) -> Has
     return HashtagRecord(token, counts, p, entropy, assignment, total, max(p.values()))
 
 
-def _token_users(posts: Iterable[Post], eligible: set[str], year: int):
-    """token -> set of eligible users who used it in the year."""
-    users_by_token: dict[str, set[str]] = defaultdict(set)
-    for post in posts:
-        if post.user_id not in eligible or post.year != year:
-            continue
-        for raw in post.hashtags:
-            token = canonicalize_hashtag(raw)
-            if token is not None:
-                users_by_token[token].add(post.user_id)
-    return users_by_token
-
-
-def build_distribution(
-    posts: Iterable[Post],
-    profiles: Mapping[str, UserProfile],
-    token: str,
-    year: int,
-) -> dict[str, float]:
-    """Nationality distribution of non-migrant users of ``token`` in ``year``.
-
-    Users are counted once per token. Tokens used by no eligible user give
-    an empty mapping.
-    """
-    eligible = {u for u, p in profiles.items() if p.is_migrant is False}
-    users = _token_users(posts, eligible, year).get(token, set())
-    counts: defaultdict[str, int] = defaultdict(int)
-    for user_id in sorted(users):
-        counts[profiles[user_id].nationality] += 1
-    total = sum(counts.values())
-    if total == 0:
-        return {}
-    return {c: n / total for c, n in counts.items()}
-
-
 def build_atlas(
     posts: Iterable[Post],
     profiles: Mapping[str, UserProfile],
@@ -126,7 +93,14 @@ def build_atlas(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     eligible = {u for u, p in profiles.items() if p.is_migrant is False}
-    users_by_token = _token_users(posts, eligible, year)
+    users_by_token: dict[str, set[str]] = defaultdict(set)
+    for post in posts:
+        if post.user_id not in eligible or post.year != year:
+            continue
+        for raw in post.hashtags:
+            token = canonicalize_hashtag(raw)
+            if token is not None:
+                users_by_token[token].add(post.user_id)
     atlas: dict[str, HashtagRecord] = {}
     for token in sorted(users_by_token):
         counts: defaultdict[str, int] = defaultdict(int)
@@ -134,6 +108,21 @@ def build_atlas(
             counts[profiles[user_id].nationality] += 1
         atlas[token] = _make_record(token, counts, threshold)
     return atlas
+
+
+def build_distribution(
+    posts: Iterable[Post],
+    profiles: Mapping[str, UserProfile],
+    token: str,
+    year: int,
+) -> dict[str, float]:
+    """Nationality distribution of non-migrant users of ``token`` in ``year``.
+
+    Users are counted once per token. Tokens used by no eligible user give
+    an empty mapping.
+    """
+    record = build_atlas(posts, profiles, year).get(token)
+    return record.p if record is not None else {}
 
 
 def entropy_histogram(
@@ -155,28 +144,16 @@ def entropy_histogram(
 def write_atlas(
     path: str | Path,
     atlas: Mapping[str, HashtagRecord],
-    header: str | None = None,
+    header: Sequence[str] = (),
     distributions_path: str | Path | None = None,
 ) -> None:
     """Persist the atlas as CSV, with an optional long-format distribution file."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header:
-            fh.write(header)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["token", "assignment", "entropy", "n_users", "top_country_fraction"])
-        for token in sorted(atlas):
-            r = atlas[token]
-            writer.writerow([r.token, r.assignment, repr(r.entropy), r.n_users, repr(r.top_fraction)])
+    records = [atlas[token] for token in sorted(atlas)]
+    rows = ((r.token, r.assignment, r.entropy, r.n_users, r.top_fraction) for r in records)
+    write_table(path, ATLAS_COLUMNS, rows, header)
     if distributions_path is not None:
-        with open(distributions_path, "w", encoding="utf-8", newline="") as fh:
-            if header:
-                fh.write(header)
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["token", "country", "fraction"])
-            for token in sorted(atlas):
-                p = atlas[token].p
-                for country in sorted(p):
-                    writer.writerow([token, country, repr(p[country])])
+        rows = ((r.token, c, f) for r in records for c, f in sorted(r.p.items()))
+        write_table(distributions_path, ("token", "country", "fraction"), rows, header)
 
 
 def read_atlas(path: str | Path) -> dict[str, HashtagRecord]:
@@ -185,22 +162,15 @@ def read_atlas(path: str | Path) -> dict[str, HashtagRecord]:
     The full per-country distribution lives in the companion file and is not
     reloaded here; downstream scoring only needs the assignment column.
     """
-    atlas: dict[str, HashtagRecord] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = (r for r in fh if not r.startswith("#"))
-        for row in csv.DictReader(rows):
-            atlas[row["token"]] = HashtagRecord(
-                token=row["token"],
-                counts={},
-                p={},
-                entropy=float(row["entropy"]),
-                assignment=row["assignment"],
-                n_users=int(row["n_users"]),
-                top_fraction=float(row["top_country_fraction"]),
-            )
-    return atlas
-
-
-def assignments(atlas: Mapping[str, HashtagRecord]) -> dict[str, str]:
-    """token -> assignment lookup used by the scoring stage."""
-    return {token: record.assignment for token, record in atlas.items()}
+    return {
+        row["token"]: HashtagRecord(
+            token=row["token"],
+            counts={},
+            p={},
+            entropy=float(row["entropy"]),
+            assignment=row["assignment"],
+            n_users=int(row["n_users"]),
+            top_fraction=float(row["top_country_fraction"]),
+        )
+        for row in read_table(path, ATLAS_COLUMNS)
+    }

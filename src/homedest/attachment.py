@@ -9,17 +9,18 @@ fewer than ``min_hashtags`` uses in the reference year are excluded.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .atlas import HashtagRecord
 from .corpus import Post, canonicalize_hashtag
 from .labeling import UserProfile
+from .tables import read_table, write_table
 
 DEFAULT_MIN_HASHTAGS = 10
 
@@ -28,6 +29,11 @@ INTEGRATION = "integration"
 MARGINALISATION = "marginalisation"
 SEPARATION = "separation"
 ACC_CLASSES = (ASSIMILATION, INTEGRATION, MARGINALISATION, SEPARATION)
+
+SCORE_COLUMNS = (
+    "user_id", "nationality", "residence", "ha", "da",
+    "n_hashtags", "n_home", "n_dest", "acc_class", "speaks_dest_lang",
+)
 
 
 @dataclass
@@ -192,54 +198,39 @@ def language_cohorts(
 def write_scores(
     path: str | Path,
     scores: Iterable[AttachmentScore],
-    header: str | None = None,
-    replicate: int | None = None,
-    append: bool = False,
+    header: Sequence[str] = (),
+    replicate: Iterable[int] | None = None,
 ) -> None:
-    """Persist scores as CSV; null-model runs add a ``replicate`` column."""
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8", newline="") as fh:
-        if header and not append:
-            fh.write(header)
-        writer = csv.writer(fh, lineterminator="\n")
-        columns = [
-            "user_id", "nationality", "residence", "ha", "da",
-            "n_hashtags", "n_home", "n_dest", "acc_class", "speaks_dest_lang",
-        ]
-        if replicate is not None:
-            columns.append("replicate")
-        if not append:
-            writer.writerow(columns)
-        for s in scores:
-            flag = "" if s.speaks_dest_lang is None else str(s.speaks_dest_lang).lower()
-            row = [
-                s.user_id, s.nationality, s.residence, repr(s.ha), repr(s.da),
-                s.n_hashtags, s.n_home, s.n_dest, s.acc_class or "", flag,
-            ]
-            if replicate is not None:
-                row.append(replicate)
-            writer.writerow(row)
+    """Persist scores as CSV.
+
+    Null-model runs pass ``replicate``, one replicate index per score, which
+    adds a ``replicate`` column.
+    """
+    rows = map(attrgetter(*SCORE_COLUMNS), scores)
+    if replicate is None:
+        write_table(path, SCORE_COLUMNS, rows, header)
+    else:
+        rows = ((*row, index) for row, index in zip(rows, replicate, strict=True))
+        write_table(path, (*SCORE_COLUMNS, "replicate"), rows, header)
 
 
 def read_scores(path: str | Path) -> list[AttachmentScore]:
     """Load a scores CSV (optionally carrying a replicate column)."""
     scores = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = (r for r in fh if not r.startswith("#"))
-        for row in csv.DictReader(rows):
-            flag = row.get("speaks_dest_lang", "")
-            scores.append(
-                AttachmentScore(
-                    user_id=row["user_id"],
-                    nationality=row["nationality"],
-                    residence=row["residence"],
-                    ha=float(row["ha"]),
-                    da=float(row["da"]),
-                    n_hashtags=int(row["n_hashtags"]),
-                    n_home=int(row["n_home"]),
-                    n_dest=int(row["n_dest"]),
-                    acc_class=row.get("acc_class") or None,
-                    speaks_dest_lang=None if flag == "" else flag == "true",
-                )
+    for row in read_table(path, SCORE_COLUMNS):
+        flag = row["speaks_dest_lang"]
+        scores.append(
+            AttachmentScore(
+                user_id=row["user_id"],
+                nationality=row["nationality"],
+                residence=row["residence"],
+                ha=float(row["ha"]),
+                da=float(row["da"]),
+                n_hashtags=int(row["n_hashtags"]),
+                n_home=int(row["n_home"]),
+                n_dest=int(row["n_dest"]),
+                acc_class=row["acc_class"] or None,
+                speaks_dest_lang=None if flag == "" else flag == "true",
             )
+        )
     return scores

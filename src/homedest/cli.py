@@ -10,7 +10,6 @@ version, so two runs can be diffed byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -27,7 +26,7 @@ from .attachment import (
     read_scores,
     write_scores,
 )
-from .corpus import load_friends, load_posts
+from .corpus import Post, load_friends, load_posts
 from .covariates import (
     grouped_correlations,
     individual_correlations,
@@ -52,6 +51,7 @@ from .reporting import (
 )
 from .stats import ks_two_sample, pearson, spearman, wilcoxon_rank_sum
 from .synth import PopulationSpec, generate
+from .tables import TableError, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -99,12 +99,9 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _header_line(config: dict, seed: int) -> str:
-    return f"config_hash={_config_hash(config)} seed={seed} version={__version__}"
-
-
-def _raw_header(config: dict, seed: int) -> str:
-    return f"# {_header_line(config, seed)}\n"
+def _header(config: dict, seed: int) -> list[str]:
+    """Comment header of an artifact: config hash, seed and package version."""
+    return [f"config_hash={_config_hash(config)} seed={seed} version={__version__}"]
 
 
 def _workspace(args) -> Path:
@@ -125,6 +122,17 @@ def _require(path: Path, key: str) -> Path:
         print(f"error: {path} not found{hint}", file=sys.stderr)
         raise SystemExit(2)
     return path
+
+
+def _load_posts(path: Path) -> list[Post]:
+    posts, stats = load_posts(path)
+    if not posts:
+        print(
+            f"error: no posts loaded from {path}: {stats.lines} lines, {stats.skipped} skipped",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    return posts
 
 
 def _load_config(args) -> dict:
@@ -183,10 +191,10 @@ def cmd_label(args) -> int:
     posts_path = _require(_artifact(args, out, "posts"), "posts")
     friends_path = _require(_artifact(args, out, "friends"), "friends")
 
-    posts, _ = load_posts(posts_path)
+    posts = _load_posts(posts_path)
     friends = load_friends(friends_path)
     profiles, summary = label_population(posts, friends, year)
-    header = _raw_header({"command": "label", "year": year}, 0)
+    header = _header({"command": "label", "year": year}, 0)
     write_profiles(out / FILES["profiles"], profiles, header)
     write_lang_fractions(out / FILES["lang_fractions"], profiles, header)
     print(
@@ -204,10 +212,10 @@ def cmd_atlas(args) -> int:
     posts_path = _require(_artifact(args, out, "posts"), "posts")
     profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
 
-    posts, _ = load_posts(posts_path)
+    posts = _load_posts(posts_path)
     profiles = read_profiles(profiles_path)
     atlas = build_atlas(posts, profiles, year, threshold=threshold)
-    header = _raw_header(
+    header = _header(
         {"command": "atlas", "year": year, "entropy_threshold": threshold}, 0
     )
     write_atlas(
@@ -227,7 +235,7 @@ def cmd_score(args) -> int:
     profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
     atlas_path = _require(_artifact(args, out, "atlas"), "atlas")
 
-    posts, _ = load_posts(posts_path)
+    posts = _load_posts(posts_path)
     profiles = read_profiles(profiles_path, out / FILES["lang_fractions"])
     atlas = read_atlas(atlas_path)
     scores = compute_scores(posts, profiles, atlas, year, min_hashtags=min_hashtags)
@@ -236,7 +244,7 @@ def cmd_score(args) -> int:
         raise SystemExit(2)
     ha_split, da_split = apply_acculturation(scores)
     language_cohorts(scores, profiles, load_country_languages())
-    header = _raw_header(
+    header = _header(
         {
             "command": "score",
             "year": year,
@@ -266,7 +274,7 @@ def cmd_null(args) -> int:
     profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
     atlas_path = _require(_artifact(args, out, "atlas"), "atlas")
 
-    posts, _ = load_posts(posts_path)
+    posts = _load_posts(posts_path)
     profiles = read_profiles(profiles_path)
     atlas = read_atlas(atlas_path)
     runs = null_distribution(
@@ -279,7 +287,7 @@ def cmd_null(args) -> int:
         min_hashtags=min_hashtags,
         shuffle_population=population,
     )
-    header = _raw_header(
+    header = _header(
         {
             "command": "null",
             "year": year,
@@ -289,15 +297,12 @@ def cmd_null(args) -> int:
         },
         seed,
     )
-    path = out / FILES["null_scores"]
-    for run in runs:
-        write_scores(
-            path,
-            run.scores0,
-            header,
-            replicate=run.replicate_index,
-            append=run.replicate_index > 0,
-        )
+    write_scores(
+        out / FILES["null_scores"],
+        [s for run in runs for s in run.scores0],
+        header,
+        replicate=[run.replicate_index for run in runs for _ in run.scores0],
+    )
     total = sum(len(run.scores0) for run in runs)
     print(f"null model: {len(runs)} replicates, {total} score rows")
     return 0
@@ -323,24 +328,15 @@ def cmd_stats(args) -> int:
     for test in (pearson(ha, da), spearman(ha, da)):
         rows.append(("ha_vs_da", test))
 
-    header = _raw_header({"command": "stats"}, 0)
-    path = out / FILES["test_results"]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(header)
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["comparison", "method", "statistic", "p_value", "n1", "n2", "stars"])
-        for comparison, test in rows:
-            writer.writerow(
-                [
-                    comparison,
-                    test.method,
-                    repr(test.statistic),
-                    repr(test.p_value),
-                    test.n1,
-                    test.n2,
-                    test.stars,
-                ]
-            )
+    write_table(
+        out / FILES["test_results"],
+        ("comparison", "method", "statistic", "p_value", "n1", "n2", "stars"),
+        (
+            (comparison, t.method, t.statistic, t.p_value, t.n1, t.n2, t.stars)
+            for comparison, t in rows
+        ),
+        _header({"command": "stats"}, 0),
+    )
     for comparison, test in rows:
         print(
             f"{comparison:12s} {test.method:22s} stat={test.statistic:.6g} "
@@ -366,11 +362,7 @@ def cmd_correlate(args) -> int:
         print("error: fewer than 3 users joined to any covariate", file=sys.stderr)
         raise SystemExit(2)
     individual = individual_correlations(rows)
-    header = [
-        _header_line(
-            {"command": "correlate", "min_group_size": min_group, "signed": signed}, 0
-        )
-    ]
+    header = _header({"command": "correlate", "min_group_size": min_group, "signed": signed}, 0)
     write_correlations(out / FILES["correlations_individual"], individual, header)
     try:
         grouped = grouped_correlations(rows, min_group_size=min_group)
@@ -400,7 +392,7 @@ def cmd_report(args) -> int:
 
     report_dir = out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    header = [_header_line({"command": "report"}, 0)]
+    header = _header({"command": "report"}, 0)
     write_chord_edges(report_dir / "chord_edges.csv", chord_edges(profiles), header)
     write_entropy_histogram(report_dir / "entropy_histogram.csv", atlas, header=header)
     write_attachment_series(
@@ -539,7 +531,11 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ Input contracts:
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field
@@ -21,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .countries import normalize_alpha2
+from .tables import read_table
 
 logger = logging.getLogger(__name__)
 
@@ -176,23 +176,20 @@ def load_posts(path: str | Path) -> tuple[list[Post], LoadStats]:
 def load_friends(path: str | Path) -> FriendGraph:
     """Load a friends CSV into a deduplicated directed adjacency."""
     graph = FriendGraph()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = (r for r in fh if not r.startswith("#"))
-        reader = csv.DictReader(rows)
-        for row in reader:
-            user = (row.get("user_id") or "").strip()
-            friend = (row.get("friend_id") or "").strip()
-            if not user or not friend:
-                continue
-            if user == friend:
-                graph.n_self_loops += 1
-                continue
-            bucket = graph.adjacency.setdefault(user, set())
-            if friend in bucket:
-                graph.n_duplicates += 1
-            else:
-                bucket.add(friend)
-                graph.n_edges += 1
+    for row in read_table(path, ("user_id", "friend_id")):
+        user = (row["user_id"] or "").strip()
+        friend = (row["friend_id"] or "").strip()
+        if not user or not friend:
+            continue
+        if user == friend:
+            graph.n_self_loops += 1
+            continue
+        bucket = graph.adjacency.setdefault(user, set())
+        if friend in bucket:
+            graph.n_duplicates += 1
+        else:
+            bucket.add(friend)
+            graph.n_edges += 1
     return graph
 
 

@@ -34,11 +34,6 @@ ALPHA2 = frozenset(
 )
 
 
-def is_alpha2(code: str) -> bool:
-    """True if ``code`` is an assigned ISO 3166-1 alpha-2 code (case-sensitive, uppercase)."""
-    return code in ALPHA2
-
-
 def normalize_alpha2(code: str | None) -> str | None:
     """Uppercase and validate a country code; returns None when unrecognized."""
     if code is None:

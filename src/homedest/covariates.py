@@ -13,15 +13,16 @@ the covariates actually vary.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .attachment import AttachmentScore
 from .stats import TestResult, pearson, spearman
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -76,18 +77,12 @@ class JoinedRow:
     covariates: dict[str, float]
 
 
-def _data_rows(path: str | Path) -> Iterable[dict[str, str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        filtered = (line for line in handle if not line.startswith("#"))
-        yield from csv.DictReader(filtered)
-
-
 def load_hofstede(path: str | Path | None = None) -> CountryScores:
     """Read per-country dimension scores; empty cells mean missing."""
     if path is None:
         path = packaged_data_path("hofstede.csv")
     table = CountryScores()
-    for row in _data_rows(path):
+    for row in read_table(path, ("country",)):
         country = row["country"].strip().upper()
         dims: dict[str, float] = {}
         for dim in HOFSTEDE_DIMENSIONS:
@@ -106,7 +101,7 @@ def load_hofstede(path: str | Path | None = None) -> CountryScores:
 def load_pair_covariates(path: str | Path) -> PairTable:
     """Read country-pair covariates; pairs are stored unordered."""
     table = PairTable()
-    for row in _data_rows(path):
+    for row in read_table(path, ("country_a", "country_b")):
         a = row["country_a"].strip().upper()
         b = row["country_b"].strip().upper()
         values: dict[str, float] = {}
@@ -124,7 +119,7 @@ def load_country_languages(path: str | Path | None = None) -> dict[str, str]:
     if path is None:
         path = packaged_data_path("country_language.csv")
     out: dict[str, str] = {}
-    for row in _data_rows(path):
+    for row in read_table(path, ("country", "language")):
         out[row["country"].strip().upper()] = row["language"].strip().lower()
     return out
 
@@ -297,12 +292,5 @@ def write_correlations(
     rows: Sequence[CorrelationRow],
     header: Sequence[str] = (),
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        for line in header:
-            handle.write(f"# {line}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["target", "covariate", "method", "r", "p_value", "n", "stars"])
-        for row in rows:
-            writer.writerow(
-                [row.target, row.covariate, row.method, repr(row.r), repr(row.p_value), row.n, row.stars]
-            )
+    columns = ("target", "covariate", "method", "r", "p_value", "n", "stars")
+    write_table(path, columns, map(attrgetter(*columns), rows), header)

@@ -9,19 +9,23 @@ is pinned to zero.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import FriendGraph, Post
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SELF_WEIGHT = 0.5
 DEFAULT_FRIEND_WEIGHT = 0.5
+
+PROFILE_COLUMNS = ("user_id", "residence", "nationality", "is_migrant")
+LANG_COLUMNS = ("user_id", "lang", "fraction")
 
 
 @dataclass
@@ -218,58 +222,36 @@ def label_population(
     return profiles, summary
 
 
-def migrants(profiles: Mapping[str, UserProfile]) -> list[UserProfile]:
-    return [p for p in profiles.values() if p.is_migrant]
-
-
-def non_migrants(profiles: Mapping[str, UserProfile]) -> list[UserProfile]:
-    return [p for p in profiles.values() if p.is_migrant is False]
-
-
-def write_profiles(path: str | Path, profiles: Mapping[str, UserProfile], header: str | None = None) -> None:
+def write_profiles(path: str | Path, profiles: Mapping[str, UserProfile], header: Sequence[str] = ()) -> None:
     """Persist profiles as CSV ``user_id,residence,nationality,is_migrant``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header:
-            fh.write(header)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "residence", "nationality", "is_migrant"])
-        for user_id in sorted(profiles):
-            p = profiles[user_id]
-            flag = "" if p.is_migrant is None else str(p.is_migrant).lower()
-            writer.writerow([p.user_id, p.residence or "", p.nationality or "", flag])
+    records = (profiles[user_id] for user_id in sorted(profiles))
+    write_table(path, PROFILE_COLUMNS, map(attrgetter(*PROFILE_COLUMNS), records), header)
 
 
-def write_lang_fractions(path: str | Path, profiles: Mapping[str, UserProfile], header: str | None = None) -> None:
+def write_lang_fractions(path: str | Path, profiles: Mapping[str, UserProfile], header: Sequence[str] = ()) -> None:
     """Persist language fractions as CSV ``user_id,lang,fraction``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header:
-            fh.write(header)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "lang", "fraction"])
-        for user_id in sorted(profiles):
-            fractions = profiles[user_id].lang_fractions
-            for lang in sorted(fractions):
-                writer.writerow([user_id, lang, repr(fractions[lang])])
+    rows = (
+        (user_id, lang, fraction)
+        for user_id in sorted(profiles)
+        for lang, fraction in sorted(profiles[user_id].lang_fractions.items())
+    )
+    write_table(path, LANG_COLUMNS, rows, header)
 
 
 def read_profiles(path: str | Path, lang_path: str | Path | None = None) -> dict[str, UserProfile]:
     """Load profiles (and optionally language fractions) back from CSV."""
     profiles: dict[str, UserProfile] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = (r for r in fh if not r.startswith("#"))
-        for row in csv.DictReader(rows):
-            flag = row.get("is_migrant", "")
-            profiles[row["user_id"]] = UserProfile(
-                user_id=row["user_id"],
-                residence=row.get("residence") or None,
-                nationality=row.get("nationality") or None,
-                is_migrant=None if flag == "" else flag == "true",
-            )
+    for row in read_table(path, PROFILE_COLUMNS):
+        flag = row["is_migrant"]
+        profiles[row["user_id"]] = UserProfile(
+            user_id=row["user_id"],
+            residence=row["residence"] or None,
+            nationality=row["nationality"] or None,
+            is_migrant=None if flag == "" else flag == "true",
+        )
     if lang_path is not None:
-        with open(lang_path, "r", encoding="utf-8", newline="") as fh:
-            rows = (r for r in fh if not r.startswith("#"))
-            for row in csv.DictReader(rows):
-                profile = profiles.get(row["user_id"])
-                if profile is not None:
-                    profile.lang_fractions[row["lang"]] = float(row["fraction"])
+        for row in read_table(lang_path, LANG_COLUMNS):
+            profile = profiles.get(row["user_id"])
+            if profile is not None:
+                profile.lang_fractions[row["lang"]] = float(row["fraction"])
     return profiles

@@ -7,7 +7,6 @@ that a plotting notebook can consume directly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -17,6 +16,7 @@ import numpy as np
 from .atlas import HashtagRecord, entropy_histogram
 from .attachment import AttachmentScore
 from .labeling import UserProfile
+from .tables import write_table
 
 DEFAULT_MIN_FLOW = 10
 DEFAULT_MIN_GROUP = 10
@@ -121,13 +121,8 @@ def scatter_rows(scores: Sequence[AttachmentScore]) -> list[tuple[str, float, fl
 
 
 def write_chord_edges(path: str | Path, edges: Sequence[FlowEdge], header: Sequence[str] = ()) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        for line in header:
-            handle.write(f"# {line}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["origin", "destination", "n_users"])
-        for edge in edges:
-            writer.writerow([edge.origin, edge.destination, edge.n_users])
+    rows = ((e.origin, e.destination, e.n_users) for e in edges)
+    write_table(path, ("origin", "destination", "n_users"), rows, header)
 
 
 def write_entropy_histogram(
@@ -137,13 +132,8 @@ def write_entropy_histogram(
     header: Sequence[str] = (),
 ) -> None:
     edges, counts = entropy_histogram(atlas.values(), bins=bins)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        for line in header:
-            handle.write(f"# {line}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["bin_low", "bin_high", "n_hashtags"])
-        for i, count in enumerate(counts):
-            writer.writerow([repr(edges[i]), repr(edges[i + 1]), count])
+    rows = zip(edges, edges[1:], counts)
+    write_table(path, ("bin_low", "bin_high", "n_hashtags"), rows, header)
 
 
 def write_attachment_series(
@@ -151,14 +141,8 @@ def write_attachment_series(
     series: dict[str, list[float]],
     header: Sequence[str] = (),
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        for line in header:
-            handle.write(f"# {line}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["series", "value"])
-        for name in sorted(series):
-            for value in series[name]:
-                writer.writerow([name, repr(value)])
+    rows = ((name, value) for name in sorted(series) for value in series[name])
+    write_table(path, ("series", "value"), rows, header)
 
 
 def write_scatter(
@@ -166,35 +150,16 @@ def write_scatter(
     rows: Sequence[tuple[str, float, float, str]],
     header: Sequence[str] = (),
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        for line in header:
-            handle.write(f"# {line}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["user_id", "ha", "da", "acc_class"])
-        for user_id, ha, da, acc_class in rows:
-            writer.writerow([user_id, repr(ha), repr(da), acc_class])
+    write_table(path, ("user_id", "ha", "da", "acc_class"), rows, header)
 
 
 def write_boxplots(path: str | Path, rows: Sequence[BoxRow], header: Sequence[str] = ()) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        for line in header:
-            handle.write(f"# {line}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["group_by", "group", "score", "n", "min", "q1", "median", "q3", "max", "mean"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.group_by,
-                    row.group,
-                    row.score,
-                    row.n,
-                    repr(row.minimum),
-                    repr(row.q1),
-                    repr(row.median),
-                    repr(row.q3),
-                    repr(row.maximum),
-                    repr(row.mean),
-                ]
-            )
+    write_table(
+        path,
+        ("group_by", "group", "score", "n", "min", "q1", "median", "q3", "max", "mean"),
+        (
+            (r.group_by, r.group, r.score, r.n, r.minimum, r.q1, r.median, r.q3, r.maximum, r.mean)
+            for r in rows
+        ),
+        header,
+    )

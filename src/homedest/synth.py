@@ -19,9 +19,9 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,7 +37,8 @@ from .attachment import (
 )
 from .corpus import Post, canonicalize_hashtag, write_posts
 from .countries import normalize_alpha2
-from .covariates import load_country_languages
+from .covariates import PAIR_COVARIATES, load_country_languages
+from .tables import read_table, write_table
 
 DEFAULT_COUNTRIES = ("BR", "DE", "ES", "FR", "GB", "IT", "JP", "MX", "NL", "US")
 
@@ -51,6 +52,10 @@ DEFAULT_CLASS_TARGETS: dict[str, tuple[float, float]] = {
 }
 
 _TAGS_PER_POST = 4
+
+TRUTH_COLUMNS = (
+    "user_id", "residence", "nationality", "acc_class", "planted_ha", "planted_da", "n_tags",
+)
 
 
 @dataclass
@@ -354,34 +359,11 @@ def write_population(population: Population, out_dir: str | Path) -> dict[str, P
         "pair_covariates": out / "pair_covariates.csv",
     }
     write_posts(paths["posts"], population.posts)
-    with open(paths["friends"], "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["user_id", "friend_id"])
-        writer.writerows(population.friend_rows)
-    with open(paths["ground_truth"], "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["user_id", "residence", "nationality", "acc_class", "planted_ha", "planted_da", "n_tags"]
-        )
-        for user_id in sorted(population.truth):
-            row = population.truth[user_id]
-            writer.writerow(
-                [
-                    row.user_id,
-                    row.residence,
-                    row.nationality,
-                    row.acc_class or "",
-                    "" if row.planted_ha is None else repr(row.planted_ha),
-                    "" if row.planted_da is None else repr(row.planted_da),
-                    row.n_tags,
-                ]
-            )
-    with open(paths["pair_covariates"], "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        names = ["country_a", "country_b", "distcap", "contig", "comlang_off", "csl", "cnl"]
-        writer.writerow(names)
-        for row in population.pair_rows:
-            writer.writerow([row[name] for name in names])
+    write_table(paths["friends"], ("user_id", "friend_id"), population.friend_rows)
+    truth = (population.truth[user_id] for user_id in sorted(population.truth))
+    write_table(paths["ground_truth"], TRUTH_COLUMNS, map(attrgetter(*TRUTH_COLUMNS), truth))
+    names = ("country_a", "country_b", *PAIR_COVARIATES)
+    write_table(paths["pair_covariates"], names, map(itemgetter(*names), population.pair_rows))
     return paths
 
 
@@ -392,18 +374,16 @@ def generate(spec: PopulationSpec, out_dir: str | Path) -> dict[str, Path]:
 
 def read_ground_truth(path: str | Path) -> dict[str, TruthRow]:
     truth: dict[str, TruthRow] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        filtered = (line for line in handle if not line.startswith("#"))
-        for row in csv.DictReader(filtered):
-            truth[row["user_id"]] = TruthRow(
-                user_id=row["user_id"],
-                residence=row["residence"],
-                nationality=row["nationality"],
-                acc_class=row["acc_class"] or None,
-                planted_ha=float(row["planted_ha"]) if row["planted_ha"] else None,
-                planted_da=float(row["planted_da"]) if row["planted_da"] else None,
-                n_tags=int(row["n_tags"]),
-            )
+    for row in read_table(path, TRUTH_COLUMNS):
+        truth[row["user_id"]] = TruthRow(
+            user_id=row["user_id"],
+            residence=row["residence"],
+            nationality=row["nationality"],
+            acc_class=row["acc_class"] or None,
+            planted_ha=float(row["planted_ha"]) if row["planted_ha"] else None,
+            planted_da=float(row["planted_da"]) if row["planted_da"] else None,
+            n_tags=int(row["n_tags"]),
+        )
     return truth
 
 

@@ -155,7 +155,7 @@ def test_atlas_round_trip(tmp_path, micro_pipeline):
     _, _, atlas = micro_pipeline
     path = tmp_path / "atlas.csv"
     dist_path = tmp_path / "atlas_distributions.csv"
-    write_atlas(path, atlas, "# header\n", dist_path)
+    write_atlas(path, atlas, ["header"], dist_path)
     loaded = read_atlas(path)
     assert set(loaded) == set(atlas)
     for token, original in atlas.items():

@@ -167,16 +167,16 @@ def test_scores_round_trip(tmp_path):
     scores[0].acc_class = ASSIMILATION
     scores[0].speaks_dest_lang = True
     path = tmp_path / "scores.csv"
-    write_scores(path, scores, "# header\n")
+    write_scores(path, scores, ["header"])
     loaded = read_scores(path)
     assert loaded == scores
 
 
 def test_null_scores_replicate_column(tmp_path):
     path = tmp_path / "null.csv"
-    write_scores(path, [_score("a", 0.1, 0.2)], "# h\n", replicate=0)
-    write_scores(path, [_score("a", 0.3, 0.1)], replicate=1, append=True)
-    loaded = read_scores(path)
-    assert len(loaded) == 2
-    header = path.read_text(encoding="utf-8").splitlines()[1]
-    assert header.endswith(",replicate")
+    scores = [_score("a", 0.1, 0.2), _score("a", 0.3, 0.1)]
+    write_scores(path, scores, ["h"], replicate=[0, 1])
+    assert read_scores(path) == scores
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1].endswith(",replicate")
+    assert [line.rsplit(",", 1)[1] for line in lines[2:]] == ["0", "1"]

@@ -122,6 +122,39 @@ class TestMissingPrerequisites:
         assert "run `homedest atlas` first" in capsys.readouterr().err
 
 
+class TestBadInput:
+    @staticmethod
+    def exit_2_stderr(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    def test_friends_with_wrong_columns(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path, "--users", 40) == 0
+        friends = tmp_path / FILES["friends"]
+        edges = friends.read_text().splitlines(keepends=True)[1:]
+        friends.write_text("follower,followed\n" + "".join(edges))
+        err = self.exit_2_stderr(capsys, "label", "--out", tmp_path)
+        assert "friends.csv: missing column(s) user_id, friend_id" in err
+
+    def test_profiles_without_migrant_flag(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path, "--users", 40) == 0
+        assert run("label", "--out", tmp_path) == 0
+        profiles = tmp_path / FILES["profiles"]
+        profiles.write_text(profiles.read_text().replace(",is_migrant\n", ",migrant\n"))
+        err = self.exit_2_stderr(capsys, "atlas", "--out", tmp_path)
+        assert "profiles.csv: missing column(s) is_migrant" in err
+
+    def test_no_loadable_posts(self, tmp_path, capsys):
+        record = {"user_id": "u1", "timestamp": "2018-03-01T12:00:00Z", "country": "IT"}
+        (tmp_path / FILES["posts"]).write_text((json.dumps(record) + "\n") * 3)
+        (tmp_path / FILES["friends"]).write_text("user_id,friend_id\n")
+        err = self.exit_2_stderr(capsys, "label", "--out", tmp_path)
+        assert "error: no posts loaded from" in err
+        assert "posts.jsonl: 3 lines, 3 skipped" in err
+
+
 class TestConfig:
     def test_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

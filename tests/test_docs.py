@@ -1,0 +1,47 @@
+"""The README's examples and the demo scripts run as documented."""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from homedest.corpus import load_posts
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README, flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_posts_format_loads(tmp_path):
+    documented = re.search(r"\*\*posts\.jsonl\*\*.*?`(\{.*?\})`", README, flags=re.S).group(1)
+    # Take the first alternative of each `a|null` and drop the `...` elisions.
+    line = re.sub(r"\|null", "", " ".join(documented.split())).replace(", ...", "")
+    path = tmp_path / "posts.jsonl"
+    path.write_text(json.dumps(json.loads(line)) + "\n", encoding="utf-8")
+    posts, stats = load_posts(path)
+    assert (stats.loaded, stats.skipped) == (1, 0)
+    assert posts[0].country == "IT" and posts[0].language == "it"
+    assert posts[0].hashtags == ("roma",)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr

@@ -130,8 +130,8 @@ def test_profile_round_trip(tmp_path, micro_corpus):
     profiles, _ = label_population(posts, graph, YEAR)
     ppath = tmp_path / "profiles.csv"
     lpath = tmp_path / "langs.csv"
-    write_profiles(ppath, profiles, "# test header\n")
-    write_lang_fractions(lpath, profiles, "# test header\n")
+    write_profiles(ppath, profiles, ["test header"])
+    write_lang_fractions(lpath, profiles, ["test header"])
     loaded = read_profiles(ppath, lpath)
     assert set(loaded) == set(profiles)
     for uid, original in profiles.items():
