@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .atlas import build_atlas, normalized_entropy
 from .attachment import AttachmentScore, apply_acculturation, compute_scores
-from .corpus import Post, canonicalize_hashtag, load_friends, load_posts
+from .corpus import Corpus, Post, canonicalize_hashtag, load_friends, load_posts
 from .labeling import UserProfile, label_population
 from .nullmodel import null_distribution, shuffle_hashtags
 from .stats import (
@@ -29,6 +29,7 @@ from .synth import PopulationSpec, default_spec, generate, oracle_scores
 __all__ = [
     "__version__",
     "AttachmentScore",
+    "Corpus",
     "Post",
     "PopulationSpec",
     "UserProfile",

@@ -10,12 +10,13 @@ distribution yields "unassigned".
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Post, canonicalize_hashtag
+import numpy as np
+
+from .corpus import Corpus, Post, tally
 from .labeling import UserProfile
 from .tables import read_table, write_table
 
@@ -78,7 +79,7 @@ def _make_record(token: str, counts: Mapping[str, int], threshold: float) -> Has
 
 
 def build_atlas(
-    posts: Iterable[Post],
+    posts: Iterable[Post] | Corpus,
     profiles: Mapping[str, UserProfile],
     year: int,
     threshold: float = DEFAULT_ENTROPY_THRESHOLD,
@@ -92,22 +93,23 @@ def build_atlas(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    eligible = {u for u, p in profiles.items() if p.is_migrant is False}
-    users_by_token: dict[str, set[str]] = defaultdict(set)
-    for post in posts:
-        if post.user_id not in eligible or post.year != year:
-            continue
-        for raw in post.hashtags:
-            token = canonicalize_hashtag(raw)
-            if token is not None:
-                users_by_token[token].add(post.user_id)
-    atlas: dict[str, HashtagRecord] = {}
-    for token in sorted(users_by_token):
-        counts: defaultdict[str, int] = defaultdict(int)
-        for user_id in sorted(users_by_token[token]):
-            counts[profiles[user_id].nationality] += 1
-        atlas[token] = _make_record(token, counts, threshold)
-    return atlas
+    corpus = Corpus.from_posts(posts)
+    n_users = len(corpus.users)
+    nationalities: dict[str | None, int] = {}
+    nationality = np.full(n_users, -1, dtype=np.int64)
+    for index, user_id in enumerate(corpus.users):
+        profile = profiles.get(user_id)
+        if profile is not None and profile.is_migrant is False:
+            nationality[index] = nationalities.setdefault(profile.nationality, len(nationalities))
+
+    slot_post = corpus.slot_post()
+    user = corpus.user[slot_post]
+    keep = (corpus.tags >= 0) & (corpus.year == year)[slot_post] & (nationality[user] >= 0)
+    token_user = np.unique(corpus.tags[keep].astype(np.int64) * n_users + user[keep])
+    token, user = np.divmod(token_user, n_users)
+    counts = tally(token * len(nationalities) + nationality[user], tuple(nationalities))
+    by_name = {corpus.tokens[t]: token_counts for t, token_counts in counts.items()}
+    return {name: _make_record(name, by_name[name], threshold) for name in sorted(by_name)}
 
 
 def build_distribution(

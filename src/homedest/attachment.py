@@ -9,7 +9,6 @@ fewer than ``min_hashtags`` uses in the reference year are excluded.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -18,9 +17,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .atlas import HashtagRecord
-from .corpus import Post, canonicalize_hashtag
+from .corpus import Corpus, Post
 from .labeling import UserProfile
-from .tables import read_table, write_table
+from .tables import bool_cell, read_table, write_table
 
 DEFAULT_MIN_HASHTAGS = 10
 
@@ -63,7 +62,7 @@ class CohortSplit:
 
 
 def compute_scores(
-    posts: Iterable[Post],
+    posts: Iterable[Post] | Corpus,
     profiles: Mapping[str, UserProfile],
     atlas: Mapping[str, HashtagRecord],
     year: int,
@@ -77,49 +76,53 @@ def compute_scores(
     """
     if count_mode not in ("uses", "distinct"):
         raise ValueError(f"count_mode must be 'uses' or 'distinct', got {count_mode!r}")
+    corpus = Corpus.from_posts(posts)
+    n_users = len(corpus.users)
 
-    uses_by_user: dict[str, Counter] = {}
-    for post in posts:
-        if post.year != year:
-            continue
-        profile = profiles.get(post.user_id)
-        if profile is None or not profile.is_migrant:
-            continue
-        counter = uses_by_user.setdefault(post.user_id, Counter())
-        for raw in post.hashtags:
-            token = canonicalize_hashtag(raw)
-            if token is not None:
-                counter[token] += 1
+    # Countries as codes: a token's assignment against each migrant's
+    # nationality and residence; -1 matches neither.
+    codes: dict[str | None, int] = {}
+    home = np.full(n_users, -1, dtype=np.int64)
+    dest = np.full(n_users, -1, dtype=np.int64)
+    for index, user_id in enumerate(corpus.users):
+        profile = profiles.get(user_id)
+        if profile is not None and profile.is_migrant:
+            home[index] = codes.setdefault(profile.nationality, len(codes))
+            dest[index] = codes.setdefault(profile.residence, len(codes))
+    records = (atlas.get(token) for token in corpus.tokens)
+    assignment = np.array(
+        [-1 if r is None else codes.get(r.assignment, -1) for r in records], dtype=np.int64
+    )
+
+    in_year = (corpus.year == year) & (home[corpus.user] >= 0)
+    slot_post = corpus.slot_post()
+    keep = (corpus.tags >= 0) & in_year[slot_post]
+    user = corpus.user[slot_post[keep]].astype(np.int64)
+    token = corpus.tags[keep].astype(np.int64)
+    if count_mode == "distinct":
+        user, token = np.divmod(np.unique(user * len(corpus.tokens) + token), len(corpus.tokens))
+    is_home = assignment[token] == home[user]
+    is_dest = ~is_home & (assignment[token] == dest[user])
+    n_total = np.bincount(user, minlength=n_users).tolist()
+    n_home = np.bincount(user[is_home], minlength=n_users).tolist()
+    n_dest = np.bincount(user[is_dest], minlength=n_users).tolist()
 
     scores = []
-    for user_id in sorted(uses_by_user):
-        counter = uses_by_user[user_id]
-        profile = profiles[user_id]
-        n_total = 0
-        n_home = 0
-        n_dest = 0
-        for token, uses in counter.items():
-            weight = 1 if count_mode == "distinct" else uses
-            n_total += weight
-            record = atlas.get(token)
-            if record is None:
-                continue
-            if record.assignment == profile.nationality:
-                n_home += weight
-            elif record.assignment == profile.residence:
-                n_dest += weight
-        if n_total < min_hashtags:
+    for index in sorted(np.unique(corpus.user[in_year]).tolist(), key=corpus.users.__getitem__):
+        if n_total[index] < min_hashtags:
             continue
+        user_id = corpus.users[index]
+        profile = profiles[user_id]
         scores.append(
             AttachmentScore(
                 user_id=user_id,
                 nationality=profile.nationality,
                 residence=profile.residence,
-                ha=n_home / n_total,
-                da=n_dest / n_total,
-                n_hashtags=n_total,
-                n_home=n_home,
-                n_dest=n_dest,
+                ha=n_home[index] / n_total[index],
+                da=n_dest[index] / n_total[index],
+                n_hashtags=n_total[index],
+                n_home=n_home[index],
+                n_dest=n_dest[index],
             )
         )
     return scores
@@ -218,7 +221,6 @@ def read_scores(path: str | Path) -> list[AttachmentScore]:
     """Load a scores CSV (optionally carrying a replicate column)."""
     scores = []
     for row in read_table(path, SCORE_COLUMNS):
-        flag = row["speaks_dest_lang"]
         scores.append(
             AttachmentScore(
                 user_id=row["user_id"],
@@ -230,7 +232,7 @@ def read_scores(path: str | Path) -> list[AttachmentScore]:
                 n_home=int(row["n_home"]),
                 n_dest=int(row["n_dest"]),
                 acc_class=row["acc_class"] or None,
-                speaks_dest_lang=None if flag == "" else flag == "true",
+                speaks_dest_lang=bool_cell(path, row, "speaks_dest_lang"),
             )
         )
     return scores

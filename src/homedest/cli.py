@@ -15,6 +15,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .atlas import DEFAULT_ENTROPY_THRESHOLD, build_atlas, read_atlas, write_atlas
@@ -26,7 +27,7 @@ from .attachment import (
     read_scores,
     write_scores,
 )
-from .corpus import Post, load_friends, load_posts
+from .corpus import Corpus, file_sha256, load_friends, load_posts, read_corpus, write_corpus
 from .covariates import (
     grouped_correlations,
     individual_correlations,
@@ -62,6 +63,7 @@ FILES = {
     "friends": "friends.csv",
     "ground_truth": "ground_truth.csv",
     "pair_covariates": "pair_covariates.csv",
+    "corpus": "corpus.npz",
     "profiles": "profiles.csv",
     "lang_fractions": "lang_fractions.csv",
     "atlas": "atlas.csv",
@@ -115,24 +117,34 @@ def _artifact(args, out: Path, key: str) -> Path:
     return Path(override) if override else out / FILES[key]
 
 
+def _fail(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _require(path: Path, key: str) -> Path:
     if not path.exists():
         producer = _PRODUCERS.get(key)
         hint = f"; run `homedest {producer}` first" if producer else ""
-        print(f"error: {path} not found{hint}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"{path} not found{hint}")
     return path
 
 
-def _load_posts(path: Path) -> list[Post]:
-    posts, stats = load_posts(path)
-    if not posts:
-        print(
-            f"error: no posts loaded from {path}: {stats.lines} lines, {stats.skipped} skipped",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    return posts
+def _load_corpus(path: Path, out: Path) -> Corpus:
+    """The posts file as a Corpus, parsed once per workspace.
+
+    The workspace's corpus cache is used when its key matches the posts
+    file's sha256; otherwise the file is parsed and the cache rewritten.
+    """
+    cache = out / FILES["corpus"]
+    digest = file_sha256(path)
+    corpus = read_corpus(cache, digest)
+    if corpus is None:
+        corpus, stats = load_posts(path)
+        if not corpus.n_posts:
+            _fail(f"no posts loaded from {path}: {stats.lines} lines, {stats.skipped} skipped")
+        write_corpus(cache, corpus, digest)
+    return corpus
 
 
 def _load_config(args) -> dict:
@@ -141,7 +153,7 @@ def _load_config(args) -> dict:
     with open(args.config, encoding="utf-8") as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
-        raise SystemExit(f"error: config {args.config} must be a JSON object")
+        _fail(f"config {args.config} must be a JSON object")
     return config
 
 
@@ -191,7 +203,7 @@ def cmd_label(args) -> int:
     posts_path = _require(_artifact(args, out, "posts"), "posts")
     friends_path = _require(_artifact(args, out, "friends"), "friends")
 
-    posts = _load_posts(posts_path)
+    posts = _load_corpus(posts_path, out)
     friends = load_friends(friends_path)
     profiles, summary = label_population(posts, friends, year)
     header = _header({"command": "label", "year": year}, 0)
@@ -208,11 +220,13 @@ def cmd_atlas(args) -> int:
     config = _load_config(args)
     year = int(_opt(args, config, "year", DEFAULT_YEAR))
     threshold = float(_opt(args, config, "entropy_threshold", DEFAULT_ENTROPY_THRESHOLD))
+    if not 0.0 <= threshold <= 1.0:
+        _fail(f"--entropy-threshold must lie in [0, 1], got {threshold}")
     out = _workspace(args)
     posts_path = _require(_artifact(args, out, "posts"), "posts")
     profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
 
-    posts = _load_posts(posts_path)
+    posts = _load_corpus(posts_path, out)
     profiles = read_profiles(profiles_path)
     atlas = build_atlas(posts, profiles, year, threshold=threshold)
     header = _header(
@@ -234,14 +248,14 @@ def cmd_score(args) -> int:
     posts_path = _require(_artifact(args, out, "posts"), "posts")
     profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
     atlas_path = _require(_artifact(args, out, "atlas"), "atlas")
+    lang_path = _require(out / FILES["lang_fractions"], "lang_fractions")
 
-    posts = _load_posts(posts_path)
-    profiles = read_profiles(profiles_path, out / FILES["lang_fractions"])
+    posts = _load_corpus(posts_path, out)
+    profiles = read_profiles(profiles_path, lang_path)
     atlas = read_atlas(atlas_path)
     scores = compute_scores(posts, profiles, atlas, year, min_hashtags=min_hashtags)
     if not scores:
-        print("error: no migrants passed the hashtag volume filter", file=sys.stderr)
-        raise SystemExit(2)
+        _fail("no migrants passed the hashtag volume filter")
     ha_split, da_split = apply_acculturation(scores)
     language_cohorts(scores, profiles, load_country_languages())
     header = _header(
@@ -267,6 +281,8 @@ def cmd_null(args) -> int:
     year = int(_opt(args, config, "year", DEFAULT_YEAR))
     min_hashtags = int(_opt(args, config, "min_hashtags", DEFAULT_MIN_HASHTAGS))
     replicates = int(_opt(args, config, "replicates", DEFAULT_REPLICATES))
+    if replicates < 1:
+        _fail(f"--replicates must be at least 1, got {replicates}")
     seed = int(_opt(args, config, "seed", 0))
     population = _opt(args, config, "shuffle_population", "scored")
     out = _workspace(args)
@@ -274,7 +290,7 @@ def cmd_null(args) -> int:
     profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
     atlas_path = _require(_artifact(args, out, "atlas"), "atlas")
 
-    posts = _load_posts(posts_path)
+    posts = _load_corpus(posts_path, out)
     profiles = read_profiles(profiles_path)
     atlas = read_atlas(atlas_path)
     runs = null_distribution(
@@ -359,8 +375,7 @@ def cmd_correlate(args) -> int:
 
     rows, dropped = join_covariates(scores, hofstede, pairs, signed=signed)
     if len(rows) < 3:
-        print("error: fewer than 3 users joined to any covariate", file=sys.stderr)
-        raise SystemExit(2)
+        _fail("fewer than 3 users joined to any covariate")
     individual = individual_correlations(rows)
     header = _header({"command": "correlate", "min_group_size": min_group, "signed": signed}, 0)
     write_correlations(out / FILES["correlations_individual"], individual, header)
@@ -534,8 +549,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _fail(str(exc))
 
 
 if __name__ == "__main__":

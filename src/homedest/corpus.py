@@ -8,16 +8,35 @@ Input contracts:
   are ignored; malformed lines are skipped and counted.
 * friends file: UTF-8 CSV with header ``user_id,friend_id``. Edges are
   directed (follower -> followed); duplicates collapse, self-loops drop.
+
+A posts file is parsed once, streamed, into a :class:`Corpus`: interned
+integer columns per post and one canonical token id per hashtag slot, with
+each distinct raw tag canonicalized once. Labeling, the atlas, scoring and
+the null model all run on those arrays.
+
+The CLI caches the corpus in its workspace as ``corpus.npz``: a binary
+cache, not a CSV artifact, with no config header. It is keyed by the sha256
+of the posts file's bytes (and the cache format), written atomically by
+whichever command parses the posts first and loaded by the rest without
+pickles. A stale, truncated or unreadable cache is rebuilt from the posts
+file, so deleting it is always safe.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import logging
+import os
+import zipfile
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .countries import normalize_alpha2
 from .tables import read_table
@@ -29,6 +48,10 @@ HASHTAG_STRIP_CHARS = ",\"';/\\#"
 
 _TS_MIN = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _TS_MAX = datetime(2100, 1, 1, tzinfo=timezone.utc)
+_EPOCH_ORDINAL = _TS_MIN.toordinal()
+
+# Bump when the cached columns change meaning, so older caches are rebuilt.
+CACHE_FORMAT = "homedest-corpus-1"
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,11 +189,203 @@ def iter_posts(path: str | Path, stats: LoadStats | None = None) -> Iterator[Pos
             yield post
 
 
-def load_posts(path: str | Path) -> tuple[list[Post], LoadStats]:
-    """Load a whole posts file; returns (posts, stats)."""
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Posts as interned integer columns.
+
+    Row ``i`` of the per-post columns is the ``i``-th post; its hashtags are
+    the slots ``offsets[i]:offsets[i + 1]`` of ``tags``, in post order, one
+    slot per raw hashtag. A slot holds the id of the tag's canonical token in
+    ``tokens``, or -1 when the tag canonicalizes to nothing. Missing country
+    or language is -1. Vocabularies are in order of first appearance.
+    """
+
+    users: tuple[str, ...]
+    countries: tuple[str, ...]
+    languages: tuple[str, ...]
+    tokens: tuple[str, ...]
+    user: np.ndarray  # int32 per post
+    country: np.ndarray  # int16 per post
+    language: np.ndarray  # int32 per post
+    year: np.ndarray  # int16 per post
+    day: np.ndarray  # int32 per post: UTC calendar day, counted from 1970-01-01
+    offsets: np.ndarray  # int64, one more than there are posts
+    tags: np.ndarray  # int32 per hashtag slot
+
+    @property
+    def n_posts(self) -> int:
+        return len(self.user)
+
+    def slot_post(self) -> np.ndarray:
+        """Index of the post owning each hashtag slot."""
+        return np.repeat(np.arange(self.n_posts), np.diff(self.offsets))
+
+    def with_tags(self, tags: np.ndarray) -> Corpus:
+        """The same posts with other token ids in their hashtag slots."""
+        return dataclasses.replace(self, tags=tags)
+
+    @classmethod
+    def from_posts(cls, posts: Iterable[Post] | Corpus) -> Corpus:
+        """Intern posts into columns; a Corpus is returned unchanged.
+
+        ``canonicalize_hashtag`` runs once per distinct raw tag.
+        """
+        if isinstance(posts, Corpus):
+            return posts
+        users: dict[str, int] = {}
+        countries: dict[str, int] = {}
+        languages: dict[str, int] = {}
+        tokens: dict[str, int] = {}
+        canonical: dict[str, int] = {}
+        user, country, language = array("i"), array("h"), array("i")
+        year, day, offsets, tags = array("h"), array("i"), array("q", [0]), array("i")
+        for post in posts:
+            user.append(users.setdefault(post.user_id, len(users)))
+            country.append(-1 if post.country is None else countries.setdefault(post.country, len(countries)))
+            language.append(-1 if post.language is None else languages.setdefault(post.language, len(languages)))
+            year.append(post.timestamp.year)
+            day.append(post.timestamp.toordinal() - _EPOCH_ORDINAL)
+            for raw in post.hashtags:
+                token = canonical.get(raw)
+                if token is None:
+                    cleaned = canonicalize_hashtag(raw)
+                    token = canonical[raw] = -1 if cleaned is None else tokens.setdefault(cleaned, len(tokens))
+                tags.append(token)
+            offsets.append(len(tags))
+        return cls(
+            users=tuple(users),
+            countries=tuple(countries),
+            languages=tuple(languages),
+            tokens=tuple(tokens),
+            user=np.array(user, dtype=np.int32),
+            country=np.array(country, dtype=np.int16),
+            language=np.array(language, dtype=np.int32),
+            year=np.array(year, dtype=np.int16),
+            day=np.array(day, dtype=np.int32),
+            offsets=np.array(offsets, dtype=np.int64),
+            tags=np.array(tags, dtype=np.int32),
+        )
+
+
+def tally(keys: np.ndarray, names: Sequence) -> dict[int, dict]:
+    """Count ``group * len(names) + name`` keys into {group: {name: count}}."""
+    counts: dict[int, dict] = {}
+    values, n = np.unique(keys, return_counts=True)
+    for value, count in zip(values.tolist(), n.tolist()):
+        group, name = divmod(value, len(names))
+        counts.setdefault(group, {})[names[name]] = count
+    return counts
+
+
+_VOCABULARIES = ("users", "countries", "languages", "tokens")
+_COLUMNS = {
+    "user": ("users", np.int32),
+    "country": ("countries", np.int16),
+    "language": ("languages", np.int32),
+    "year": (None, np.int16),
+    "day": (None, np.int32),
+    "offsets": (None, np.int64),
+    "tags": ("tokens", np.int32),
+}
+
+
+def _pack(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
+    ends = np.cumsum([len(b) for b in encoded], dtype=np.int64)
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), ends
+
+
+def _unpack(blob: np.ndarray, ends: np.ndarray) -> tuple[str, ...]:
+    _check_column("vocabulary bytes", blob, np.uint8)
+    _check_column("vocabulary ends", ends, np.int64)
+    data = blob.tobytes()
+    bounds = [0, *ends.tolist()]
+    return tuple(data[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, bounds[1:]))
+
+
+def _check_column(name: str, column: np.ndarray, dtype) -> None:
+    if column.dtype != dtype or column.ndim != 1:
+        raise ValueError(f"{name} is {column.dtype}[{column.ndim}d], expected a {np.dtype(dtype)} vector")
+
+
+def _check(corpus: Corpus) -> None:
+    """Raise ValueError unless the columns fit together and ids fit their vocabularies."""
+    for name, (_, dtype) in _COLUMNS.items():
+        _check_column(f"column {name}", getattr(corpus, name), dtype)
+    for name, (vocabulary, _) in _COLUMNS.items():
+        column = getattr(corpus, name)
+        expected = {"offsets": corpus.n_posts + 1, "tags": len(column)}.get(name, corpus.n_posts)
+        if len(column) != expected:
+            raise ValueError(f"column {name} has {len(column)} rows, expected {expected}")
+        if vocabulary is not None and column.size:
+            floor = 0 if name == "user" else -1
+            if column.min() < floor or column.max() >= len(getattr(corpus, vocabulary)):
+                raise ValueError(f"column {name} holds ids outside {vocabulary}")
+    steps = np.diff(corpus.offsets)
+    if corpus.offsets[0] != 0 or corpus.offsets[-1] != len(corpus.tags) or (steps < 0).any():
+        raise ValueError("offsets do not partition the hashtag slots")
+
+
+def file_sha256(path: str | Path) -> str:
+    """Hex sha256 of a file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def write_corpus(path: str | Path, corpus: Corpus, source_sha256: str) -> None:
+    """Cache a corpus as an ``.npz`` keyed by its posts file's sha256.
+
+    The file is written under a temporary name and renamed into place, and
+    its zip entries carry a fixed timestamp, so equal corpora give equal bytes.
+    """
+    path = Path(path)
+    arrays = {"key": np.array([f"{CACHE_FORMAT}:{source_sha256}"])}
+    for name in _VOCABULARIES:
+        arrays[f"{name}_utf8"], arrays[f"{name}_ends"] = _pack(getattr(corpus, name))
+    arrays.update((name, getattr(corpus, name)) for name in _COLUMNS)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with zipfile.ZipFile(temporary, "w") as archive:
+            for name, value in arrays.items():
+                entry = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+                with archive.open(entry, "w", force_zip64=True) as handle:
+                    np.lib.format.write_array(handle, value, allow_pickle=False)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
+def read_corpus(path: str | Path, source_sha256: str) -> Corpus | None:
+    """Load a cached corpus; None when it is missing, stale or unreadable."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+
+            def load(name: str) -> np.ndarray:
+                with archive.open(f"{name}.npy") as handle:
+                    return np.lib.format.read_array(handle, allow_pickle=False)
+
+            if load("key").tolist() != [f"{CACHE_FORMAT}:{source_sha256}"]:
+                logger.info("%s: stale corpus cache, rebuilding", path)
+                return None
+            vocabularies = {name: _unpack(load(f"{name}_utf8"), load(f"{name}_ends")) for name in _VOCABULARIES}
+            corpus = Corpus(**vocabularies, **{name: load(name) for name in _COLUMNS})
+        _check(corpus)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        logger.warning("%s: unreadable corpus cache, rebuilding: %s", path, exc)
+        return None
+    return corpus
+
+
+def load_posts(path: str | Path) -> tuple[Corpus, LoadStats]:
+    """Parse a whole posts file into a Corpus; returns (corpus, stats)."""
     stats = LoadStats()
-    posts = list(iter_posts(path, stats))
-    return posts, stats
+    corpus = Corpus.from_posts(iter_posts(path, stats))
+    return corpus, stats
 
 
 def load_friends(path: str | Path) -> FriendGraph:

@@ -16,8 +16,10 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import FriendGraph, Post
-from .tables import read_table, write_table
+import numpy as np
+
+from .corpus import Corpus, FriendGraph, Post, tally
+from .tables import bool_cell, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -67,21 +69,34 @@ def pick_country(
     return min(tied, key=lambda c: (-post_counts.get(c, 0), c))
 
 
-def _geo_evidence(posts: Iterable[Post], year: int | None):
-    """Distinct-day and post counts per country over geo-tagged posts.
+def _geo_evidence(corpus: Corpus, group: np.ndarray, year: int | None):
+    """Per group: distinct-day and post counts per country over geo-tagged posts.
 
     With ``year`` set, only posts from that year count; with None, all-time.
+    Groups without such posts are absent.
     """
-    days: dict[str, set] = defaultdict(set)
-    n_posts: Counter = Counter()
-    for post in posts:
-        if post.country is None:
-            continue
-        if year is not None and post.year != year:
-            continue
-        days[post.country].add(post.day)
-        n_posts[post.country] += 1
-    return {c: len(d) for c, d in days.items()}, dict(n_posts)
+    keep = corpus.country >= 0
+    if year is not None:
+        keep &= corpus.year == year
+    pairs = group[keep].astype(np.int64) * len(corpus.countries) + corpus.country[keep]
+    # One int64 key per distinct (pair, day): days shifted to start at 0 fit below span.
+    day = corpus.day[keep] - corpus.day.min(initial=0)
+    span = int(day.max(initial=0)) + 1
+    days = np.unique(pairs * span + day) // span
+    return tally(days, corpus.countries), tally(pairs, corpus.countries)
+
+
+def _pooled_evidence(posts: Iterable[Post], year: int | None):
+    """Geo evidence of all ``posts`` taken together."""
+    corpus = Corpus.from_posts(posts)
+    days, n_posts = _geo_evidence(corpus, np.zeros(corpus.n_posts, np.int64), year)
+    return days.get(0, {}), n_posts.get(0, {})
+
+
+def _residence(day_counts: Mapping[str, int], post_counts: Mapping[str, int], min_evidence: int) -> str | None:
+    if sum(day_counts.values()) < max(1, min_evidence):
+        return None
+    return pick_country(day_counts, post_counts)
 
 
 def assign_residence(
@@ -92,40 +107,22 @@ def assign_residence(
     Returns None when the user has no geo-tagged post in the year, or when
     the total distinct-day count falls below ``min_evidence``.
     """
-    day_counts, post_counts = _geo_evidence(posts, year)
-    if sum(day_counts.values()) < max(1, min_evidence):
-        return None
-    return pick_country(day_counts, post_counts)
+    return _residence(*_pooled_evidence(posts, year), min_evidence)
 
 
 def dominant_country(posts: Iterable[Post]) -> str | None:
     """All-time distinct-day argmax, with the residence tie-break chain."""
-    day_counts, post_counts = _geo_evidence(posts, None)
-    if not day_counts:
-        return None
-    return pick_country(day_counts, post_counts)
+    return pick_country(*_pooled_evidence(posts, None))
 
 
-def assign_nationality(
-    posts: Iterable[Post],
+def _nationality(
+    geo_counts: Mapping[str, int],
     friend_ids: Iterable[str],
     friend_countries: Mapping[str, str],
-    w_self: float = DEFAULT_SELF_WEIGHT,
-    w_friends: float = DEFAULT_FRIEND_WEIGHT,
-    min_evidence: int = 0,
+    w_self: float,
+    w_friends: float,
+    min_evidence: int,
 ) -> str | None:
-    """Nationality = argmax of w_self * f_self(c) + w_friends * f_friends(c).
-
-    f_self is the fraction of the user's all-time geo-tagged posts in each
-    country; f_friends is the fraction of the user's labeled friends whose
-    dominant country is c. The language term of the source method carries
-    weight zero and is omitted. Ties break lexicographically; the result is
-    None when no geo evidence and no labeled friend exists.
-    """
-    geo_counts: Counter = Counter()
-    for post in posts:
-        if post.country is not None:
-            geo_counts[post.country] += 1
     labeled = [friend_countries[f] for f in friend_ids if f in friend_countries]
 
     n_geo = sum(geo_counts.values())
@@ -146,17 +143,44 @@ def assign_nationality(
     return min(c for c, s in scores.items() if s == best)
 
 
-def language_fractions(posts: Iterable[Post]) -> dict[str, float]:
-    """Fraction of the user's posts per language, over language-tagged posts."""
-    counts: Counter = Counter(p.language for p in posts if p.language is not None)
+def assign_nationality(
+    posts: Iterable[Post],
+    friend_ids: Iterable[str],
+    friend_countries: Mapping[str, str],
+    w_self: float = DEFAULT_SELF_WEIGHT,
+    w_friends: float = DEFAULT_FRIEND_WEIGHT,
+    min_evidence: int = 0,
+) -> str | None:
+    """Nationality = argmax of w_self * f_self(c) + w_friends * f_friends(c).
+
+    f_self is the fraction of the user's all-time geo-tagged posts in each
+    country; f_friends is the fraction of the user's labeled friends whose
+    dominant country is c. The language term of the source method carries
+    weight zero and is omitted. Ties break lexicographically; the result is
+    None when no geo evidence and no labeled friend exists.
+    """
+    _, geo_counts = _pooled_evidence(posts, None)
+    return _nationality(geo_counts, friend_ids, friend_countries, w_self, w_friends, min_evidence)
+
+
+def _fractions(counts: Mapping[str, int]) -> dict[str, float]:
     total = sum(counts.values())
-    if total == 0:
-        return {}
     return {lang: n / total for lang, n in counts.items()}
 
 
+def _language_counts(corpus: Corpus, group: np.ndarray) -> dict[int, dict[str, int]]:
+    keep = corpus.language >= 0
+    return tally(group[keep].astype(np.int64) * len(corpus.languages) + corpus.language[keep], corpus.languages)
+
+
+def language_fractions(posts: Iterable[Post]) -> dict[str, float]:
+    """Fraction of the user's posts per language, over language-tagged posts."""
+    corpus = Corpus.from_posts(posts)
+    return _fractions(_language_counts(corpus, np.zeros(corpus.n_posts, np.int64)).get(0, {}))
+
+
 def label_population(
-    posts: Iterable[Post],
+    posts: Iterable[Post] | Corpus,
     friends: FriendGraph,
     year: int,
     w_self: float = DEFAULT_SELF_WEIGHT,
@@ -172,34 +196,36 @@ def label_population(
     """
     if w_self < 0 or w_friends < 0 or abs(w_self + w_friends - 1.0) > 1e-9:
         raise ValueError(f"weights must be nonnegative and sum to 1, got {w_self}+{w_friends}")
-    by_user: dict[str, list[Post]] = defaultdict(list)
-    for post in posts:
-        by_user[post.user_id].append(post)
+    corpus = Corpus.from_posts(posts)
+    n_users = len(corpus.users)
+    all_days, all_posts = _geo_evidence(corpus, corpus.user, None)
+    year_days, year_posts = _geo_evidence(corpus, corpus.user, year)
+    languages = _language_counts(corpus, corpus.user)
+    order = sorted(range(n_users), key=corpus.users.__getitem__)
 
     dominant: dict[str, str] = {}
-    for user_id in sorted(by_user):
-        country = dominant_country(by_user[user_id])
+    for index in order:
+        country = pick_country(all_days.get(index, {}), all_posts.get(index, {}))
         if country is not None:
-            dominant[user_id] = country
+            dominant[corpus.users[index]] = country
 
     profiles: dict[str, UserProfile] = {}
-    summary = LabelSummary(n_users=len(by_user))
-    for user_id in sorted(by_user):
-        user_posts = by_user[user_id]
-        day_counts, _ = _geo_evidence(user_posts, year)
+    summary = LabelSummary(n_users=n_users)
+    for index in order:
+        user_id = corpus.users[index]
         profile = UserProfile(
             user_id=user_id,
-            residence=assign_residence(user_posts, year, min_evidence),
-            nationality=assign_nationality(
-                user_posts,
+            residence=_residence(year_days.get(index, {}), year_posts.get(index, {}), min_evidence),
+            nationality=_nationality(
+                all_posts.get(index, {}),
                 friends.friends_of(user_id),
                 dominant,
                 w_self=w_self,
                 w_friends=w_friends,
                 min_evidence=min_evidence,
             ),
-            lang_fractions=language_fractions(user_posts),
-            days_per_country=day_counts,
+            lang_fractions=_fractions(languages.get(index, {})),
+            days_per_country=year_days.get(index, {}),
         )
         if profile.residence is not None and profile.nationality is not None:
             profile.is_migrant = profile.residence != profile.nationality
@@ -242,12 +268,11 @@ def read_profiles(path: str | Path, lang_path: str | Path | None = None) -> dict
     """Load profiles (and optionally language fractions) back from CSV."""
     profiles: dict[str, UserProfile] = {}
     for row in read_table(path, PROFILE_COLUMNS):
-        flag = row["is_migrant"]
         profiles[row["user_id"]] = UserProfile(
             user_id=row["user_id"],
             residence=row["residence"] or None,
             nationality=row["nationality"] or None,
-            is_migrant=None if flag == "" else flag == "true",
+            is_migrant=bool_cell(path, row, "is_migrant"),
         )
     if lang_path is not None:
         for row in read_table(lang_path, LANG_COLUMNS):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .atlas import HashtagRecord
 from .attachment import AttachmentScore, compute_scores
-from .corpus import Post, canonicalize_hashtag
+from .corpus import Corpus, Post
 from .labeling import UserProfile
 
 DEFAULT_REPLICATES = 5
@@ -32,6 +32,28 @@ class ShuffleRun:
     scores0: list[AttachmentScore]
 
 
+def _pool(corpus: Corpus, year: int | None, users: set[str] | None) -> np.ndarray:
+    """Hashtag slots that enter the shuffle, in post and tag order.
+
+    These are the slots holding a canonical token, in posts matching the
+    ``year`` and ``users`` filters.
+    """
+    selected = np.ones(corpus.n_posts, dtype=bool)
+    if year is not None:
+        selected &= corpus.year == year
+    if users is not None:
+        selected &= np.array([u in users for u in corpus.users], dtype=bool)[corpus.user]
+    return np.flatnonzero(selected[corpus.slot_post()] & (corpus.tags >= 0))
+
+
+def _permuted(corpus: Corpus, pool: np.ndarray, seed: int) -> np.ndarray:
+    """Token ids with those in ``pool`` permuted uniformly at random by ``seed``."""
+    order = np.random.default_rng(seed).permutation(len(pool))
+    tags = corpus.tags.copy()
+    tags[pool] = corpus.tags[pool[order]]
+    return tags
+
+
 def shuffle_hashtags(
     posts: Sequence[Post],
     seed: int,
@@ -43,43 +65,31 @@ def shuffle_hashtags(
     Only canonicalizable tags in posts matching the ``year`` and ``users``
     filters enter the pool; they are written back in canonical form, which
     keeps volumes exact under re-canonicalization. Everything else about
-    every post is untouched. Deterministic in (posts, seed).
+    every post is untouched. Deterministic in (posts, seed); the same
+    permutation as one ``null_distribution`` replicate with that seed.
     """
-    slots: list[tuple[int, int]] = []
-    pool: list[str] = []
-    for post_idx, post in enumerate(posts):
-        if year is not None and post.year != year:
-            continue
-        if users is not None and post.user_id not in users:
-            continue
-        for tag_idx, raw in enumerate(post.hashtags):
-            token = canonicalize_hashtag(raw)
-            if token is not None:
-                slots.append((post_idx, tag_idx))
-                pool.append(token)
-
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pool))
-
-    replacements: dict[int, dict[int, str]] = {}
-    for slot_idx, (post_idx, tag_idx) in enumerate(slots):
-        replacements.setdefault(post_idx, {})[tag_idx] = pool[order[slot_idx]]
+    corpus = Corpus.from_posts(posts)
+    pool = _pool(corpus, year, users)
+    tags = _permuted(corpus, pool, seed).tolist()
+    pooled = np.zeros(len(tags), dtype=bool)
+    pooled[pool] = True
+    pooled = pooled.tolist()
 
     shuffled: list[Post] = []
-    for post_idx, post in enumerate(posts):
-        per_post = replacements.get(post_idx)
-        if per_post is None:
+    for post, start, end in zip(posts, corpus.offsets.tolist(), corpus.offsets[1:].tolist()):
+        if not any(pooled[start:end]):
             shuffled.append(post)
             continue
-        tags = tuple(
-            per_post.get(i, raw) for i, raw in enumerate(post.hashtags)
+        hashtags = tuple(
+            corpus.tokens[tags[slot]] if pooled[slot] else raw
+            for slot, raw in enumerate(post.hashtags, start)
         )
-        shuffled.append(dataclasses.replace(post, hashtags=tags))
+        shuffled.append(dataclasses.replace(post, hashtags=hashtags))
     return shuffled
 
 
 def null_distribution(
-    posts: Sequence[Post],
+    posts: Iterable[Post] | Corpus,
     profiles: Mapping[str, UserProfile],
     atlas: Mapping[str, HashtagRecord],
     year: int,
@@ -99,16 +109,18 @@ def null_distribution(
         raise ValueError("replicates must be >= 1")
     if shuffle_population not in ("scored", "all"):
         raise ValueError(f"unknown shuffle population {shuffle_population!r}")
+    corpus = Corpus.from_posts(posts)
 
     users: set[str] | None = None
     if shuffle_population == "scored":
-        real = compute_scores(posts, profiles, atlas, year, min_hashtags=min_hashtags)
+        real = compute_scores(corpus, profiles, atlas, year, min_hashtags=min_hashtags)
         users = {s.user_id for s in real}
+    pool = _pool(corpus, year, users)
 
     runs = []
     for index in range(replicates):
         derived = seed + index
-        shuffled = shuffle_hashtags(posts, derived, year=year, users=users)
+        shuffled = corpus.with_tags(_permuted(corpus, pool, derived))
         scores0 = compute_scores(shuffled, profiles, atlas, year, min_hashtags=min_hashtags)
         runs.append(ShuffleRun(seed=derived, replicate_index=index, scores0=scores0))
     return runs

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 
 class TableError(ValueError):
-    """A table lacks columns its reader needs."""
+    """A table lacks columns its reader needs, or holds a cell it cannot parse."""
 
 
 def _cell(value):
@@ -52,3 +52,17 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, s
         if missing:
             raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
         yield from reader
+
+
+def bool_cell(path: str | Path, row: dict[str, str], column: str) -> bool | None:
+    """A ``true``/``false`` cell as a bool, an empty one as None.
+
+    Raises TableError naming the file, the column and the value for any
+    other cell.
+    """
+    value = row[column]
+    if value == "":
+        return None
+    if value in ("true", "false"):
+        return value == "true"
+    raise TableError(f"{path}: column {column} holds {value!r}, expected true, false or empty")

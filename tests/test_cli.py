@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from homedest.cli import FILES, REPORT_FILES, main
+from homedest.corpus import file_sha256, read_corpus
 from homedest.synth import read_ground_truth
 
 
@@ -122,6 +124,18 @@ class TestMissingPrerequisites:
         assert "run `homedest atlas` first" in capsys.readouterr().err
 
 
+    def test_score_without_lang_fractions(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path, "--users", 40) == 0
+        assert run("label", "--out", tmp_path) == 0
+        assert run("atlas", "--out", tmp_path) == 0
+        (tmp_path / FILES["lang_fractions"]).unlink()
+        with pytest.raises(SystemExit) as exc:
+            run("score", "--out", tmp_path)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "lang_fractions.csv not found" in err and "run `homedest label` first" in err
+
+
 class TestBadInput:
     @staticmethod
     def exit_2_stderr(capsys, *argv):
@@ -153,6 +167,98 @@ class TestBadInput:
         err = self.exit_2_stderr(capsys, "label", "--out", tmp_path)
         assert "error: no posts loaded from" in err
         assert "posts.jsonl: 3 lines, 3 skipped" in err
+
+
+    def test_entropy_threshold_out_of_range(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path, "--users", 40) == 0
+        assert run("label", "--out", tmp_path) == 0
+        err = self.exit_2_stderr(capsys, "atlas", "--out", tmp_path, "--entropy-threshold", 2)
+        assert err.startswith("error: --entropy-threshold must lie in [0, 1], got 2.0")
+        assert not (tmp_path / FILES["atlas"]).exists()
+
+    def test_zero_replicates(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replicates": 0}))
+        err = self.exit_2_stderr(capsys, "null", "--out", tmp_path, "--config", cfg)
+        assert err.startswith("error: --replicates must be at least 1, got 0")
+        err = self.exit_2_stderr(capsys, "null", "--out", tmp_path, "--replicates", 0)
+        assert err.startswith("error: --replicates must be at least 1, got 0")
+
+
+@pytest.fixture(scope="module")
+def labeled(tmp_path_factory):
+    """A synthetic workspace after `label`, holding the corpus cache."""
+    out = tmp_path_factory.mktemp("labeled")
+    assert run("synth", "--out", out, "--users", 200, "--seed", 3) == 0
+    assert run("label", "--out", out) == 0
+    return out
+
+
+class TestCorpusCache:
+    @staticmethod
+    def copy(workspace, out):
+        shutil.copytree(workspace, out)
+        return out
+
+    def test_label_writes_the_cache(self, labeled):
+        cache = labeled / FILES["corpus"]
+        assert read_corpus(cache, file_sha256(labeled / FILES["posts"])) is not None
+
+    def test_later_commands_do_not_parse_posts(self, labeled, tmp_path, monkeypatch):
+        ws = self.copy(labeled, tmp_path / "ws")
+
+        def no_parse(path):
+            raise AssertionError(f"{path} parsed again")
+
+        monkeypatch.setattr("homedest.cli.load_posts", no_parse)
+        for step in (["atlas"], ["score"], ["null", "--replicates", 2]):
+            assert run(*step, "--out", ws) == 0
+
+    def test_stale_cache_rebuilt(self, labeled, tmp_path):
+        ws = self.copy(labeled, tmp_path / "ws")
+        assert run("atlas", "--out", ws) == 0
+        before = (ws / FILES["atlas"]).read_bytes()
+        posts = ws / FILES["posts"]
+        lines = posts.read_text(encoding="utf-8").splitlines(keepends=True)
+        posts.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+        assert run("atlas", "--out", ws) == 0
+
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        for key in ("posts", "profiles"):
+            shutil.copyfile(ws / FILES[key], fresh / FILES[key])
+        assert run("atlas", "--out", fresh) == 0
+        after = (ws / FILES["atlas"]).read_bytes()
+        assert after != before  # the rewrite changed the atlas, so the check can fail
+        assert after == (fresh / FILES["atlas"]).read_bytes()
+        assert (ws / FILES["corpus"]).read_bytes() == (fresh / FILES["corpus"]).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_damaged_cache_rebuilt(self, labeled, tmp_path, damage):
+        reference = self.copy(labeled, tmp_path / "reference")
+        assert run("atlas", "--out", reference) == 0
+        ws = self.copy(labeled, tmp_path / "ws")
+        cache = ws / FILES["corpus"]
+        if damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[:1000])
+        else:
+            cache.write_bytes(b"\x93NUMPY garbage" * 100)
+        assert run("atlas", "--out", ws) == 0
+        assert (ws / FILES["atlas"]).read_bytes() == (reference / FILES["atlas"]).read_bytes()
+        assert cache.read_bytes() == (reference / FILES["corpus"]).read_bytes()
+
+    def test_posts_outside_workspace(self, labeled, tmp_path):
+        inputs = self.copy(labeled, tmp_path / "inputs")
+        ws = tmp_path / "ws"
+        posts = ["--posts", inputs / FILES["posts"]]
+        assert run("label", "--out", ws, *posts, "--friends", inputs / FILES["friends"]) == 0
+        for step in ("atlas", "score", "null"):
+            assert run(step, "--out", ws, *posts) == 0
+        assert not (ws / FILES["posts"]).exists()
+        assert (ws / FILES["corpus"]).read_bytes() == (inputs / FILES["corpus"]).read_bytes()
+        for step in ("atlas", "score"):
+            assert run(step, "--out", inputs) == 0
+        assert (ws / FILES["scores"]).read_bytes() == (inputs / FILES["scores"]).read_bytes()
 
 
 class TestConfig:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from homedest.corpus import load_posts
+from homedest.corpus import LoadStats, iter_posts
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -31,7 +31,8 @@ def test_readme_posts_format_loads(tmp_path):
     line = re.sub(r"\|null", "", " ".join(documented.split())).replace(", ...", "")
     path = tmp_path / "posts.jsonl"
     path.write_text(json.dumps(json.loads(line)) + "\n", encoding="utf-8")
-    posts, stats = load_posts(path)
+    stats = LoadStats()
+    posts = list(iter_posts(path, stats))
     assert (stats.loaded, stats.skipped) == (1, 0)
     assert posts[0].country == "IT" and posts[0].language == "it"
     assert posts[0].hashtags == ("roma",)

@@ -140,3 +140,12 @@ def test_profile_round_trip(tmp_path, micro_corpus):
         assert restored.nationality == original.nationality
         assert restored.is_migrant == original.is_migrant
         assert restored.lang_fractions == original.lang_fractions
+
+
+def test_distinct_days_far_from_the_epoch():
+    # Days before 1970 and after 2149 still count one per calendar day.
+    posts = [make_post("u", d, cc="DE", year=1900) for d in (0, 0, 1)]
+    posts += [make_post("u", d, cc="IT", year=2200) for d in (0, 0)]
+    assert dominant_country(posts) == "DE"
+    profiles, _ = label_population(posts, graph_from_rows([]), 2200)
+    assert profiles["u"].days_per_country == {"IT": 1}

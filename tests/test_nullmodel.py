@@ -134,6 +134,19 @@ class TestNullDistribution:
         with pytest.raises(ValueError):
             null_distribution(posts, profiles, atlas, YEAR, shuffle_population="some")
 
+    @pytest.mark.parametrize("population", ["scored", "all"])
+    def test_replicate_rescores_the_shuffled_posts(self, default_run, population):
+        """A replicate scores exactly what shuffling the posts with its seed gives."""
+        posts = default_run.population.posts
+        profiles, atlas, year = default_run.profiles, default_run.atlas, default_run.spec.year
+        runs = null_distribution(
+            posts, profiles, atlas, year, replicates=2, seed=7, shuffle_population=population
+        )
+        users = None if population == "all" else {s.user_id for s in default_run.scores}
+        for run in runs:
+            shuffled = shuffle_hashtags(posts, run.seed, year=year, users=users)
+            assert run.scores0 == compute_scores(shuffled, profiles, atlas, year)
+
     def test_pooled(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
         runs = null_distribution(
