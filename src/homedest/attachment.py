@@ -76,6 +76,8 @@ def compute_scores(
     """
     if count_mode not in ("uses", "distinct"):
         raise ValueError(f"count_mode must be 'uses' or 'distinct', got {count_mode!r}")
+    if min_hashtags < 1:
+        raise ValueError(f"min_hashtags must be >= 1, got {min_hashtags}")
     corpus = Corpus.from_posts(posts)
     n_users = len(corpus.users)
 

@@ -27,7 +27,7 @@ from .attachment import (
     read_scores,
     write_scores,
 )
-from .corpus import Corpus, file_sha256, load_friends, load_posts, read_corpus, write_corpus
+from .corpus import Corpus, LoadStats, file_sha256, load_friends, load_posts, read_corpus, write_corpus
 from .covariates import (
     grouped_correlations,
     individual_correlations,
@@ -130,21 +130,30 @@ def _require(path: Path, key: str) -> Path:
     return path
 
 
-def _load_corpus(path: Path, out: Path) -> Corpus:
-    """The posts file as a Corpus, parsed once per workspace.
+def _load_corpus(path: Path, out: Path) -> tuple[Corpus, LoadStats | None]:
+    """The posts file as a Corpus, parsed once per workspace, and its load stats.
 
     The workspace's corpus cache is used when its key matches the posts
-    file's sha256; otherwise the file is parsed and the cache rewritten.
+    file's sha256, and the stats are then None; otherwise the file is parsed
+    and the cache rewritten.
     """
     cache = out / FILES["corpus"]
     digest = file_sha256(path)
     corpus = read_corpus(cache, digest)
-    if corpus is None:
-        corpus, stats = load_posts(path)
-        if not corpus.n_posts:
-            _fail(f"no posts loaded from {path}: {stats.lines} lines, {stats.skipped} skipped")
-        write_corpus(cache, corpus, digest)
-    return corpus
+    if corpus is not None:
+        return corpus, None
+    corpus, stats = load_posts(path)
+    if not corpus.n_posts:
+        _fail(f"no posts loaded from {path}: {stats.lines} lines, {stats.skipped_text()}")
+    write_corpus(cache, corpus, digest)
+    return corpus, stats
+
+
+def _min_hashtags(args, config: dict) -> int:
+    min_hashtags = int(_opt(args, config, "min_hashtags", DEFAULT_MIN_HASHTAGS))
+    if min_hashtags < 1:
+        _fail(f"--min-hashtags must be at least 1, got {min_hashtags}")
+    return min_hashtags
 
 
 def _load_config(args) -> dict:
@@ -203,7 +212,11 @@ def cmd_label(args) -> int:
     posts_path = _require(_artifact(args, out, "posts"), "posts")
     friends_path = _require(_artifact(args, out, "friends"), "friends")
 
-    posts = _load_corpus(posts_path, out)
+    posts, stats = _load_corpus(posts_path, out)
+    if stats is None:
+        print(f"posts: {posts.n_posts} loaded from {FILES['corpus']}")
+    else:
+        print(f"posts: {stats.lines} lines, {stats.loaded} loaded, {stats.skipped_text()}")
     friends = load_friends(friends_path)
     profiles, summary = label_population(posts, friends, year)
     header = _header({"command": "label", "year": year}, 0)
@@ -226,7 +239,7 @@ def cmd_atlas(args) -> int:
     posts_path = _require(_artifact(args, out, "posts"), "posts")
     profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
 
-    posts = _load_corpus(posts_path, out)
+    posts, _ = _load_corpus(posts_path, out)
     profiles = read_profiles(profiles_path)
     atlas = build_atlas(posts, profiles, year, threshold=threshold)
     header = _header(
@@ -243,14 +256,14 @@ def cmd_atlas(args) -> int:
 def cmd_score(args) -> int:
     config = _load_config(args)
     year = int(_opt(args, config, "year", DEFAULT_YEAR))
-    min_hashtags = int(_opt(args, config, "min_hashtags", DEFAULT_MIN_HASHTAGS))
+    min_hashtags = _min_hashtags(args, config)
     out = _workspace(args)
     posts_path = _require(_artifact(args, out, "posts"), "posts")
     profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
     atlas_path = _require(_artifact(args, out, "atlas"), "atlas")
     lang_path = _require(out / FILES["lang_fractions"], "lang_fractions")
 
-    posts = _load_corpus(posts_path, out)
+    posts, _ = _load_corpus(posts_path, out)
     profiles = read_profiles(profiles_path, lang_path)
     atlas = read_atlas(atlas_path)
     scores = compute_scores(posts, profiles, atlas, year, min_hashtags=min_hashtags)
@@ -279,7 +292,7 @@ def cmd_score(args) -> int:
 def cmd_null(args) -> int:
     config = _load_config(args)
     year = int(_opt(args, config, "year", DEFAULT_YEAR))
-    min_hashtags = int(_opt(args, config, "min_hashtags", DEFAULT_MIN_HASHTAGS))
+    min_hashtags = _min_hashtags(args, config)
     replicates = int(_opt(args, config, "replicates", DEFAULT_REPLICATES))
     if replicates < 1:
         _fail(f"--replicates must be at least 1, got {replicates}")
@@ -290,7 +303,7 @@ def cmd_null(args) -> int:
     profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
     atlas_path = _require(_artifact(args, out, "atlas"), "atlas")
 
-    posts = _load_corpus(posts_path, out)
+    posts, _ = _load_corpus(posts_path, out)
     profiles = read_profiles(profiles_path)
     atlas = read_atlas(atlas_path)
     runs = null_distribution(

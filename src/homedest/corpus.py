@@ -3,9 +3,20 @@
 Input contracts:
 
 * posts file: UTF-8 JSON lines, one object per line with fields ``user_id``
-  (string), ``ts`` (ISO-8601 UTC string), ``cc`` (alpha-2 string or null),
-  ``lang`` (string or null) and ``tags`` (array of strings). Unknown fields
-  are ignored; malformed lines are skipped and counted.
+  (non-empty string), ``ts`` (ISO-8601 string), ``cc`` (alpha-2 string, null
+  or absent), ``lang`` (string, null or absent) and ``tags`` (array of
+  strings, absent meaning none). ``ts`` is canonically
+  ``YYYY-MM-DDTHH:MM:SSZ``; any other form ``datetime.fromisoformat`` reads
+  (a lowercase ``z``, a ``+HH:MM`` offset, fractional seconds) is converted
+  to UTC, one without an offset is taken as UTC, and the result must lie in
+  [1970, 2100). ``cc`` is matched case-insensitively; ``lang`` keeps its
+  primary subtag and is treated as missing when that is not 2-8 letters.
+  Blank lines and lines starting with ``#`` are ignored, and so are unknown
+  fields. Any other line that breaks the contract is skipped, logged and
+  counted under the first reason that applies, in this order (the
+  SKIP_REASONS keys): not a JSON object (``json``), no ``user_id`` or ``ts``
+  (``missing``), a bad ``user_id``, ``ts``, ``cc`` (an unrecognized code
+  skips the whole post) or ``tags``.
 * friends file: UTF-8 CSV with header ``user_id,friend_id``. Edges are
   directed (follower -> followed); duplicates collapse, self-loops drop.
 
@@ -29,6 +40,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import zipfile
 from array import array
 from dataclasses import dataclass, field
@@ -74,13 +86,55 @@ class Post:
         return self.timestamp.date()
 
 
+# Why a posts line is skipped, in the order the checks run.
+SKIP_REASONS = {
+    "json": "bad JSON",
+    "missing": "missing field",
+    "user_id": "bad user_id",
+    "ts": "bad ts",
+    "cc": "bad cc",
+    "tags": "bad tags",
+}
+
+
+class BadPost(ValueError):
+    """A posts line that breaks the input contract; ``reason`` keys SKIP_REASONS."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
+
+
 @dataclass
 class LoadStats:
-    """Bookkeeping for a streamed load: lines seen, records kept, lines skipped."""
+    """Bookkeeping for a streamed load: lines seen, records kept, lines skipped.
+
+    ``reasons`` counts the skipped lines per SKIP_REASONS key and
+    ``first_lines`` keeps the first three line numbers of each.
+    """
 
     lines: int = 0
     loaded: int = 0
     skipped: int = 0
+    reasons: dict[str, int] = field(default_factory=dict)
+    first_lines: dict[str, list[int]] = field(default_factory=dict)
+
+    def skip(self, reason: str, lineno: int) -> None:
+        self.skipped += 1
+        self.reasons[reason] = self.reasons.get(reason, 0) + 1
+        first = self.first_lines.setdefault(reason, [])
+        if len(first) < 3:
+            first.append(lineno)
+
+    def skipped_text(self) -> str:
+        """``N skipped``, followed by the count and first lines of each reason."""
+        parts = [
+            f"{label} {self.reasons[reason]}, first at line(s) "
+            + ", ".join(map(str, self.first_lines[reason]))
+            for reason, label in SKIP_REASONS.items()
+            if reason in self.reasons
+        ]
+        return f"{self.skipped} skipped" + (f" ({'; '.join(parts)})" if parts else "")
 
 
 @dataclass
@@ -110,18 +164,84 @@ def canonicalize_hashtag(raw: str) -> str | None:
     return cleaned
 
 
-def _parse_timestamp(value: str) -> datetime:
+_JSON = json.JSONDecoder()
+
+
+def _decode(line: str) -> dict:
+    """The JSON object on a stripped line (``json.loads`` without its wrappers)."""
+    try:
+        record, end = _JSON.raw_decode(line)
+    except ValueError as exc:
+        raise BadPost("json", f"bad JSON: {exc}") from None
+    if end != len(line):
+        raise BadPost("json", f"bad JSON: extra data at column {end + 1}")
+    if not isinstance(record, dict):
+        raise BadPost("json", "not a JSON object")
+    return record
+
+
+def _field(record: dict, name: str):
+    try:
+        return record[name]
+    except KeyError:
+        raise BadPost("missing", f"missing field {name!r}") from None
+
+
+def _user_id(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise BadPost("user_id", "user_id must be a non-empty string")
+    return value
+
+
+def _parse_timestamp(value) -> datetime:
+    if not isinstance(value, str):
+        raise BadPost("ts", f"timestamp must be a string: {value!r}")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    ts = datetime.fromisoformat(text)
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    else:
-        ts = ts.astimezone(timezone.utc)
+    try:
+        ts = datetime.fromisoformat(text)
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        else:
+            ts = ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
+        raise BadPost("ts", f"bad timestamp {value!r}: {exc}") from None
     if not (_TS_MIN <= ts < _TS_MAX):
-        raise ValueError(f"timestamp out of range: {value!r}")
+        raise BadPost("ts", f"timestamp out of range: {value!r}")
     return ts
+
+
+# The shape of a canonical timestamp, ``YYYY-MM-DDTHH:MM:SSZ``.
+_CANONICAL_TS = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z").fullmatch
+
+
+def _year_day(value, dates: dict[str, tuple[int, int]], times: set[str]) -> tuple[int, int]:
+    """(year, UTC day number) of a timestamp, as ``_parse_timestamp`` reads it.
+
+    A canonical timestamp is the date, ``T``, the time of day and ``Z``;
+    it is valid when both halves are, and its date is the first half's.
+    So once ``_parse_timestamp`` has accepted a canonical timestamp, its
+    date (with the year and day) and its ``THH:MM:SSZ`` part are kept, and
+    a timestamp made of a kept date and a kept time part is not parsed again.
+    """
+    if type(value) is str and value[10:] in times and (known := dates.get(value[:10])) is not None:
+        return known
+    ts = _parse_timestamp(value)
+    year_day = (ts.year, ts.toordinal() - _EPOCH_ORDINAL)
+    if _CANONICAL_TS(value):
+        dates[value[:10]] = year_day
+        times.add(value[10:])
+    return year_day
+
+
+def _country(value) -> str | None:
+    if value is None:
+        return None
+    country = normalize_alpha2(str(value))
+    if country is None:
+        raise BadPost("cc", f"unrecognized country code: {value!r}")
+    return country
 
 
 def _parse_language(value) -> str | None:
@@ -134,26 +254,35 @@ def _parse_language(value) -> str | None:
     return None
 
 
+def _hashtags(value) -> list[str]:
+    # all(map(str.__instancecheck__, ...)) is all(isinstance(t, str) ...) without a generator.
+    if not isinstance(value, list) or not all(map(str.__instancecheck__, value)):
+        raise BadPost("tags", "tags must be a list of strings")
+    return value
+
+
+def _memo(cache: dict, parse, value):
+    """``parse(value)``, computed once per distinct string value."""
+    if type(value) is not str:
+        return parse(value)
+    try:
+        return cache[value]
+    except KeyError:
+        result = cache[value] = parse(value)
+        return result
+
+
 def parse_post(record: dict) -> Post:
     """Build a validated Post from a decoded JSON object.
 
-    Raises ValueError/KeyError/TypeError on records violating the contract
-    (missing user, unparseable or out-of-range timestamp, unrecognized
-    country code, non-list tags).
+    Raises BadPost (a ValueError) naming the first check the record fails:
+    a missing field, a bad user, an unparseable or out-of-range timestamp,
+    an unrecognized country code or non-list tags.
     """
-    user_id = record["user_id"]
-    if not isinstance(user_id, str) or not user_id:
-        raise ValueError("user_id must be a non-empty string")
-    ts = _parse_timestamp(record["ts"])
-    cc = record.get("cc")
-    country = None
-    if cc is not None:
-        country = normalize_alpha2(str(cc))
-        if country is None:
-            raise ValueError(f"unrecognized country code: {cc!r}")
-    tags = record.get("tags", [])
-    if not isinstance(tags, list) or any(not isinstance(t, str) for t in tags):
-        raise ValueError("tags must be a list of strings")
+    user_id = _user_id(_field(record, "user_id"))
+    ts = _parse_timestamp(_field(record, "ts"))
+    country = _country(record.get("cc"))
+    tags = _hashtags(record.get("tags", []))
     return Post(
         user_id=user_id,
         timestamp=ts,
@@ -163,30 +292,76 @@ def parse_post(record: dict) -> Post:
     )
 
 
+def _lines(path: str | Path, stats: LoadStats) -> Iterator[tuple[int, str]]:
+    """Numbered, stripped lines of a posts file, without blanks and comments."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                stats.lines += 1
+                yield lineno, stripped
+
+
+def _skip(stats: LoadStats, path: str | Path, lineno: int, exc: BadPost) -> None:
+    logger.warning("%s:%d skipped malformed post: %s", path, lineno, exc)
+    stats.skip(exc.reason, lineno)
+
+
 def iter_posts(path: str | Path, stats: LoadStats | None = None) -> Iterator[Post]:
     """Stream posts from a JSONL file, skipping and counting malformed lines.
 
     An unreadable file raises OSError; malformed lines are logged with their
     line number and tallied in ``stats`` when provided.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if stats is not None:
-                stats.lines += 1
-            try:
-                record = json.loads(stripped)
-                post = parse_post(record)
-            except (ValueError, KeyError, TypeError) as exc:
-                logger.warning("%s:%d skipped malformed post: %s", path, lineno, exc)
-                if stats is not None:
-                    stats.skipped += 1
-                continue
-            if stats is not None:
-                stats.loaded += 1
-            yield post
+    stats = LoadStats() if stats is None else stats
+    for lineno, line in _lines(path, stats):
+        try:
+            post = parse_post(_decode(line))
+        except BadPost as exc:
+            _skip(stats, path, lineno, exc)
+            continue
+        stats.loaded += 1
+        yield post
+
+
+def _intern(rows: Iterable[tuple]) -> Corpus:
+    """Columns from ``(user_id, country, language, year, day, hashtags)`` rows.
+
+    ``canonicalize_hashtag`` runs once per distinct raw tag.
+    """
+    users: dict[str, int] = {}
+    countries: dict[str, int] = {}
+    languages: dict[str, int] = {}
+    tokens: dict[str, int] = {}
+    canonical: dict[str, int] = {}
+    user, country, language = array("i"), array("h"), array("i")
+    year, day, offsets, tags = array("h"), array("i"), array("q", [0]), array("i")
+    for user_id, country_code, language_code, post_year, post_day, hashtags in rows:
+        user.append(users.setdefault(user_id, len(users)))
+        country.append(-1 if country_code is None else countries.setdefault(country_code, len(countries)))
+        language.append(-1 if language_code is None else languages.setdefault(language_code, len(languages)))
+        year.append(post_year)
+        day.append(post_day)
+        for raw in hashtags:
+            token = canonical.get(raw)
+            if token is None:
+                cleaned = canonicalize_hashtag(raw)
+                token = canonical[raw] = -1 if cleaned is None else tokens.setdefault(cleaned, len(tokens))
+            tags.append(token)
+        offsets.append(len(tags))
+    return Corpus(
+        users=tuple(users),
+        countries=tuple(countries),
+        languages=tuple(languages),
+        tokens=tuple(tokens),
+        user=np.array(user, dtype=np.int32),
+        country=np.array(country, dtype=np.int16),
+        language=np.array(language, dtype=np.int32),
+        year=np.array(year, dtype=np.int16),
+        day=np.array(day, dtype=np.int32),
+        offsets=np.array(offsets, dtype=np.int64),
+        tags=np.array(tags, dtype=np.int32),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,38 +407,9 @@ class Corpus:
         """
         if isinstance(posts, Corpus):
             return posts
-        users: dict[str, int] = {}
-        countries: dict[str, int] = {}
-        languages: dict[str, int] = {}
-        tokens: dict[str, int] = {}
-        canonical: dict[str, int] = {}
-        user, country, language = array("i"), array("h"), array("i")
-        year, day, offsets, tags = array("h"), array("i"), array("q", [0]), array("i")
-        for post in posts:
-            user.append(users.setdefault(post.user_id, len(users)))
-            country.append(-1 if post.country is None else countries.setdefault(post.country, len(countries)))
-            language.append(-1 if post.language is None else languages.setdefault(post.language, len(languages)))
-            year.append(post.timestamp.year)
-            day.append(post.timestamp.toordinal() - _EPOCH_ORDINAL)
-            for raw in post.hashtags:
-                token = canonical.get(raw)
-                if token is None:
-                    cleaned = canonicalize_hashtag(raw)
-                    token = canonical[raw] = -1 if cleaned is None else tokens.setdefault(cleaned, len(tokens))
-                tags.append(token)
-            offsets.append(len(tags))
-        return cls(
-            users=tuple(users),
-            countries=tuple(countries),
-            languages=tuple(languages),
-            tokens=tuple(tokens),
-            user=np.array(user, dtype=np.int32),
-            country=np.array(country, dtype=np.int16),
-            language=np.array(language, dtype=np.int32),
-            year=np.array(year, dtype=np.int16),
-            day=np.array(day, dtype=np.int32),
-            offsets=np.array(offsets, dtype=np.int64),
-            tags=np.array(tags, dtype=np.int32),
+        return _intern(
+            (post.user_id, post.country, post.language, post.year, post.timestamp.toordinal() - _EPOCH_ORDINAL, post.hashtags)
+            for post in posts
         )
 
 
@@ -381,10 +527,37 @@ def read_corpus(path: str | Path, source_sha256: str) -> Corpus | None:
     return corpus
 
 
+def _rows(path: str | Path, stats: LoadStats) -> Iterator[tuple]:
+    """The ``_intern`` row of each valid line, through the checks of ``parse_post``.
+
+    ``cc``, ``lang`` and the halves of a canonical timestamp are validated
+    once per distinct value.
+    """
+    countries: dict[str, str | None] = {}
+    languages: dict[str, str | None] = {}
+    dates: dict[str, tuple[int, int]] = {}
+    times: set[str] = set()
+    for lineno, line in _lines(path, stats):
+        try:
+            record = _decode(line)
+            user_id = _user_id(_field(record, "user_id"))
+            year, day = _year_day(_field(record, "ts"), dates, times)
+            country = _memo(countries, _country, record.get("cc"))
+            tags = _hashtags(record.get("tags", []))
+        except BadPost as exc:
+            _skip(stats, path, lineno, exc)
+            continue
+        stats.loaded += 1
+        yield user_id, country, _memo(languages, _parse_language, record.get("lang")), year, day, tags
+
+
 def load_posts(path: str | Path) -> tuple[Corpus, LoadStats]:
-    """Parse a whole posts file into a Corpus; returns (corpus, stats)."""
+    """Parse a whole posts file into a Corpus; returns (corpus, stats).
+
+    Each decoded line goes straight into the columns, with no Post built.
+    """
     stats = LoadStats()
-    corpus = Corpus.from_posts(iter_posts(path, stats))
+    corpus = _intern(_rows(path, stats))
     return corpus, stats
 
 

@@ -6,6 +6,9 @@ tie-free pooled samples of at most EXACT_LIMIT observations, and otherwise
 use the normal approximation with midrank tie correction and continuity
 correction. p-values are carried in log space as well, so magnitudes far
 below float-representable survival-function naivety survive.
+
+scipy is imported inside the two functions that call it, so the commands
+that compute no p-value never load it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from scipy.special import betainc, log_ndtr
 
 EXACT_LIMIT = 20
 
@@ -86,6 +87,8 @@ def _u_distribution(n1: int, n2: int) -> list[int]:
 
 def _norm_sf_log(z: float) -> tuple[float, float]:
     """(sf, log sf) of the standard normal at z."""
+    from scipy.special import log_ndtr
+
     log_sf = float(log_ndtr(-z))
     return math.exp(log_sf), log_sf
 
@@ -274,6 +277,8 @@ def _pearson_from_arrays(x: Sequence[float], y: Sequence[float], method: str) ->
         return TestResult(r, 0.0, n, n, method, -math.inf)
     # Two-sided p for the t statistic with df degrees of freedom.
     t_sq = df * r * r / (1.0 - r * r)
+    from scipy.special import betainc
+
     p = float(betainc(df / 2.0, 0.5, df / (df + t_sq)))
     p = max(0.0, min(1.0, p))
     log_p = math.log(p) if p > 0 else -math.inf

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,6 +187,41 @@ class TestBadInput:
         err = self.exit_2_stderr(capsys, "null", "--out", tmp_path, "--replicates", 0)
         assert err.startswith("error: --replicates must be at least 1, got 0")
 
+    @pytest.mark.parametrize("command", ["score", "null"])
+    def test_min_hashtags_below_one(self, tmp_path, capsys, command):
+        for value in (0, -3):
+            err = self.exit_2_stderr(capsys, command, "--out", tmp_path, "--min-hashtags", value)
+            assert err.startswith(f"error: --min-hashtags must be at least 1, got {value}")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_hashtags": 0}))
+        err = self.exit_2_stderr(capsys, command, "--out", tmp_path, "--config", cfg)
+        assert err.startswith("error: --min-hashtags must be at least 1, got 0")
+
+    def test_skip_reasons_named_when_nothing_loads(self, tmp_path, capsys):
+        good = {"user_id": "u1", "ts": "2018-03-01T12:00:00Z", "cc": "IT"}
+        lines = ["{broken", json.dumps({**good, "cc": "ZZ"}), json.dumps({**good, "ts": "2018-02-30T12:00:00Z"})]
+        (tmp_path / FILES["posts"]).write_text("\n".join(lines + lines[1:2]) + "\n")
+        (tmp_path / FILES["friends"]).write_text("user_id,friend_id\n")
+        err = self.exit_2_stderr(capsys, "label", "--out", tmp_path)
+        assert "posts.jsonl: 4 lines, 4 skipped (bad JSON 1, first at line(s) 1; bad ts 1, first at line(s) 3; bad cc 2, first at line(s) 2, 4)" in err
+
+    def test_label_prints_the_funnel(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path, "--users", 40) == 0
+        posts = tmp_path / FILES["posts"]
+        lines = posts.read_text().splitlines()
+        lines[1] = lines[1].replace('"ts": "', '"ts": "x')
+        posts.write_text("\n".join(lines + ["[]"]) + "\n")
+        capsys.readouterr()
+        assert run("label", "--out", tmp_path) == 0
+        funnel = capsys.readouterr().out.splitlines()[0]
+        n = len(lines) + 1
+        assert funnel == (
+            f"posts: {n} lines, {n - 2} loaded, 2 skipped "
+            f"(bad JSON 1, first at line(s) {n}; bad ts 1, first at line(s) 2)"
+        )
+        assert run("label", "--out", tmp_path) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"posts: {n - 2} loaded from corpus.npz"
+
 
 @pytest.fixture(scope="module")
 def labeled(tmp_path_factory):
@@ -259,6 +297,31 @@ class TestCorpusCache:
         for step in ("atlas", "score"):
             assert run(step, "--out", inputs) == 0
         assert (ws / FILES["scores"]).read_bytes() == (inputs / FILES["scores"]).read_bytes()
+
+
+# Runs one command and prints, as its last line, the scipy modules it loaded.
+SCIPY_PROBE = """
+import json, sys
+from homedest.cli import main
+status = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+sys.exit(status)
+"""
+
+
+def test_only_p_value_commands_import_scipy(tmp_path):
+    """scipy costs each command ~0.3 s to import; only stats and correlate need it."""
+    assert run("synth", "--out", tmp_path, "--users", 120, "--seed", 5) == 0
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    for step in (["label"], ["atlas"], ["score"], ["null", "--replicates", "2"], ["report"]):
+        result = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, *step, "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [], step[0]
 
 
 class TestConfig:

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from datetime import timezone
+import tempfile
+from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from homedest.corpus import (
+    BadPost,
     Corpus,
     LoadStats,
     canonicalize_hashtag,
@@ -258,3 +263,118 @@ class TestCorpus:
         else:
             write_corpus(path, dataclasses.replace(corpus, user=np.int32(0)), "a" * 64)
         assert read_corpus(path, "a" * 64) is None
+
+
+class TestSkipReasons:
+    def test_each_reason_counted_with_its_first_three_lines(self, tmp_path):
+        good = {"user_id": "u1", "ts": "2018-06-01T08:30:00Z", "cc": "IT", "tags": ["roma"]}
+        bad = [
+            ("json", "{broken"),
+            ("json", "[1, 2]"),
+            ("missing", json.dumps({"user_id": "u1"})),
+            ("user_id", json.dumps({**good, "user_id": 7})),
+            ("ts", json.dumps({**good, "ts": None})),
+            ("ts", json.dumps({**good, "ts": "0001-01-01T00:30:00+01:00"})),  # UTC before year 1
+            ("cc", json.dumps({**good, "cc": "ZZ"})),
+            ("tags", json.dumps({**good, "tags": None})),
+            ("json", "3"),
+            ("json", "{} x"),
+        ]
+        path = tmp_path / "posts.jsonl"
+        path.write_text("\n".join([json.dumps(good)] + [line for _, line in bad]) + "\n", encoding="utf-8")
+        corpus, stats = load_posts(path)
+        assert (stats.lines, stats.loaded, stats.skipped, corpus.n_posts) == (11, 1, 10, 1)
+        assert stats.reasons == {"json": 4, "missing": 1, "user_id": 1, "ts": 2, "cc": 1, "tags": 1}
+        assert stats.first_lines["json"] == [2, 3, 10]
+        assert stats.first_lines["ts"] == [6, 7]
+        reference = LoadStats()
+        list(iter_posts(path, reference))
+        assert reference == stats
+
+    def test_parse_post_names_the_reason(self):
+        with pytest.raises(BadPost) as exc:
+            parse_post({"user_id": "u1", "ts": "2018-06-01T08:30:00Z", "cc": "XX"})
+        assert exc.value.reason == "cc"
+        with pytest.raises(BadPost) as exc:
+            parse_post({"ts": "2018-06-01T08:30:00Z"})
+        assert exc.value.reason == "missing"
+
+
+# Lines for the oracle test: valid records, records with one field broken
+# (or removed), and junk. Canonical timestamps (``YYYY-MM-DDTHH:MM:SSZ``)
+# come from a few dates and times, so a date recurs with other times, valid
+# or not; other ISO-8601 forms and random instants in and out of range mix in.
+_ABSENT = object()
+_DATES = ["2018-06-01", "2018-12-31", "1970-01-01", "2099-12-31"]
+_TIMES = ["00:00:00", "08:30:00", "23:59:59"]
+_canonical = st.builds("{}T{}Z".format, st.sampled_from(_DATES), st.sampled_from(_TIMES))
+_valid_ts = st.one_of(
+    _canonical,
+    _canonical,
+    st.builds(
+        "{}{}{}{}".format,
+        st.sampled_from(_DATES + ["2018-W22-5", "20180601"]),
+        st.sampled_from(["T", " ", "x"]),
+        st.sampled_from(_TIMES + ["08:30", "08:30:00.250", "083000"]),
+        st.sampled_from(["Z", "z", "+02:00", "-05:30", "+14:00", "", "+0200"]),
+    ),  # an offset can move the first and last date out of range
+    st.datetimes(min_value=datetime(1970, 1, 1), max_value=datetime(2099, 12, 31)).map(
+        lambda d: d.strftime("%Y-%m-%dT%H:%M:%SZ")
+    ),
+)
+_valid = st.fixed_dictionaries(
+    {"user_id": st.sampled_from(["u1", "u2", "u3"]), "ts": _valid_ts},
+    optional={
+        "cc": st.sampled_from(["IT", "de", " fr ", None]),
+        "lang": st.sampled_from(["it", "pt_BR", "de-DE", "x!", None, 1, True, "TRUE"]),
+        "tags": st.lists(st.sampled_from(["#Roma", "roma", "x", "", "Grüße", "a b", "CAFÉ"]), max_size=4),
+    },
+)
+_BROKEN = {
+    "user_id": st.sampled_from(["", 5, None, _ABSENT]),
+    "ts": st.one_of(
+        st.builds("{}T{}Z".format, st.sampled_from(_DATES), st.sampled_from(["24:00:00", "12:60:00", "12:00:60"])),
+        st.builds("{}T{}Z".format, st.sampled_from(["2018-02-30", "1969-12-31", "2100-01-01"]), st.sampled_from(_TIMES)),
+        st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2200, 1, 1)).map(
+            lambda d: d.strftime("%Y-%m-%dT%H:%M:%SZ")
+        ),
+        st.sampled_from([5, None, "", "not-a-date", "0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00", _ABSENT]),
+    ),
+    "cc": st.sampled_from(["ZZ", "XX", 5, True]),
+    "tags": st.sampled_from(["roma", None, ["roma", 3]]),
+}
+
+
+@st.composite
+def _broken(draw):
+    record = draw(_valid)
+    name = draw(st.sampled_from(sorted(_BROKEN)))
+    value = draw(_BROKEN[name])
+    if value is _ABSENT:
+        del record[name]
+    else:
+        record[name] = value
+    return record
+
+
+_lines = st.one_of(
+    _valid.map(json.dumps),
+    _valid.map(lambda r: json.dumps(r, ensure_ascii=False)),
+    _broken().map(json.dumps),
+    st.sampled_from(["{broken", "[1, 2]", "3", "null", '{"user_id": "u1"} x', "", "# comment", "  "]),
+)
+
+
+class TestLoadPostsOracle:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(lines=st.lists(_lines, max_size=60))
+    def test_matches_the_post_by_post_reference(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "posts.jsonl"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            corpus, stats = load_posts(path)
+            reference_stats = LoadStats()
+            reference = Corpus.from_posts(iter_posts(path, reference_stats))
+        assert _same_corpus(corpus, reference)
+        assert stats == reference_stats
+        assert stats.loaded + stats.skipped == stats.lines
