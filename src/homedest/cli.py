@@ -4,7 +4,9 @@ Every command works inside a workspace directory (``--out``), reading the
 artifacts earlier stages wrote there and adding its own. All outputs are
 deterministic for a given configuration and carry a comment header with a
 short hash of the effective configuration, the seed, and the package
-version, so two runs can be diffed byte for byte.
+version, so two runs can be diffed byte for byte. Each command's inputs,
+outputs and options are declared once, in ``COMMANDS``, which the parser,
+the option checks and the missing-input errors all read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import NoReturn
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, NoReturn
 
 from . import __version__
 from .atlas import DEFAULT_ENTROPY_THRESHOLD, build_atlas, read_atlas, write_atlas
@@ -29,12 +32,14 @@ from .attachment import (
 )
 from .corpus import Corpus, LoadStats, file_sha256, load_friends, load_posts, read_corpus, write_corpus
 from .covariates import (
+    DEFAULT_MIN_GROUP_SIZE,
     grouped_correlations,
     individual_correlations,
     join_covariates,
     load_country_languages,
     load_hofstede,
     load_pair_covariates,
+    packaged_data_path,
     write_correlations,
 )
 from .labeling import label_population, read_profiles, write_lang_fractions, write_profiles
@@ -55,8 +60,6 @@ from .synth import PopulationSpec, generate
 from .tables import TableError, write_table
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_YEAR = 2018
 
 FILES = {
     "posts": "posts.jsonl",
@@ -83,38 +86,26 @@ REPORT_FILES = (
     "group_boxplots.csv",
 )
 
-_PRODUCERS = {
-    "posts": "synth",
-    "friends": "synth",
-    "ground_truth": "synth",
-    "pair_covariates": "synth",
-    "profiles": "label",
-    "lang_fractions": "label",
-    "atlas": "atlas",
-    "scores": "score",
-    "null_scores": "null",
+# Inputs a flag can name (``--null-scores`` for null_scores), with its help.
+# The default is the workspace file in FILES, else the bundled table.
+INPUTS = {
+    "posts": "posts JSONL",
+    "friends": "friends CSV",
+    "profiles": "profiles CSV",
+    "atlas": "atlas CSV",
+    "scores": "scores CSV",
+    "null_scores": "null scores CSV",
+    "pair_covariates": "pair covariate CSV",
+    "hofstede": "cultural dimension CSV",
 }
 
-
-def _config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-
-def _header(config: dict, seed: int) -> list[str]:
-    """Comment header of an artifact: config hash, seed and package version."""
-    return [f"config_hash={_config_hash(config)} seed={seed} version={__version__}"]
+# The JSON types of the config values each option type accepts.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
-def _workspace(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _artifact(args, out: Path, key: str) -> Path:
-    override = getattr(args, key, None)
-    return Path(override) if override else out / FILES[key]
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _fail(message: str) -> NoReturn:
@@ -122,12 +113,50 @@ def _fail(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _require(path: Path, key: str) -> Path:
-    if not path.exists():
-        producer = _PRODUCERS.get(key)
-        hint = f"; run `homedest {producer}` first" if producer else ""
-        _fail(f"{path} not found{hint}")
-    return path
+class Option(NamedTuple):
+    """A command option, flag ``--name`` (``_`` as ``-``) and config key ``name``."""
+
+    name: str
+    type: type
+    default: object
+    help: str
+    low: float | None = None
+    high: float | None = None
+    choices: tuple[str, ...] | None = None
+
+    def resolve(self, value, config: dict):
+        """Effective value, explicit flag (``value``) > config file > default, checked."""
+        if value is None:
+            if self.name not in config:
+                return self.default
+            value = config[self.name]
+            if type(value) not in _JSON_TYPES[self.type]:
+                _fail(f"config key {self.name} must be {_TYPE_NAMES[self.type]}, got {json.dumps(value)}")
+        value = self.type(value)
+        if self.choices and value not in self.choices:
+            _fail(f"{_flag(self.name)} must be one of {', '.join(self.choices)}, got {json.dumps(value)}")
+        if self.high is not None and not self.low <= value <= self.high:
+            _fail(f"{_flag(self.name)} must lie in [{self.low:g}, {self.high:g}], got {value}")
+        if self.low is not None and value < self.low:
+            _fail(f"{_flag(self.name)} must be at least {self.low:g}, got {value}")
+        return value
+
+
+class Command(NamedTuple):
+    """A command: its function, help, required and optional inputs, outputs and options."""
+
+    func: Callable[[Run], int]
+    help: str
+    inputs: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    outputs: tuple[str, ...] = ()
+    options: tuple[Option, ...] = ()
+
+
+def _header(config: dict, seed: int) -> list[str]:
+    """Comment header of an artifact: config hash, seed and package version."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return [f"config_hash={hashlib.sha256(canonical).hexdigest()[:12]} seed={seed} version={__version__}"]
 
 
 def _load_corpus(path: Path, out: Path) -> tuple[Corpus, LoadStats | None]:
@@ -149,79 +178,95 @@ def _load_corpus(path: Path, out: Path) -> tuple[Corpus, LoadStats | None]:
     return corpus, stats
 
 
-def _min_hashtags(args, config: dict) -> int:
-    min_hashtags = int(_opt(args, config, "min_hashtags", DEFAULT_MIN_HASHTAGS))
-    if min_hashtags < 1:
-        _fail(f"--min-hashtags must be at least 1, got {min_hashtags}")
-    return min_hashtags
+def _default_input(out: Path, key: str) -> Path:
+    return out / FILES[key] if key in FILES else packaged_data_path(f"{key}.csv")
 
 
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
+def _load_config(path: str | None) -> dict:
+    if not path:
         return {}
-    with open(args.config, encoding="utf-8") as handle:
-        config = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            config = json.load(handle)
+    except OSError as exc:
+        _fail(f"cannot read config {path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        _fail(f"config {path} is not JSON: {exc}")
     if not isinstance(config, dict):
-        _fail(f"config {args.config} must be a JSON object")
+        _fail(f"config {path} must be a JSON object")
     return config
 
 
-def _opt(args, config: dict, name: str, default):
-    """Effective option value: explicit flag > config file > default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
+class Run(SimpleNamespace):
+    """One command's checked option values and paths, as attributes."""
+
+    def header(self, **extra) -> list[str]:
+        """Artifact header of the command, its options and ``extra``; the ``seed`` option is its seed."""
+        config = {"command": self.command, **self.options, **extra}
+        seed = config.pop("seed", 0)
+        return _header(config, seed)
+
+
+def _resolve(name: str, args: argparse.Namespace) -> Run:
+    """The run of command ``name``: its options, then its workspace, then its inputs.
+
+    A missing required input names the command that writes it; a missing
+    optional input is None.
+    """
+    command = COMMANDS[name]
+    config = _load_config(args.config)
+    options = {o.name: o.resolve(getattr(args, o.name), config) for o in command.options}
+    run = Run(command=name, options=options, out=Path(args.out), **options)
+    run.out.mkdir(parents=True, exist_ok=True)
+    for key in command.outputs:
+        setattr(run, key, run.out / FILES[key])
+    for key in command.inputs + command.optional:
+        path = Path(getattr(args, key, None) or _default_input(run.out, key))
+        if not path.exists():
+            if key in command.optional:
+                path = None
+            else:
+                producer = next((n for n, c in COMMANDS.items() if key in c.outputs), None)
+                _fail(f"{path} not found" + (f"; run `homedest {producer}` first" if producer else ""))
+        setattr(run, key, path)
+    return run
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_synth(args) -> int:
-    config = _load_config(args)
-    countries = _opt(args, config, "countries", None)
-    if isinstance(countries, str):
-        countries = tuple(c.strip().upper() for c in countries.split(",") if c.strip())
-    spec_kwargs = dict(
-        n_users=int(_opt(args, config, "users", 10_000)),
-        migrant_fraction=float(_opt(args, config, "migrant_fraction", 0.1)),
-        tags_per_user=(
-            int(_opt(args, config, "tags_min", 20)),
-            int(_opt(args, config, "tags_max", 60)),
-        ),
-        country_tag_specificity=float(_opt(args, config, "specificity", 0.8)),
-        noise=float(_opt(args, config, "noise", 0.0)),
-        seed=int(_opt(args, config, "seed", 42)),
-        year=int(_opt(args, config, "year", DEFAULT_YEAR)),
-    )
-    if countries:
-        spec_kwargs["countries"] = tuple(countries)
-    spec = PopulationSpec(**spec_kwargs)
-    out = _workspace(args)
-    paths = generate(spec, out)
+def cmd_synth(run) -> int:
+    countries = tuple(c.strip().upper() for c in (run.countries or "").split(",") if c.strip())
+    try:
+        spec = PopulationSpec(
+            n_users=run.users,
+            migrant_fraction=run.migrant_fraction,
+            tags_per_user=(run.tags_min, run.tags_max),
+            country_tag_specificity=run.specificity,
+            noise=run.noise,
+            seed=run.seed,
+            year=run.year,
+            **({"countries": countries} if countries else {}),
+        )
+        spec.validate()
+    except ValueError as exc:
+        _fail(f"bad population spec: {exc}")
+    paths = generate(spec, run.out)
     logger.info("wrote %s", ", ".join(str(p) for p in paths.values()))
     return 0
 
 
-def cmd_label(args) -> int:
-    config = _load_config(args)
-    year = int(_opt(args, config, "year", DEFAULT_YEAR))
-    out = _workspace(args)
-    posts_path = _require(_artifact(args, out, "posts"), "posts")
-    friends_path = _require(_artifact(args, out, "friends"), "friends")
-
-    posts, stats = _load_corpus(posts_path, out)
+def cmd_label(run) -> int:
+    posts, stats = _load_corpus(run.posts, run.out)
     if stats is None:
         print(f"posts: {posts.n_posts} loaded from {FILES['corpus']}")
     else:
         print(f"posts: {stats.lines} lines, {stats.loaded} loaded, {stats.skipped_text()}")
-    friends = load_friends(friends_path)
-    profiles, summary = label_population(posts, friends, year)
-    header = _header({"command": "label", "year": year}, 0)
-    write_profiles(out / FILES["profiles"], profiles, header)
-    write_lang_fractions(out / FILES["lang_fractions"], profiles, header)
+    friends = load_friends(run.friends)
+    profiles, summary = label_population(posts, friends, run.year)
+    header = run.header()
+    write_profiles(run.profiles, profiles, header)
+    write_lang_fractions(run.lang_fractions, profiles, header)
     print(
         f"labeled {summary.n_users} users: {summary.n_with_both} with both labels, "
         f"{summary.n_migrants} migrants"
@@ -229,59 +274,26 @@ def cmd_label(args) -> int:
     return 0
 
 
-def cmd_atlas(args) -> int:
-    config = _load_config(args)
-    year = int(_opt(args, config, "year", DEFAULT_YEAR))
-    threshold = float(_opt(args, config, "entropy_threshold", DEFAULT_ENTROPY_THRESHOLD))
-    if not 0.0 <= threshold <= 1.0:
-        _fail(f"--entropy-threshold must lie in [0, 1], got {threshold}")
-    out = _workspace(args)
-    posts_path = _require(_artifact(args, out, "posts"), "posts")
-    profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
-
-    posts, _ = _load_corpus(posts_path, out)
-    profiles = read_profiles(profiles_path)
-    atlas = build_atlas(posts, profiles, year, threshold=threshold)
-    header = _header(
-        {"command": "atlas", "year": year, "entropy_threshold": threshold}, 0
-    )
-    write_atlas(
-        out / FILES["atlas"], atlas, header, out / FILES["atlas_distributions"]
-    )
+def cmd_atlas(run) -> int:
+    posts, _ = _load_corpus(run.posts, run.out)
+    profiles = read_profiles(run.profiles)
+    atlas = build_atlas(posts, profiles, run.year, threshold=run.entropy_threshold)
+    write_atlas(run.atlas, atlas, run.header(), run.atlas_distributions)
     n_intl = sum(1 for r in atlas.values() if r.assignment == "international")
     print(f"atlas: {len(atlas)} hashtags, {n_intl} international")
     return 0
 
 
-def cmd_score(args) -> int:
-    config = _load_config(args)
-    year = int(_opt(args, config, "year", DEFAULT_YEAR))
-    min_hashtags = _min_hashtags(args, config)
-    out = _workspace(args)
-    posts_path = _require(_artifact(args, out, "posts"), "posts")
-    profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
-    atlas_path = _require(_artifact(args, out, "atlas"), "atlas")
-    lang_path = _require(out / FILES["lang_fractions"], "lang_fractions")
-
-    posts, _ = _load_corpus(posts_path, out)
-    profiles = read_profiles(profiles_path, lang_path)
-    atlas = read_atlas(atlas_path)
-    scores = compute_scores(posts, profiles, atlas, year, min_hashtags=min_hashtags)
+def cmd_score(run) -> int:
+    posts, _ = _load_corpus(run.posts, run.out)
+    profiles = read_profiles(run.profiles, run.lang_fractions)
+    atlas = read_atlas(run.atlas)
+    scores = compute_scores(posts, profiles, atlas, run.year, min_hashtags=run.min_hashtags)
     if not scores:
         _fail("no migrants passed the hashtag volume filter")
     ha_split, da_split = apply_acculturation(scores)
     language_cohorts(scores, profiles, load_country_languages())
-    header = _header(
-        {
-            "command": "score",
-            "year": year,
-            "min_hashtags": min_hashtags,
-            "ha_split": ha_split,
-            "da_split": da_split,
-        },
-        0,
-    )
-    write_scores(out / FILES["scores"], scores, header)
+    write_scores(run.scores, scores, run.header(ha_split=ha_split, da_split=da_split))
     print(
         f"scored {len(scores)} migrants "
         f"(median splits ha={ha_split:.4f}, da={da_split:.4f})"
@@ -289,62 +301,26 @@ def cmd_score(args) -> int:
     return 0
 
 
-def cmd_null(args) -> int:
-    config = _load_config(args)
-    year = int(_opt(args, config, "year", DEFAULT_YEAR))
-    min_hashtags = _min_hashtags(args, config)
-    replicates = int(_opt(args, config, "replicates", DEFAULT_REPLICATES))
-    if replicates < 1:
-        _fail(f"--replicates must be at least 1, got {replicates}")
-    seed = int(_opt(args, config, "seed", 0))
-    population = _opt(args, config, "shuffle_population", "scored")
-    out = _workspace(args)
-    posts_path = _require(_artifact(args, out, "posts"), "posts")
-    profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
-    atlas_path = _require(_artifact(args, out, "atlas"), "atlas")
-
-    posts, _ = _load_corpus(posts_path, out)
-    profiles = read_profiles(profiles_path)
-    atlas = read_atlas(atlas_path)
-    runs = null_distribution(
-        posts,
-        profiles,
-        atlas,
-        year,
-        replicates=replicates,
-        seed=seed,
-        min_hashtags=min_hashtags,
-        shuffle_population=population,
-    )
-    header = _header(
-        {
-            "command": "null",
-            "year": year,
-            "min_hashtags": min_hashtags,
-            "replicates": replicates,
-            "shuffle_population": population,
-        },
-        seed,
-    )
+def cmd_null(run) -> int:
+    posts, _ = _load_corpus(run.posts, run.out)
+    profiles = read_profiles(run.profiles)
+    atlas = read_atlas(run.atlas)
+    # The command's options are null_distribution's own parameters.
+    runs = null_distribution(posts, profiles, atlas, **run.options)
     write_scores(
-        out / FILES["null_scores"],
-        [s for run in runs for s in run.scores0],
-        header,
-        replicate=[run.replicate_index for run in runs for _ in run.scores0],
+        run.null_scores,
+        [s for replicate in runs for s in replicate.scores0],
+        run.header(),
+        replicate=[r.replicate_index for r in runs for _ in r.scores0],
     )
-    total = sum(len(run.scores0) for run in runs)
+    total = sum(len(r.scores0) for r in runs)
     print(f"null model: {len(runs)} replicates, {total} score rows")
     return 0
 
 
-def cmd_stats(args) -> int:
-    config = _load_config(args)
-    out = _workspace(args)
-    scores_path = _require(_artifact(args, out, "scores"), "scores")
-    null_path = _require(_artifact(args, out, "null_scores"), "null_scores")
-
-    scores = read_scores(scores_path)
-    null_scores = read_scores(null_path)
+def cmd_stats(run) -> int:
+    scores = read_scores(run.scores)
+    null_scores = read_scores(run.null_scores)
     ha = [s.ha for s in scores]
     da = [s.da for s in scores]
     ha0 = [s.ha for s in null_scores]
@@ -358,13 +334,13 @@ def cmd_stats(args) -> int:
         rows.append(("ha_vs_da", test))
 
     write_table(
-        out / FILES["test_results"],
+        run.test_results,
         ("comparison", "method", "statistic", "p_value", "n1", "n2", "stars"),
         (
             (comparison, t.method, t.statistic, t.p_value, t.n1, t.n2, t.stars)
             for comparison, t in rows
         ),
-        _header({"command": "stats"}, 0),
+        run.header(),
     )
     for comparison, test in rows:
         print(
@@ -374,30 +350,24 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_correlate(args) -> int:
-    config = _load_config(args)
-    min_group = int(_opt(args, config, "min_group_size", 10))
-    signed = bool(_opt(args, config, "signed_deltas", False))
-    out = _workspace(args)
-    scores_path = _require(_artifact(args, out, "scores"), "scores")
+def cmd_correlate(run) -> int:
+    scores = read_scores(run.scores)
+    hofstede = load_hofstede(run.hofstede)
+    pairs = load_pair_covariates(run.pair_covariates) if run.pair_covariates else None
 
-    scores = read_scores(scores_path)
-    hofstede = load_hofstede(getattr(args, "hofstede", None))
-    pairs_path = _artifact(args, out, "pair_covariates")
-    pairs = load_pair_covariates(pairs_path) if pairs_path.exists() else None
-
-    rows, dropped = join_covariates(scores, hofstede, pairs, signed=signed)
+    rows, dropped = join_covariates(scores, hofstede, pairs, signed=run.signed_deltas)
     if len(rows) < 3:
         _fail("fewer than 3 users joined to any covariate")
     individual = individual_correlations(rows)
-    header = _header({"command": "correlate", "min_group_size": min_group, "signed": signed}, 0)
-    write_correlations(out / FILES["correlations_individual"], individual, header)
+    # The header has always named signed_deltas "signed".
+    header = _header({"command": "correlate", "min_group_size": run.min_group_size, "signed": run.signed_deltas}, 0)
+    write_correlations(run.correlations_individual, individual, header)
     try:
-        grouped = grouped_correlations(rows, min_group_size=min_group)
+        grouped = grouped_correlations(rows, min_group_size=run.min_group_size)
     except ValueError as exc:
         print(f"grouped correlations skipped: {exc}", file=sys.stderr)
         grouped = []
-    write_correlations(out / FILES["correlations_grouped"], grouped, header)
+    write_correlations(run.correlations_grouped, grouped, header)
     print(
         f"correlated {len(rows)} users ({dropped} dropped): "
         f"{len(individual)} individual rows, {len(grouped)} grouped rows"
@@ -405,22 +375,15 @@ def cmd_correlate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    config = _load_config(args)
-    out = _workspace(args)
-    profiles_path = _require(_artifact(args, out, "profiles"), "profiles")
-    atlas_path = _require(_artifact(args, out, "atlas"), "atlas")
-    scores_path = _require(_artifact(args, out, "scores"), "scores")
+def cmd_report(run) -> int:
+    profiles = read_profiles(run.profiles)
+    atlas = read_atlas(run.atlas)
+    scores = read_scores(run.scores)
+    null_scores = read_scores(run.null_scores) if run.null_scores else []
 
-    profiles = read_profiles(profiles_path)
-    atlas = read_atlas(atlas_path)
-    scores = read_scores(scores_path)
-    null_path = _artifact(args, out, "null_scores")
-    null_scores = read_scores(null_path) if null_path.exists() else []
-
-    report_dir = out / "report"
+    report_dir = run.out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    header = _header({"command": "report"}, 0)
+    header = run.header()
     write_chord_edges(report_dir / "chord_edges.csv", chord_edges(profiles), header)
     write_entropy_histogram(report_dir / "entropy_histogram.csv", atlas, header=header)
     write_attachment_series(
@@ -434,13 +397,73 @@ def cmd_report(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- table and parser
 
+YEAR = Option("year", int, 2018, "reference year")
+MIN_HASHTAGS = Option("min_hashtags", int, DEFAULT_MIN_HASHTAGS, "minimum in-year hashtag uses", low=1)
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=".", help="workspace directory (default: .)")
-    sub.add_argument("--config", help="JSON config file; explicit flags win")
-    sub.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+COMMANDS = {
+    "synth": Command(
+        cmd_synth, "generate a synthetic population",
+        outputs=("posts", "friends", "ground_truth", "pair_covariates"),
+        options=(
+            Option("users", int, 10_000, "population size", low=1),
+            Option("migrant_fraction", float, 0.1, "share of migrants", 0.0, 1.0),
+            Option("countries", str, None, "comma-separated ISO alpha-2 codes"),
+            Option("tags_min", int, 20, "fewest hashtag uses per user"),
+            Option("tags_max", int, 60, "most hashtag uses per user"),
+            Option("specificity", float, 0.8, "own-country tag rate", 0.0, 1.0),
+            Option("noise", float, 0.0, "scrambled-country tag rate", 0.0, 1.0),
+            Option("seed", int, 42, "generator seed"),
+            YEAR,
+        ),
+    ),
+    "label": Command(
+        cmd_label, "assign residence and nationality",
+        inputs=("posts", "friends"), outputs=("profiles", "lang_fractions"), options=(YEAR,),
+    ),
+    "atlas": Command(
+        cmd_atlas, "build the hashtag-country atlas",
+        inputs=("posts", "profiles"), outputs=("atlas", "atlas_distributions"),
+        options=(
+            YEAR,
+            Option("entropy_threshold", float, DEFAULT_ENTROPY_THRESHOLD, "assignment entropy cutoff", 0.0, 1.0),
+        ),
+    ),
+    "score": Command(
+        cmd_score, "compute attachment scores",
+        inputs=("posts", "profiles", "atlas", "lang_fractions"), outputs=("scores",),
+        options=(YEAR, MIN_HASHTAGS),
+    ),
+    "null": Command(
+        cmd_null, "volume-preserving shuffled baseline",
+        inputs=("posts", "profiles", "atlas"), outputs=("null_scores",),
+        options=(
+            YEAR,
+            MIN_HASHTAGS,
+            Option("replicates", int, DEFAULT_REPLICATES, "shuffle replicates", low=1),
+            Option("seed", int, 0, "base shuffle seed"),
+            Option("shuffle_population", str, "scored", "whose hashtags get pooled", choices=("scored", "all")),
+        ),
+    ),
+    "stats": Command(
+        cmd_stats, "observed-vs-null test battery",
+        inputs=("scores", "null_scores"), outputs=("test_results",),
+    ),
+    "correlate": Command(
+        cmd_correlate, "covariate correlations",
+        inputs=("scores", "hofstede"), optional=("pair_covariates",),
+        outputs=("correlations_individual", "correlations_grouped"),
+        options=(
+            Option("min_group_size", int, DEFAULT_MIN_GROUP_SIZE, "smallest group correlated"),
+            Option("signed_deltas", bool, False, "keep the sign of cultural deltas (default absolute)"),
+        ),
+    ),
+    "report": Command(
+        cmd_report, "figure-ready summary tables",
+        inputs=("profiles", "atlas", "scores"), optional=("null_scores",),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,106 +473,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p = subparsers.add_parser("synth", help="generate a synthetic population")
-    p.add_argument("--users", type=int, help="population size (default 10000)")
-    p.add_argument("--migrant-fraction", dest="migrant_fraction", type=float)
-    p.add_argument("--countries", help="comma-separated ISO alpha-2 codes")
-    p.add_argument("--tags-min", dest="tags_min", type=int)
-    p.add_argument("--tags-max", dest="tags_max", type=int)
-    p.add_argument("--specificity", type=float, help="own-country tag rate (default 0.8)")
-    p.add_argument("--noise", type=float, help="scrambled-country tag rate (default 0)")
-    p.add_argument("--seed", type=int, help="generator seed (default 42)")
-    p.add_argument("--year", type=int, help=f"reference year (default {DEFAULT_YEAR})")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = subparsers.add_parser("label", help="assign residence and nationality")
-    p.add_argument("--year", type=int, help=f"reference year (default {DEFAULT_YEAR})")
-    p.add_argument("--posts", help="posts JSONL (default OUT/posts.jsonl)")
-    p.add_argument("--friends", help="friends CSV (default OUT/friends.csv)")
-    _add_common(p)
-    p.set_defaults(func=cmd_label)
-
-    p = subparsers.add_parser("atlas", help="build the hashtag-country atlas")
-    p.add_argument("--year", type=int)
-    p.add_argument(
-        "--entropy-threshold",
-        dest="entropy_threshold",
-        type=float,
-        help=f"assignment entropy cutoff (default {DEFAULT_ENTROPY_THRESHOLD})",
-    )
-    p.add_argument("--posts", help="posts JSONL (default OUT/posts.jsonl)")
-    p.add_argument("--profiles", help="profiles CSV (default OUT/profiles.csv)")
-    _add_common(p)
-    p.set_defaults(func=cmd_atlas)
-
-    p = subparsers.add_parser("score", help="compute attachment scores")
-    p.add_argument("--year", type=int)
-    p.add_argument(
-        "--min-hashtags",
-        dest="min_hashtags",
-        type=int,
-        help=f"minimum in-year hashtag uses (default {DEFAULT_MIN_HASHTAGS})",
-    )
-    p.add_argument("--posts", help="posts JSONL (default OUT/posts.jsonl)")
-    p.add_argument("--profiles", help="profiles CSV (default OUT/profiles.csv)")
-    p.add_argument("--atlas", help="atlas CSV (default OUT/atlas.csv)")
-    _add_common(p)
-    p.set_defaults(func=cmd_score)
-
-    p = subparsers.add_parser("null", help="volume-preserving shuffled baseline")
-    p.add_argument("--year", type=int)
-    p.add_argument("--min-hashtags", dest="min_hashtags", type=int)
-    p.add_argument(
-        "--replicates", type=int, help=f"shuffle replicates (default {DEFAULT_REPLICATES})"
-    )
-    p.add_argument("--seed", type=int, help="base shuffle seed (default 0)")
-    p.add_argument(
-        "--shuffle-population",
-        dest="shuffle_population",
-        choices=("scored", "all"),
-        help="whose hashtags get pooled (default scored)",
-    )
-    p.add_argument("--posts", help="posts JSONL (default OUT/posts.jsonl)")
-    p.add_argument("--profiles", help="profiles CSV (default OUT/profiles.csv)")
-    p.add_argument("--atlas", help="atlas CSV (default OUT/atlas.csv)")
-    _add_common(p)
-    p.set_defaults(func=cmd_null)
-
-    p = subparsers.add_parser("stats", help="observed-vs-null test battery")
-    p.add_argument("--scores", help="scores CSV (default OUT/scores.csv)")
-    p.add_argument("--null-scores", dest="null_scores", help="null scores CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = subparsers.add_parser("correlate", help="covariate correlations")
-    p.add_argument("--scores", help="scores CSV (default OUT/scores.csv)")
-    p.add_argument("--hofstede", help="cultural dimension CSV (default: bundled)")
-    p.add_argument(
-        "--pair-covariates",
-        dest="pair_covariates",
-        help="pair covariate CSV (default OUT/pair_covariates.csv)",
-    )
-    p.add_argument("--min-group-size", dest="min_group_size", type=int)
-    p.add_argument(
-        "--signed-deltas",
-        dest="signed_deltas",
-        action="store_const",
-        const=True,
-        help="keep the sign of cultural deltas (default absolute)",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_correlate)
-
-    p = subparsers.add_parser("report", help="figure-ready summary tables")
-    p.add_argument("--profiles", help="profiles CSV (default OUT/profiles.csv)")
-    p.add_argument("--atlas", help="atlas CSV (default OUT/atlas.csv)")
-    p.add_argument("--scores", help="scores CSV (default OUT/scores.csv)")
-    p.add_argument("--null-scores", dest="null_scores", help="null scores CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
-
+    for name, command in COMMANDS.items():
+        p = subparsers.add_parser(name, help=command.help)
+        for option in command.options:
+            if option.type is bool:
+                kind, default = {"action": "store_const", "const": True}, ""
+            else:
+                kind = {"type": option.type, "choices": option.choices}
+                default = "" if option.default is None else f" (default {option.default})"
+            p.add_argument(_flag(option.name), dest=option.name, help=option.help + default, **kind)
+        for key in command.inputs + command.optional:
+            if key in INPUTS:
+                default = f"OUT/{FILES[key]}" if key in FILES else "bundled"
+                p.add_argument(_flag(key), dest=key, help=f"{INPUTS[key]} (default {default})")
+        p.add_argument("--out", default=".", help="workspace directory (default: .)")
+        p.add_argument("--config", help="JSON config file; explicit flags win")
+        p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     return parser
 
 
@@ -559,8 +498,9 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    run = _resolve(args.command, args)
     try:
-        return args.func(args)
+        return COMMANDS[args.command].func(run)
     except TableError as exc:
         _fail(str(exc))
 

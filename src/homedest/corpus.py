@@ -14,7 +14,7 @@ Input contracts:
   Blank lines and lines starting with ``#`` are ignored, and so are unknown
   fields. Any other line that breaks the contract is skipped, logged and
   counted under the first reason that applies, in this order (the
-  SKIP_REASONS keys): not a JSON object (``json``), no ``user_id`` or ``ts``
+  SKIP_REASONS keys): not a UTF-8 JSON object (``json``), no ``user_id`` or ``ts``
   (``missing``), a bad ``user_id``, ``ts``, ``cc`` (an unrecognized code
   skips the whole post) or ``tags``.
 * friends file: UTF-8 CSV with header ``user_id,friend_id``. Edges are
@@ -293,10 +293,19 @@ def parse_post(record: dict) -> Post:
 
 
 def _lines(path: str | Path, stats: LoadStats) -> Iterator[tuple[int, str]]:
-    """Numbered, stripped lines of a posts file, without blanks and comments."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
+    """Numbered, stripped lines of a posts file, without blanks and comments.
+
+    Each line is decoded on its own; one that is not UTF-8 is skipped as bad
+    JSON, since JSON text is UTF-8.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                stripped = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                stats.lines += 1
+                _skip(stats, path, lineno, BadPost("json", f"bad JSON: not UTF-8 ({exc.reason})"))
+                continue
             if stripped and not stripped.startswith("#"):
                 stats.lines += 1
                 yield lineno, stripped

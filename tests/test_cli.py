@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from homedest.cli import FILES, REPORT_FILES, main
+from homedest.cli import COMMANDS, FILES, REPORT_FILES, main
 from homedest.corpus import file_sha256, read_corpus
 from homedest.synth import read_ground_truth
 
@@ -138,6 +138,12 @@ class TestMissingPrerequisites:
         err = capsys.readouterr().err
         assert "lang_fractions.csv not found" in err and "run `homedest label` first" in err
 
+    def test_correlate_with_missing_hofstede(self, chain_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("correlate", "--out", chain_dir, "--hofstede", tmp_path / "nope.csv")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'nope.csv'} not found\n"
+
 
 class TestBadInput:
     @staticmethod
@@ -196,6 +202,20 @@ class TestBadInput:
         cfg.write_text(json.dumps({"min_hashtags": 0}))
         err = self.exit_2_stderr(capsys, command, "--out", tmp_path, "--config", cfg)
         assert err.startswith("error: --min-hashtags must be at least 1, got 0")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--users", 0], "--users must be at least 1, got 0"),
+            (["--noise", 2], "--noise must lie in [0, 1], got 2.0"),
+            (["--tags-min", 50, "--tags-max", 10], "tags_per_user must be an increasing positive range"),
+            (["--countries", "de,DE"], "countries must be distinct"),
+        ],
+    )
+    def test_bad_synth_spec(self, tmp_path, capsys, argv, message):
+        err = self.exit_2_stderr(capsys, "synth", "--out", tmp_path, *argv)
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / FILES["posts"]).exists()
 
     def test_skip_reasons_named_when_nothing_loads(self, tmp_path, capsys):
         good = {"user_id": "u1", "ts": "2018-03-01T12:00:00Z", "cc": "IT"}
@@ -344,6 +364,65 @@ class TestConfig:
         cfg.write_text("[1, 2]")
         with pytest.raises(SystemExit):
             run("synth", "--out", tmp_path, "--config", cfg)
+
+    @pytest.mark.parametrize(
+        "command, key, value, kind",
+        [
+            ("score", "min_hashtags", "ten", "an integer"),
+            ("null", "min_hashtags", 2.7, "an integer"),
+            ("correlate", "signed_deltas", "false", "true or false"),
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, command, key, value, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--out", tmp_path, "--config", cfg)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: config key {key} must be {kind}, got {json.dumps(value)}\n"
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda path: None, "cannot read config"),
+            (lambda path: path.mkdir(), "cannot read config"),
+            (lambda path: path.write_text("{users: 3}"), "is not JSON"),
+            (lambda path: path.write_bytes(b'{"users": "caf\xe9"}'), "is not JSON"),
+        ],
+        ids=["missing", "directory", "not-json", "not-utf8"],
+    )
+    def test_broken_config_file(self, tmp_path, capsys, make, message):
+        cfg = tmp_path / "cfg.json"
+        make(cfg)
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--out", tmp_path / "ws", "--config", cfg)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+# A config value of the wrong JSON type for each option type.
+WRONG_TYPE = {int: 2.7, float: "0.5", bool: "false", str: 7}
+OPTIONS = [(name, option) for name, command in COMMANDS.items() for option in command.options]
+
+
+@pytest.mark.parametrize("name, option", OPTIONS, ids=[f"{n}-{o.name}" for n, o in OPTIONS])
+class TestEveryOption:
+    def test_help_lists_the_flag(self, capsys, name, option):
+        with pytest.raises(SystemExit) as exc:
+            run(name, "--help")
+        assert exc.value.code == 0
+        assert "--" + option.name.replace("_", "-") in capsys.readouterr().out
+
+    def test_wrong_config_type_fails_before_any_input_is_read(self, tmp_path, capsys, name, option):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option.name: WRONG_TYPE[option.type]}))
+        with pytest.raises(SystemExit) as exc:
+            run(name, "--out", tmp_path / "empty", "--config", cfg)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {option.name} must be ") and "not found" not in err
+        assert not (tmp_path / "empty").exists()
 
 
 class TestDeterminism:

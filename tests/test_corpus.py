@@ -291,6 +291,18 @@ class TestSkipReasons:
         list(iter_posts(path, reference))
         assert reference == stats
 
+    def test_line_that_is_not_utf8_skipped_as_json(self, tmp_path):
+        good = json.dumps({"user_id": "u1", "ts": "2018-06-01T08:30:00Z", "cc": "IT", "tags": ["roma"]}).encode()
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(b"\n".join([good, good.replace(b"roma", b"caf\xe9"), good]) + b"\n")
+        corpus, stats = load_posts(path)
+        assert (stats.lines, stats.loaded, stats.skipped, corpus.n_posts) == (3, 2, 1, 2)
+        assert stats.reasons == {"json": 1}
+        assert stats.first_lines["json"] == [2]
+        reference = LoadStats()
+        assert len(list(iter_posts(path, reference))) == 2
+        assert reference == stats
+
     def test_parse_post_names_the_reason(self):
         with pytest.raises(BadPost) as exc:
             parse_post({"user_id": "u1", "ts": "2018-06-01T08:30:00Z", "cc": "XX"})
