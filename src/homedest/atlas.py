@@ -25,7 +25,7 @@ UNASSIGNED = "unassigned"
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5
 
-ATLAS_COLUMNS = ("token", "assignment", "entropy", "n_users", "top_country_fraction")
+ATLAS_COLUMNS = {"token": str, "assignment": str, "entropy": float, "n_users": int, "top_country_fraction": float}
 
 
 @dataclass
@@ -164,15 +164,8 @@ def read_atlas(path: str | Path) -> dict[str, HashtagRecord]:
     The full per-country distribution lives in the companion file and is not
     reloaded here; downstream scoring only needs the assignment column.
     """
-    return {
-        row["token"]: HashtagRecord(
-            token=row["token"],
-            counts={},
-            p={},
-            entropy=float(row["entropy"]),
-            assignment=row["assignment"],
-            n_users=int(row["n_users"]),
-            top_fraction=float(row["top_country_fraction"]),
-        )
-        for row in read_table(path, ATLAS_COLUMNS)
-    }
+    atlas = {}
+    for row in read_table(path, ATLAS_COLUMNS):
+        top_fraction = row.pop("top_country_fraction")
+        atlas[row["token"]] = HashtagRecord(counts={}, p={}, top_fraction=top_fraction, **row)
+    return atlas

@@ -19,7 +19,7 @@ import numpy as np
 from .atlas import HashtagRecord
 from .corpus import Corpus, Post
 from .labeling import UserProfile
-from .tables import bool_cell, read_table, write_table
+from .tables import read_table, write_table
 
 DEFAULT_MIN_HASHTAGS = 10
 
@@ -29,10 +29,10 @@ MARGINALISATION = "marginalisation"
 SEPARATION = "separation"
 ACC_CLASSES = (ASSIMILATION, INTEGRATION, MARGINALISATION, SEPARATION)
 
-SCORE_COLUMNS = (
-    "user_id", "nationality", "residence", "ha", "da",
-    "n_hashtags", "n_home", "n_dest", "acc_class", "speaks_dest_lang",
-)
+SCORE_COLUMNS = {
+    "user_id": str, "nationality": str, "residence": str, "ha": float, "da": float,
+    "n_hashtags": int, "n_home": int, "n_dest": int, "acc_class": str | None, "speaks_dest_lang": bool | None,
+}
 
 
 @dataclass
@@ -221,20 +221,4 @@ def write_scores(
 
 def read_scores(path: str | Path) -> list[AttachmentScore]:
     """Load a scores CSV (optionally carrying a replicate column)."""
-    scores = []
-    for row in read_table(path, SCORE_COLUMNS):
-        scores.append(
-            AttachmentScore(
-                user_id=row["user_id"],
-                nationality=row["nationality"],
-                residence=row["residence"],
-                ha=float(row["ha"]),
-                da=float(row["da"]),
-                n_hashtags=int(row["n_hashtags"]),
-                n_home=int(row["n_home"]),
-                n_dest=int(row["n_dest"]),
-                acc_class=row["acc_class"] or None,
-                speaks_dest_lang=bool_cell(path, row, "speaks_dest_lang"),
-            )
-        )
-    return scores
+    return [AttachmentScore(**row) for row in read_table(path, SCORE_COLUMNS)]

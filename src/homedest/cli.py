@@ -132,14 +132,13 @@ class Option(NamedTuple):
             value = config[self.name]
             if type(value) not in _JSON_TYPES[self.type]:
                 _fail(f"config key {self.name} must be {_TYPE_NAMES[self.type]}, got {json.dumps(value)}")
-        value = self.type(value)
         if self.choices and value not in self.choices:
             _fail(f"{_flag(self.name)} must be one of {', '.join(self.choices)}, got {json.dumps(value)}")
         if self.high is not None and not self.low <= value <= self.high:
             _fail(f"{_flag(self.name)} must lie in [{self.low:g}, {self.high:g}], got {value}")
         if self.low is not None and value < self.low:
             _fail(f"{_flag(self.name)} must be at least {self.low:g}, got {value}")
-        return value
+        return self.type(value)  # after the checks: a JSON integer too large for a float fails them
 
 
 class Command(NamedTuple):
@@ -498,10 +497,9 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    run = _resolve(args.command, args)
     try:
-        return COMMANDS[args.command].func(run)
-    except TableError as exc:
+        return COMMANDS[args.command].func(_resolve(args.command, args))
+    except (TableError, OSError) as exc:
         _fail(str(exc))
 
 

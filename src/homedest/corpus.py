@@ -573,9 +573,9 @@ def load_posts(path: str | Path) -> tuple[Corpus, LoadStats]:
 def load_friends(path: str | Path) -> FriendGraph:
     """Load a friends CSV into a deduplicated directed adjacency."""
     graph = FriendGraph()
-    for row in read_table(path, ("user_id", "friend_id")):
-        user = (row["user_id"] or "").strip()
-        friend = (row["friend_id"] or "").strip()
+    for row in read_table(path, {"user_id": str, "friend_id": str}):
+        user = row["user_id"].strip()
+        friend = row["friend_id"].strip()
         if not user or not friend:
             continue
         if user == friend:

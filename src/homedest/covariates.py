@@ -21,13 +21,15 @@ from pathlib import Path
 from typing import Sequence
 
 from .attachment import AttachmentScore
-from .stats import TestResult, pearson, spearman
-from .tables import read_table, write_table
+from .stats import pearson, significance_stars, spearman
+from .tables import TableError, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
 HOFSTEDE_DIMENSIONS = ("pdi", "idv", "mas", "uai", "lto", "ivr")
 PAIR_COVARIATES = ("distcap", "contig", "comlang_off", "csl", "cnl")
+HOFSTEDE_COLUMNS = {"country": str, **dict.fromkeys(HOFSTEDE_DIMENSIONS, float | None)}
+PAIR_COLUMNS = {"country_a": str, "country_b": str, **dict.fromkeys(PAIR_COVARIATES, float | None)}
 DEFAULT_MIN_GROUP_SIZE = 10
 
 _SCORE_RANGE = (0.0, 120.0)
@@ -82,17 +84,12 @@ def load_hofstede(path: str | Path | None = None) -> CountryScores:
     if path is None:
         path = packaged_data_path("hofstede.csv")
     table = CountryScores()
-    for row in read_table(path, ("country",)):
+    for row in read_table(path, HOFSTEDE_COLUMNS):
         country = row["country"].strip().upper()
-        dims: dict[str, float] = {}
-        for dim in HOFSTEDE_DIMENSIONS:
-            cell = (row.get(dim) or "").strip()
-            if not cell:
-                continue
-            value = float(cell)
+        dims = {dim: row[dim] for dim in HOFSTEDE_DIMENSIONS if row[dim] is not None}
+        for dim, value in dims.items():
             if not _SCORE_RANGE[0] <= value <= _SCORE_RANGE[1]:
-                raise ValueError(f"{country} {dim}={value} outside {_SCORE_RANGE}")
-            dims[dim] = value
+                raise TableError(f"{path}: column {dim} holds {value} for {country}, outside {list(_SCORE_RANGE)}")
         if dims:
             table.scores[country] = dims
     return table
@@ -101,14 +98,10 @@ def load_hofstede(path: str | Path | None = None) -> CountryScores:
 def load_pair_covariates(path: str | Path) -> PairTable:
     """Read country-pair covariates; pairs are stored unordered."""
     table = PairTable()
-    for row in read_table(path, ("country_a", "country_b")):
+    for row in read_table(path, PAIR_COLUMNS):
         a = row["country_a"].strip().upper()
         b = row["country_b"].strip().upper()
-        values: dict[str, float] = {}
-        for name in PAIR_COVARIATES:
-            cell = (row.get(name) or "").strip()
-            if cell:
-                values[name] = float(cell)
+        values = {name: row[name] for name in PAIR_COVARIATES if row[name] is not None}
         if values:
             table.values[PairTable.key(a, b)] = values
     return table
@@ -119,7 +112,7 @@ def load_country_languages(path: str | Path | None = None) -> dict[str, str]:
     if path is None:
         path = packaged_data_path("country_language.csv")
     out: dict[str, str] = {}
-    for row in read_table(path, ("country", "language")):
+    for row in read_table(path, {"country": str, "language": str}):
         out[row["country"].strip().upper()] = row["language"].strip().lower()
     return out
 
@@ -198,8 +191,6 @@ class CorrelationRow:
 
     @property
     def stars(self) -> str:
-        from .stats import significance_stars
-
         return significance_stars(self.p_value)
 
 

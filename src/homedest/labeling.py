@@ -19,15 +19,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, FriendGraph, Post, tally
-from .tables import bool_cell, read_table, write_table
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SELF_WEIGHT = 0.5
 DEFAULT_FRIEND_WEIGHT = 0.5
 
-PROFILE_COLUMNS = ("user_id", "residence", "nationality", "is_migrant")
-LANG_COLUMNS = ("user_id", "lang", "fraction")
+PROFILE_COLUMNS = {"user_id": str, "residence": str | None, "nationality": str | None, "is_migrant": bool | None}
+LANG_COLUMNS = {"user_id": str, "lang": str, "fraction": float}
 
 
 @dataclass
@@ -266,17 +266,10 @@ def write_lang_fractions(path: str | Path, profiles: Mapping[str, UserProfile], 
 
 def read_profiles(path: str | Path, lang_path: str | Path | None = None) -> dict[str, UserProfile]:
     """Load profiles (and optionally language fractions) back from CSV."""
-    profiles: dict[str, UserProfile] = {}
-    for row in read_table(path, PROFILE_COLUMNS):
-        profiles[row["user_id"]] = UserProfile(
-            user_id=row["user_id"],
-            residence=row["residence"] or None,
-            nationality=row["nationality"] or None,
-            is_migrant=bool_cell(path, row, "is_migrant"),
-        )
+    profiles = {row["user_id"]: UserProfile(**row) for row in read_table(path, PROFILE_COLUMNS)}
     if lang_path is not None:
         for row in read_table(lang_path, LANG_COLUMNS):
             profile = profiles.get(row["user_id"])
             if profile is not None:
-                profile.lang_fractions[row["lang"]] = float(row["fraction"])
+                profile.lang_fractions[row["lang"]] = row["fraction"]
     return profiles

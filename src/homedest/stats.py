@@ -14,8 +14,9 @@ that compute no p-value never load it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 EXACT_LIMIT = 20
 
@@ -93,6 +94,11 @@ def _norm_sf_log(z: float) -> tuple[float, float]:
     return math.exp(log_sf), log_sf
 
 
+def _tie_sum(values: Iterable[float]) -> int:
+    """Sum of c**3 - c over the count c of each distinct value."""
+    return sum(c**3 - c for c in Counter(values).values())
+
+
 def wilcoxon_rank_sum(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Two-sided Mann-Whitney/Wilcoxon rank-sum test.
 
@@ -120,13 +126,7 @@ def wilcoxon_rank_sum(x: Sequence[float], y: Sequence[float]) -> TestResult:
         return TestResult(u1, p, n1, n2, WILCOXON_RANK_SUM, math.log(p))
 
     n = n1 + n2
-    tie_sum = 0
-    seen: dict[float, int] = {}
-    for value in pooled:
-        seen[value] = seen.get(value, 0) + 1
-    for count in seen.values():
-        tie_sum += count**3 - count
-    tie_factor = 1.0 - tie_sum / (n**3 - n)
+    tie_factor = 1.0 - _tie_sum(pooled) / (n**3 - n)
     if tie_factor == 0.0:
         return TestResult(u1, 1.0, n1, n2, WILCOXON_RANK_SUM, 0.0)
     sd = math.sqrt(tie_factor * n1 * n2 * (n + 1) / 12.0)
@@ -172,15 +172,8 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> TestResult:
         p = min(1.0, (2 * cum) / 2**n)
         return TestResult(w_plus, p, len(x), len(y), WILCOXON_SIGNED_RANK, math.log(p))
 
-    tie_sum = 0
-    seen: dict[float, int] = {}
-    for d in diffs:
-        key = abs(d)
-        seen[key] = seen.get(key, 0) + 1
-    for count in seen.values():
-        tie_sum += count**3 - count
     mean = max_w / 2
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_sum / 48.0
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_sum(abs(d) for d in diffs) / 48.0
     if var <= 0:
         return TestResult(w_plus, 1.0, len(x), len(y), WILCOXON_SIGNED_RANK, 0.0)
     z = (abs(w_plus - mean) - 0.5) / math.sqrt(var)

@@ -37,7 +37,7 @@ from .attachment import (
 )
 from .corpus import Post, canonicalize_hashtag, write_posts
 from .countries import normalize_alpha2
-from .covariates import PAIR_COVARIATES, load_country_languages
+from .covariates import PAIR_COLUMNS, load_country_languages
 from .tables import read_table, write_table
 
 DEFAULT_COUNTRIES = ("BR", "DE", "ES", "FR", "GB", "IT", "JP", "MX", "NL", "US")
@@ -53,9 +53,10 @@ DEFAULT_CLASS_TARGETS: dict[str, tuple[float, float]] = {
 
 _TAGS_PER_POST = 4
 
-TRUTH_COLUMNS = (
-    "user_id", "residence", "nationality", "acc_class", "planted_ha", "planted_da", "n_tags",
-)
+TRUTH_COLUMNS = {
+    "user_id": str, "residence": str, "nationality": str, "acc_class": str | None,
+    "planted_ha": float | None, "planted_da": float | None, "n_tags": int,
+}
 
 
 @dataclass
@@ -362,8 +363,7 @@ def write_population(population: Population, out_dir: str | Path) -> dict[str, P
     write_table(paths["friends"], ("user_id", "friend_id"), population.friend_rows)
     truth = (population.truth[user_id] for user_id in sorted(population.truth))
     write_table(paths["ground_truth"], TRUTH_COLUMNS, map(attrgetter(*TRUTH_COLUMNS), truth))
-    names = ("country_a", "country_b", *PAIR_COVARIATES)
-    write_table(paths["pair_covariates"], names, map(itemgetter(*names), population.pair_rows))
+    write_table(paths["pair_covariates"], PAIR_COLUMNS, map(itemgetter(*PAIR_COLUMNS), population.pair_rows))
     return paths
 
 
@@ -373,18 +373,7 @@ def generate(spec: PopulationSpec, out_dir: str | Path) -> dict[str, Path]:
 
 
 def read_ground_truth(path: str | Path) -> dict[str, TruthRow]:
-    truth: dict[str, TruthRow] = {}
-    for row in read_table(path, TRUTH_COLUMNS):
-        truth[row["user_id"]] = TruthRow(
-            user_id=row["user_id"],
-            residence=row["residence"],
-            nationality=row["nationality"],
-            acc_class=row["acc_class"] or None,
-            planted_ha=float(row["planted_ha"]) if row["planted_ha"] else None,
-            planted_da=float(row["planted_da"]) if row["planted_da"] else None,
-            n_tags=int(row["n_tags"]),
-        )
-    return truth
+    return {row["user_id"]: TruthRow(**row) for row in read_table(path, TRUTH_COLUMNS)}
 
 
 def token_country(token: str) -> str | None:

@@ -1,20 +1,28 @@
 """The one CSV table format every artifact is written and read in.
 
-A table is an optional block of ``# `` comment lines, a column row, then one
-row per record, ``\\n``-terminated. Floats are written as their ``repr``,
-None as an empty cell and booleans as ``true``/``false``; readers skip every
-line that starts with ``#``.
+A table is an optional leading block of ``# `` comment lines, a column row,
+then one row per record, ``\\n``-terminated. Floats are written as their
+``repr``, None as an empty cell and booleans as ``true``/``false``.
+
+A reader declares each column it needs with its cell type: ``str``, ``int``,
+``float``, ``bool`` or ``T | None``, whose empty or whitespace-only cell is
+None. Only the leading ``#`` lines are comments (a later one may continue a
+quoted cell) and blank lines are skipped; any other row must have as many
+cells as the column row, each parsing as its column's type, and every quote
+must close.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args
 
 
 class TableError(ValueError):
-    """A table lacks columns its reader needs, or holds a cell it cannot parse."""
+    """A table lacks a column its reader needs, has a ragged row or a cell that does not parse, or is not UTF-8."""
 
 
 def _cell(value):
@@ -35,34 +43,69 @@ def write_table(
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for line in header:
             handle.write(f"# {line}\n")
-        writer = csv.writer(handle, lineterminator="\n")
+        # Each record is formatted with a \r\n terminator, so that csv also quotes
+        # a cell holding a bare \r (which a reader takes for a line end), and is
+        # written with \n.
+        records = SimpleNamespace(write=lambda record: handle.write(record[:-2] + "\n"))
+        writer = csv.writer(records, lineterminator="\r\n")
         writer.writerow(columns)
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """Yield the rows of a table as dicts, skipping ``#`` lines.
+def _bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(cell)
+    return cell == "true"
 
-    Raises TableError naming the file and every one of ``columns`` its
-    column row lacks.
+
+# The parser of each cell type, and what its error message says it expects.
+_PARSERS = {str: (str, "text"), int: (int, "an integer"), float: (float, "a number"), bool: (_bool, "true or false")}
+
+
+def _parser(kind) -> tuple[Callable[[str], object], str]:
+    """The parser of a ``kind`` cell and what it expects; ``T | None`` reads a blank cell as None."""
+    if kind in _PARSERS:
+        return _PARSERS[kind]
+    (base,) = set(get_args(kind)) - {type(None)}
+    parse, expected = _PARSERS[base]
+    return (lambda cell: parse(cell) if cell.strip() else None), f"{expected}, or empty"
+
+
+def read_table(path: str | Path, columns: Mapping[str, object]) -> Iterator[dict]:
+    """Yield each row of a table as a dict of ``columns``, every cell parsed as its type.
+
+    Columns the table has beyond ``columns`` are not read. Raises TableError
+    naming the file, and the line, column and value where there is one.
     """
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(line for line in handle if not line.startswith("#"))
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
-        yield from reader
-
-
-def bool_cell(path: str | Path, row: dict[str, str], column: str) -> bool | None:
-    """A ``true``/``false`` cell as a bool, an empty one as None.
-
-    Raises TableError naming the file, the column and the value for any
-    other cell.
-    """
-    value = row[column]
-    if value == "":
-        return None
-    if value in ("true", "false"):
-        return value == "true"
-    raise TableError(f"{path}: column {column} holds {value!r}, expected true, false or empty")
+        try:
+            comments = 0
+            line = handle.readline()
+            while line.startswith("#"):
+                comments += 1
+                line = handle.readline()
+            reader = csv.reader(chain((line,), handle), strict=True)
+            names = next(reader, [])
+            missing = [c for c in columns if c not in names]
+            if missing:
+                raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
+            # Each cell's index and parser are found once, not per row.
+            cells = [(names.index(name), name, *_parser(kind)) for name, kind in columns.items()]
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(names):
+                    where = f"{path}: line {comments + reader.line_num}"
+                    raise TableError(f"{where} has {len(row)} cells, expected {len(names)}")
+                record = {}
+                for i, name, parse, expected in cells:
+                    try:
+                        record[name] = parse(row[i])
+                    except ValueError:
+                        where = f"{path}: line {comments + reader.line_num}: column {name}"
+                        raise TableError(f"{where} holds {row[i]!r}, expected {expected}") from None
+                yield record
+        except UnicodeDecodeError:
+            raise TableError(f"{path}: not UTF-8") from None
+        except csv.Error as exc:  # such as a quote that no later quote closes
+            raise TableError(f"{path}: line {comments + reader.line_num}: {exc}") from None

@@ -14,6 +14,7 @@ import pytest
 
 from homedest.cli import COMMANDS, FILES, REPORT_FILES, main
 from homedest.corpus import file_sha256, read_corpus
+from homedest.covariates import packaged_data_path
 from homedest.synth import read_ground_truth
 
 
@@ -217,6 +218,48 @@ class TestBadInput:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / FILES["posts"]).exists()
 
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("abc", "line 2: column pdi holds 'abc', expected a number, or empty"),
+            ("150", "column pdi holds 150.0 for AR"),
+        ],
+    )
+    def test_bad_hofstede_cell(self, chain_dir, tmp_path, capsys, cell, message):
+        table = tmp_path / "hofstede.csv"
+        table.write_text(packaged_data_path("hofstede.csv").read_text().replace("\nAR,49,", f"\nAR,{cell},"))
+        err = self.exit_2_stderr(capsys, "correlate", "--out", chain_dir, "--hofstede", table)
+        assert err.startswith(f"error: {table}: {message}")
+
+    def test_stats_on_a_short_scores_row(self, chain_dir, tmp_path, capsys):
+        lines = (chain_dir / FILES["scores"]).read_text().splitlines(keepends=True)
+        scores = tmp_path / FILES["scores"]
+        scores.write_text("".join(lines[:-1]) + lines[-1].rpartition(",")[0] + "\n")
+        err = self.exit_2_stderr(capsys, "stats", "--out", tmp_path, "--null-scores", chain_dir / FILES["null_scores"])
+        assert err == f"error: {scores}: line {len(lines)} has 9 cells, expected 10\n"
+
+    def test_hofstede_is_a_directory(self, chain_dir, tmp_path, capsys):
+        err = self.exit_2_stderr(capsys, "correlate", "--out", chain_dir, "--hofstede", tmp_path)
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+    def test_posts_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "posts").mkdir()
+        (tmp_path / FILES["friends"]).write_text("user_id,friend_id\n")
+        err = self.exit_2_stderr(capsys, "label", "--out", tmp_path, "--posts", tmp_path / "posts")
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / "posts") in err
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        err = self.exit_2_stderr(capsys, "label", "--out", tmp_path / "file")
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / "file") in err
+
+    def test_friends_not_utf8(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path, "--users", 40) == 0
+        friends = tmp_path / FILES["friends"]
+        friends.write_bytes(b"user_id,friend_id\nu1,caf\xe9\n")
+        err = self.exit_2_stderr(capsys, "label", "--out", tmp_path)
+        assert err == f"error: {friends}: not UTF-8\n"
+
     def test_skip_reasons_named_when_nothing_loads(self, tmp_path, capsys):
         good = {"user_id": "u1", "ts": "2018-03-01T12:00:00Z", "cc": "IT"}
         lines = ["{broken", json.dumps({**good, "cc": "ZZ"}), json.dumps({**good, "ts": "2018-02-30T12:00:00Z"})]
@@ -380,6 +423,15 @@ class TestConfig:
             run(command, "--out", tmp_path, "--config", cfg)
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"error: config key {key} must be {kind}, got {json.dumps(value)}\n"
+
+    def test_float_option_with_a_huge_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"noise": 1' + "0" * 400 + "}")
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--out", tmp_path / "ws", "--config", cfg)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: --noise must lie in [0, 1], got 1000")
+        assert not (tmp_path / "ws").exists()
 
     @pytest.mark.parametrize(
         "make, message",
