@@ -78,6 +78,7 @@ FILES = {
     "correlations_grouped": "correlations_grouped.csv",
 }
 
+# The report's files, in the order cmd_report writes them.
 REPORT_FILES = (
     "chord_edges.csv",
     "entropy_histogram.csv",
@@ -326,11 +327,15 @@ def cmd_stats(run) -> int:
     da0 = [s.da for s in null_scores]
 
     rows = []
-    for comparison, x, y in (("ha_vs_null", ha, ha0), ("da_vs_null", da, da0)):
-        for test in (wilcoxon_rank_sum(x, y), ks_two_sample(x, y)):
-            rows.append((comparison, test))
-    for test in (pearson(ha, da), spearman(ha, da)):
-        rows.append(("ha_vs_da", test))
+    for comparison, x, y, tests in (
+        ("ha_vs_null", ha, ha0, (wilcoxon_rank_sum, ks_two_sample)),
+        ("da_vs_null", da, da0, (wilcoxon_rank_sum, ks_two_sample)),
+        ("ha_vs_da", ha, da, (pearson, spearman)),
+    ):
+        try:
+            rows.extend((comparison, test(x, y)) for test in tests)
+        except ValueError as exc:  # such as an empty sample, or a constant one for a correlation
+            _fail(f"cannot test {comparison} on {len(x)} and {len(y)} values: {exc}")
 
     write_table(
         run.test_results,
@@ -383,15 +388,12 @@ def cmd_report(run) -> int:
     report_dir = run.out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     header = run.header()
-    write_chord_edges(report_dir / "chord_edges.csv", chord_edges(profiles), header)
-    write_entropy_histogram(report_dir / "entropy_histogram.csv", atlas, header=header)
-    write_attachment_series(
-        report_dir / "attachment_distributions.csv",
-        attachment_series(scores, null_scores),
-        header,
-    )
-    write_scatter(report_dir / "ha_vs_da_scatter.csv", scatter_rows(scores), header)
-    write_boxplots(report_dir / "group_boxplots.csv", group_boxplots(scores), header)
+    chords, histogram, series, scatter, boxplots = (report_dir / name for name in REPORT_FILES)
+    write_chord_edges(chords, chord_edges(profiles), header)
+    write_entropy_histogram(histogram, atlas, header=header)
+    write_attachment_series(series, attachment_series(scores, null_scores), header)
+    write_scatter(scatter, scatter_rows(scores), header)
+    write_boxplots(boxplots, group_boxplots(scores), header)
     print(f"report written to {report_dir}")
     return 0
 

@@ -197,10 +197,13 @@ class CorrelationRow:
 def _correlate_pairs(
     target: str, covariate: str, xs: list[float], ys: list[float]
 ) -> list[CorrelationRow]:
-    out = []
-    for test in (pearson(xs, ys), spearman(xs, ys)):
-        out.append(CorrelationRow(target, covariate, test.method, test.statistic, test.p_value, test.n1))
-    return out
+    """Pearson and Spearman rows of ``ys`` against ``xs``; none for fewer than 3 pairs or a constant sample."""
+    try:
+        tests = (pearson(xs, ys), spearman(xs, ys))
+    except ValueError as exc:
+        logger.info("skipping %s/%s: %s", target, covariate, exc)
+        return []
+    return [CorrelationRow(target, covariate, t.method, t.statistic, t.p_value, t.n1) for t in tests]
 
 
 def _covariate_names(rows: Sequence[JoinedRow]) -> list[str]:
@@ -213,8 +216,9 @@ def _covariate_names(rows: Sequence[JoinedRow]) -> list[str]:
 def individual_correlations(rows: Sequence[JoinedRow]) -> list[CorrelationRow]:
     """Per-user correlations of ha and da against every covariate.
 
-    Also reports the ha-vs-da correlation. Covariates with fewer than three
-    complete pairs are skipped; fewer than three rows overall is an error.
+    Also reports the ha-vs-da correlation. A pair with fewer than three
+    complete values or a constant side is skipped; fewer than three rows
+    overall is an error.
     """
     if len(rows) < 3:
         raise ValueError("need at least 3 joined users")
@@ -222,19 +226,10 @@ def individual_correlations(rows: Sequence[JoinedRow]) -> list[CorrelationRow]:
     out.extend(_correlate_pairs("ha", "da", [r.ha for r in rows], [r.da for r in rows]))
     for name in _covariate_names(rows):
         for target in ("ha", "da"):
-            xs: list[float] = []
-            ys: list[float] = []
-            for row in rows:
-                if name in row.covariates:
-                    xs.append(row.covariates[name])
-                    ys.append(row.ha if target == "ha" else row.da)
-            if len(xs) < 3:
-                logger.info("skipping %s/%s: only %d pairs", target, name, len(xs))
-                continue
-            try:
-                out.extend(_correlate_pairs(target, name, xs, ys))
-            except ValueError:
-                logger.info("skipping %s/%s: degenerate sample", target, name)
+            paired = [row for row in rows if name in row.covariates]
+            xs = [row.covariates[name] for row in paired]
+            ys = [getattr(row, target) for row in paired]
+            out.extend(_correlate_pairs(target, name, xs, ys))
     return out
 
 
@@ -269,12 +264,7 @@ def grouped_correlations(
                 xs.append(sum(with_cov) / len(with_cov))
                 values = [r.ha if target == "ha" else r.da for r in members]
                 ys.append(sum(values) / len(values))
-            if len(xs) < 3:
-                continue
-            try:
-                out.extend(_correlate_pairs(target, name, xs, ys))
-            except ValueError:
-                logger.info("skipping grouped %s/%s: degenerate sample", target, name)
+            out.extend(_correlate_pairs(target, name, xs, ys))
     return out
 
 

@@ -1,11 +1,12 @@
-"""Nonparametric tests and correlations: rank-sum, signed-rank, two-sample
-KS, Pearson and Spearman, with significance stars.
+"""Nonparametric tests and correlations on numpy arrays: rank-sum,
+signed-rank, two-sample KS, Pearson and Spearman, with significance stars.
 
-Rank-sum p-values are exact (tail counts over all rank assignments) for
-tie-free pooled samples of at most EXACT_LIMIT observations, and otherwise
-use the normal approximation with midrank tie correction and continuity
-correction. p-values are carried in log space as well, so magnitudes far
-below float-representable survival-function naivety survive.
+Rank-sum and signed-rank p-values are exact (tail counts over all rank or
+sign assignments) for tie-free samples of at most EXACT_LIMIT observations,
+and otherwise use the normal approximation with midrank tie correction and
+continuity correction. p-values are carried in log space as well, so
+magnitudes far below float-representable survival-function naivety survive.
+Every test raises ValueError on an empty sample or a NaN or an infinity.
 
 scipy is imported inside the two functions that call it, so the commands
 that compute no p-value never load it.
@@ -14,9 +15,10 @@ that compute no p-value never load it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 EXACT_LIMIT = 20
 
@@ -54,49 +56,65 @@ def significance_stars(p: float) -> str:
     return ""
 
 
+def _samples(*samples: Sequence[float]) -> list[np.ndarray]:
+    """Each sample as a float array; an empty sample, a NaN or an infinity is a ValueError."""
+    arrays = [np.asarray(sample, dtype=float) for sample in samples]
+    if not all(len(a) for a in arrays):
+        raise ValueError("samples must be nonempty")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("samples must be finite, got a NaN or an infinity")
+    return arrays
+
+
+def _ranks_and_ties(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midranks of ``values`` and each tie block's size c; a block ending at rank e ranks e - (c-1)/2."""
+    _, block, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[block], counts
+
+
 def midranks(values: Sequence[float]) -> list[float]:
     """Fractional ranks (1-based); ties share the mean of their rank block."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
+    return _ranks_and_ties(np.asarray(values, dtype=float))[0].tolist()
+
+
+def _tie_sum(counts: np.ndarray) -> int:
+    """Sum of c**3 - c over the tie-block sizes ``counts``, in Python ints (int64 overflows past 2**21)."""
+    return sum(c**3 - c for c in counts[counts > 1].tolist())
+
+
+def _exact_two_sided(counts: list[int], low: float) -> float:
+    """Twice the share of the null ``counts`` at or below the lower-tail statistic ``low``, at most 1."""
+    return min(1.0, 2 * sum(counts[: int(round(low)) + 1]) / sum(counts))
+
+
+def _two_sided_normal(z: float) -> tuple[float, float]:
+    """(p, log p) of a two-sided normal test at z: twice the upper tail, at most 1."""
+    from scipy.special import log_ndtr
+
+    log_sf = float(log_ndtr(-z))
+    return min(1.0, 2.0 * math.exp(log_sf)), min(0.0, math.log(2.0) + log_sf)
+
+
+def _subset_sums(n: int, k: int) -> np.ndarray:
+    """ways[j, s] = number of j-subsets of the ranks 1..n with sum s, for j <= k."""
+    # int64 is exact for n <= EXACT_LIMIT: no count exceeds 2**20.
+    ways = np.zeros((k + 1, n * (n + 1) // 2 + 1), dtype=np.int64)
+    ways[0, 0] = 1
+    for rank in range(1, n + 1):
+        # The (j-1)-subsets plus rank join the j-subsets; numpy reads the overlapping right side first.
+        ways[1:, rank:] += ways[:-1, :-rank]
+    return ways
 
 
 def _u_distribution(n1: int, n2: int) -> list[int]:
     """counts[u] = number of size-n1 rank subsets of {1..n1+n2} with U = u."""
-    n = n1 + n2
     min_sum = n1 * (n1 + 1) // 2
-    max_sum = min_sum + n1 * n2
-    ways = [[0] * (max_sum + 1) for _ in range(n1 + 1)]
-    ways[0][0] = 1
-    for rank in range(1, n + 1):
-        for k in range(min(rank, n1), 0, -1):
-            row, prev = ways[k], ways[k - 1]
-            for s in range(max_sum, rank - 1, -1):
-                if prev[s - rank]:
-                    row[s] += prev[s - rank]
-    return ways[n1][min_sum:]
+    return _subset_sums(n1 + n2, n1)[n1, min_sum : min_sum + n1 * n2 + 1].tolist()
 
 
-def _norm_sf_log(z: float) -> tuple[float, float]:
-    """(sf, log sf) of the standard normal at z."""
-    from scipy.special import log_ndtr
-
-    log_sf = float(log_ndtr(-z))
-    return math.exp(log_sf), log_sf
-
-
-def _tie_sum(values: Iterable[float]) -> int:
-    """Sum of c**3 - c over the count c of each distinct value."""
-    return sum(c**3 - c for c in Counter(values).values())
+def _signed_rank_distribution(n: int) -> list[int]:
+    """counts[w] = number of sign assignments of ranks 1..n with W+ = w."""
+    return _subset_sums(n, n).sum(axis=0).tolist()
 
 
 def wilcoxon_rank_sum(x: Sequence[float], y: Sequence[float]) -> TestResult:
@@ -107,99 +125,60 @@ def wilcoxon_rank_sum(x: Sequence[float], y: Sequence[float]) -> TestResult:
     samples use the tie-corrected normal approximation with continuity
     correction.
     """
+    x, y = _samples(x, y)
     n1, n2 = len(x), len(y)
-    if n1 == 0 or n2 == 0:
-        raise ValueError("both samples must be nonempty")
-    pooled = list(x) + list(y)
-    ranks = midranks(pooled)
-    r1 = sum(ranks[:n1])
-    u1 = r1 - n1 * (n1 + 1) / 2
+    n = n1 + n2
+    ranks, ties = _ranks_and_ties(np.concatenate([x, y]))
+    u1 = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2
     u2 = n1 * n2 - u1
 
-    tie_free = len(set(pooled)) == n1 + n2
-    if tie_free and n1 + n2 <= EXACT_LIMIT:
-        counts = _u_distribution(n1, n2)
-        u_min = int(round(min(u1, u2)))
-        cum = sum(counts[: u_min + 1])
-        total = math.comb(n1 + n2, n1)
-        p = min(1.0, (2 * cum) / total)
+    if len(ties) == n and n <= EXACT_LIMIT:
+        p = _exact_two_sided(_u_distribution(n1, n2), min(u1, u2))
         return TestResult(u1, p, n1, n2, WILCOXON_RANK_SUM, math.log(p))
 
-    n = n1 + n2
-    tie_factor = 1.0 - _tie_sum(pooled) / (n**3 - n)
+    tie_factor = 1.0 - _tie_sum(ties) / (n**3 - n)
     if tie_factor == 0.0:
         return TestResult(u1, 1.0, n1, n2, WILCOXON_RANK_SUM, 0.0)
     sd = math.sqrt(tie_factor * n1 * n2 * (n + 1) / 12.0)
-    big_u = max(u1, u2)
-    z = (big_u - n1 * n2 / 2 - 0.5) / sd
-    sf, log_sf = _norm_sf_log(z)
-    p = min(1.0, 2.0 * sf)
-    log_p = min(0.0, math.log(2.0) + log_sf)
+    z = (max(u1, u2) - n1 * n2 / 2 - 0.5) / sd
+    p, log_p = _two_sided_normal(z)
     return TestResult(u1, p, n1, n2, WILCOXON_RANK_SUM, log_p)
-
-
-def _signed_rank_distribution(n: int) -> list[int]:
-    """counts[w] = number of sign assignments of ranks 1..n with W+ = w."""
-    max_w = n * (n + 1) // 2
-    ways = [0] * (max_w + 1)
-    ways[0] = 1
-    for rank in range(1, n + 1):
-        for w in range(max_w, rank - 1, -1):
-            if ways[w - rank]:
-                ways[w] += ways[w - rank]
-    return ways
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Two-sided paired Wilcoxon signed-rank test (zero differences dropped)."""
+    x, y = _samples(x, y)
     if len(x) != len(y):
         raise ValueError("paired samples must have equal length")
-    if len(x) == 0:
-        raise ValueError("samples must be nonempty")
-    diffs = [a - b for a, b in zip(x, y) if a != b]
+    diffs = (x - y)[x != y]
     n = len(diffs)
     if n == 0:
         return TestResult(0.0, 1.0, len(x), len(y), WILCOXON_SIGNED_RANK, 0.0)
-    abs_ranks = midranks([abs(d) for d in diffs])
-    w_plus = sum(r for d, r in zip(diffs, abs_ranks) if d > 0)
+    ranks, ties = _ranks_and_ties(np.abs(diffs))
+    w_plus = float(ranks[diffs > 0].sum())
     max_w = n * (n + 1) / 2
 
-    tie_free = len({abs(d) for d in diffs}) == n
-    if tie_free and n <= EXACT_LIMIT:
-        counts = _signed_rank_distribution(n)
-        w_min = int(round(min(w_plus, max_w - w_plus)))
-        cum = sum(counts[: w_min + 1])
-        p = min(1.0, (2 * cum) / 2**n)
+    if len(ties) == n and n <= EXACT_LIMIT:
+        p = _exact_two_sided(_signed_rank_distribution(n), min(w_plus, max_w - w_plus))
         return TestResult(w_plus, p, len(x), len(y), WILCOXON_SIGNED_RANK, math.log(p))
 
     mean = max_w / 2
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_sum(abs(d) for d in diffs) / 48.0
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_sum(ties) / 48.0
     if var <= 0:
         return TestResult(w_plus, 1.0, len(x), len(y), WILCOXON_SIGNED_RANK, 0.0)
     z = (abs(w_plus - mean) - 0.5) / math.sqrt(var)
-    sf, log_sf = _norm_sf_log(max(z, 0.0))
-    p = min(1.0, 2.0 * sf)
-    log_p = min(0.0, math.log(2.0) + log_sf)
+    p, log_p = _two_sided_normal(max(z, 0.0))
     return TestResult(w_plus, p, len(x), len(y), WILCOXON_SIGNED_RANK, log_p)
 
 
 def _ks_statistic(x: Sequence[float], y: Sequence[float]) -> float:
-    """sup |ECDF_x - ECDF_y|, exact via integer cross-multiplication."""
-    xs, ys = sorted(x), sorted(y)
+    """sup |ECDF_x - ECDF_y| over the pooled values, exact via integer cross-multiplication."""
+    xs, ys = np.sort(x), np.sort(y)
     n1, n2 = len(xs), len(ys)
-    i = j = 0
-    best = 0
-    while i < n1 or j < n2:
-        if j >= n2 or (i < n1 and xs[i] <= ys[j]):
-            value = xs[i]
-        else:
-            value = ys[j]
-        while i < n1 and xs[i] == value:
-            i += 1
-        while j < n2 and ys[j] == value:
-            j += 1
-        best = max(best, abs(i * n2 - j * n1))
-    return best / (n1 * n2)
+    pooled = np.concatenate([xs, ys])
+    i = np.searchsorted(xs, pooled, "right")
+    j = np.searchsorted(ys, pooled, "right")
+    return int(np.abs(i * n2 - j * n1).max()) / (n1 * n2)
 
 
 def _kolmogorov_sf(lam: float) -> tuple[float, float]:
@@ -240,9 +219,8 @@ def ks_two_sample(x: Sequence[float], y: Sequence[float]) -> TestResult:
     D is the exact sup-distance between the two ECDFs; the p-value comes
     from the asymptotic Kolmogorov distribution at sqrt(n1*n2/(n1+n2)) * D.
     """
+    x, y = _samples(x, y)
     n1, n2 = len(x), len(y)
-    if n1 == 0 or n2 == 0:
-        raise ValueError("both samples must be nonempty")
     d = _ks_statistic(x, y)
     effective = n1 * n2 / (n1 + n2)
     p, log_p = _kolmogorov_sf(math.sqrt(effective) * d)
@@ -280,9 +258,11 @@ def _pearson_from_arrays(x: Sequence[float], y: Sequence[float], method: str) ->
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Pearson correlation with two-sided p from the t distribution (n-2 df)."""
-    return _pearson_from_arrays(x, y, PEARSON)
+    x, y = _samples(x, y)
+    return _pearson_from_arrays(x.tolist(), y.tolist(), PEARSON)
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Spearman rank correlation: Pearson on midranks."""
+    x, y = _samples(x, y)
     return _pearson_from_arrays(midranks(x), midranks(y), SPEARMAN)

@@ -8,13 +8,14 @@ A reader declares each column it needs with its cell type: ``str``, ``int``,
 ``float``, ``bool`` or ``T | None``, whose empty or whitespace-only cell is
 None. Only the leading ``#`` lines are comments (a later one may continue a
 quoted cell) and blank lines are skipped; any other row must have as many
-cells as the column row, each parsing as its column's type, and every quote
-must close.
+cells as the column row, each parsing as its column's type (a ``float`` as a
+finite number, so not ``nan``, ``inf`` or ``1e999``), and every quote must close.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
@@ -58,8 +59,15 @@ def _bool(cell: str) -> bool:
     return cell == "true"
 
 
+def _float(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):  # no test or mean can use a NaN or an infinity
+        raise ValueError(cell)
+    return value
+
+
 # The parser of each cell type, and what its error message says it expects.
-_PARSERS = {str: (str, "text"), int: (int, "an integer"), float: (float, "a number"), bool: (_bool, "true or false")}
+_PARSERS = {str: (str, "text"), int: (int, "an integer"), float: (_float, "a number"), bool: (_bool, "true or false")}
 
 
 def _parser(kind) -> tuple[Callable[[str], object], str]:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import kolmogorov
 
@@ -13,6 +18,8 @@ from homedest.stats import (
     EXACT_LIMIT,
     _kolmogorov_sf,
     _ks_statistic,
+    _signed_rank_distribution,
+    _tie_sum,
     _u_distribution,
     ks_two_sample,
     midranks,
@@ -296,3 +303,63 @@ class TestCorrelations:
     def test_stars_on_results(self):
         res = pearson([1.0, 2.0, 3.0, 4.0], [1.1, 1.9, 3.2, 3.9])
         assert res.stars in ("", "*", "**", "***")
+
+
+# Values that stress ranking and the ECDFs: heavy ties (few distinct values),
+# signed zeros, subnormal and huge magnitudes, and arbitrary finite floats.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0, 1.0 + 2**-52, 1e300, -1e300, 1.7976931348623157e308]
+VALUES = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+SAMPLES = st.lists(VALUES, min_size=1, max_size=40)
+PROPERTY = settings(max_examples=200, deadline=None)
+
+
+class TestArrayPropertiesAgainstReferences:
+    @PROPERTY
+    @given(SAMPLES)
+    def test_midranks_equal_scipy_average_ranks(self, values):
+        assert midranks(values) == sps.rankdata(values, method="average").tolist()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from scipy's p-value, which is not compared
+    @PROPERTY
+    @given(SAMPLES, SAMPLES)
+    def test_ks_statistic_is_the_exact_ecdf_gap(self, x, y):
+        def ecdf(sample, at):
+            return Fraction(sum(v <= at for v in sample), len(sample))
+
+        exact = max(abs(ecdf(x, v) - ecdf(y, v)) for v in x + y)
+        d = _ks_statistic(x, y)
+        assert d == float(exact)
+        # scipy subtracts the two ECDFs in floats, so it may differ in the last bits.
+        assert d == pytest.approx(sps.ks_2samp(x, y, method="asymp").statistic, rel=0, abs=4 * np.finfo(float).eps)
+
+    @PROPERTY
+    @given(SAMPLES)
+    def test_tie_sum_equals_the_counter_formula(self, values):
+        counts = np.unique(values, return_counts=True)[1]
+        assert _tie_sum(counts) == sum(c**3 - c for c in Counter(values).values())
+
+    def test_tie_sum_is_exact_past_int64(self):
+        # One block of 3M tied values: c**3 is 2.7e19, beyond int64's 9.2e18.
+        assert _tie_sum(np.array([3_000_000, 2, 1])) == 3_000_000**3 - 3_000_000 + 6
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_signed_rank_distribution_enumerates_every_sign_assignment(self, n):
+        sums = Counter(sum(r for r, plus in zip(range(1, n + 1), signs) if plus)
+                       for signs in itertools.product((False, True), repeat=n))
+        assert _signed_rank_distribution(n) == [sums[w] for w in range(n * (n + 1) // 2 + 1)]
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 5), (3, 4), (5, 5), (4, 6)])
+    def test_u_distribution_enumerates_every_rank_subset(self, n1, n2):
+        base = n1 * (n1 + 1) // 2
+        sums = Counter(sum(c) - base for c in itertools.combinations(range(1, n1 + n2 + 1), n1))
+        assert _u_distribution(n1, n2) == [sums[u] for u in range(n1 * n2 + 1)]
+
+    @PROPERTY
+    @given(st.lists(VALUES, min_size=3, max_size=20), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    def test_every_test_rejects_a_non_finite_value(self, values, bad, data):
+        i = data.draw(st.integers(0, len(values) - 1))
+        spoiled = values[:i] + [bad] + values[i + 1:]
+        for test in (wilcoxon_rank_sum, wilcoxon_signed_rank, ks_two_sample, pearson, spearman):
+            for x, y in ((spoiled, values), (values, spoiled)):
+                with pytest.raises(ValueError, match="finite"):
+                    test(x, y)

@@ -68,6 +68,15 @@ BAD_CELLS = [
     (load_pair_covariates, "pair_covariates.csv",
      "country_a,country_b,distcap,contig,comlang_off,csl,cnl\nDE,IT,far,0,0,0.1,0.2\n", "distcap", "far"),
     (load_friends, "friends.csv", "user_id,friend_id\nu3\nu1,u2\n", None, None),
+    # A float cell must be finite, whether or not it may be empty.
+    (read_scores, "scores_nan.csv",
+     "user_id,nationality,residence,ha,da,n_hashtags,n_home,n_dest,acc_class,speaks_dest_lang\n"
+     "u1,IT,DE,nan,0.25,4,2,1,integration,true\n", "ha", "nan"),
+    (lambda path: read_profiles(path.with_name("profiles.csv"), path), "lang_fractions_inf.csv",
+     "user_id,lang,fraction\nu1,it,inf\n", "fraction", "inf"),
+    (load_hofstede, "hofstede_-inf.csv", "country,pdi,idv,mas,uai,lto,ivr\nAR,49,46,56,86,20,-inf\n", "ivr", "-inf"),
+    (load_pair_covariates, "pair_covariates_1e999.csv",
+     "country_a,country_b,distcap,contig,comlang_off,csl,cnl\nDE,IT,1e999,0,0,0.1,0.2\n", "distcap", "1e999"),
 ]
 
 
@@ -117,7 +126,7 @@ CELL_TYPES = {
     str: st.text(st.characters(exclude_categories=["Cs"]))
     | st.sampled_from(["a,b", 'say "hi"', "two\nlines", "\r\n", "a\rb", "#lead", "\n#x", " "]),
     int: st.integers(),
-    float: st.floats(allow_nan=False),
+    float: st.floats(allow_nan=False, allow_infinity=False),  # a float cell must be finite
     bool: st.booleans(),
 }
 
