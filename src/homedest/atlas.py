@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Post, tally
+from .corpus import Corpus, Post, distinct, tally
 from .labeling import UserProfile
 from .tables import read_table, write_table
 
@@ -105,7 +105,7 @@ def build_atlas(
     slot_post = corpus.slot_post()
     user = corpus.user[slot_post]
     keep = (corpus.tags >= 0) & (corpus.year == year)[slot_post] & (nationality[user] >= 0)
-    token_user = np.unique(corpus.tags[keep].astype(np.int64) * n_users + user[keep])
+    token_user = distinct(corpus.tags[keep].astype(np.int64) * n_users + user[keep])
     token, user = np.divmod(token_user, n_users)
     counts = tally(token * len(nationalities) + nationality[user], tuple(nationalities))
     by_name = {corpus.tokens[t]: token_counts for t, token_counts in counts.items()}

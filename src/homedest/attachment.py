@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .atlas import HashtagRecord
-from .corpus import Corpus, Post
+from .corpus import Corpus, Post, distinct
 from .labeling import UserProfile
 from .tables import read_table, write_table
 
@@ -102,7 +102,7 @@ def compute_scores(
     user = corpus.user[slot_post[keep]].astype(np.int64)
     token = corpus.tags[keep].astype(np.int64)
     if count_mode == "distinct":
-        user, token = np.divmod(np.unique(user * len(corpus.tokens) + token), len(corpus.tokens))
+        user, token = np.divmod(distinct(user * len(corpus.tokens) + token), len(corpus.tokens))
     is_home = assignment[token] == home[user]
     is_dest = ~is_home & (assignment[token] == dest[user])
     n_total = np.bincount(user, minlength=n_users).tolist()
@@ -110,7 +110,7 @@ def compute_scores(
     n_dest = np.bincount(user[is_dest], minlength=n_users).tolist()
 
     scores = []
-    for index in sorted(np.unique(corpus.user[in_year]).tolist(), key=corpus.users.__getitem__):
+    for index in sorted(distinct(corpus.user[in_year]).tolist(), key=corpus.users.__getitem__):
         if n_total[index] < min_hashtags:
             continue
         user_id = corpus.users[index]

@@ -383,6 +383,8 @@ def cmd_report(run) -> int:
     profiles = read_profiles(run.profiles)
     atlas = read_atlas(run.atlas)
     scores = read_scores(run.scores)
+    if not scores:
+        _fail(f"{run.scores}: no scores to report")
     null_scores = read_scores(run.null_scores) if run.null_scores else []
 
     report_dir = run.out / "report"

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FriendGraph, Post, tally
+from .corpus import Corpus, FriendGraph, Post, distinct, tally
 from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -82,7 +82,7 @@ def _geo_evidence(corpus: Corpus, group: np.ndarray, year: int | None):
     # One int64 key per distinct (pair, day): days shifted to start at 0 fit below span.
     day = corpus.day[keep] - corpus.day.min(initial=0)
     span = int(day.max(initial=0)) + 1
-    days = np.unique(pairs * span + day) // span
+    days = distinct(pairs * span + day) // span
     return tally(days, corpus.countries), tally(pairs, corpus.countries)
 
 

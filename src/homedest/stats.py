@@ -4,12 +4,13 @@ signed-rank, two-sample KS, Pearson and Spearman, with significance stars.
 Rank-sum and signed-rank p-values are exact (tail counts over all rank or
 sign assignments) for tie-free samples of at most EXACT_LIMIT observations,
 and otherwise use the normal approximation with midrank tie correction and
-continuity correction. p-values are carried in log space as well, so
-magnitudes far below float-representable survival-function naivety survive.
+continuity correction. Every p-value is also carried as log p, which stays
+finite where p underflows to 0.0: the normal tail from ``math.erfc`` and
+then an asymptotic series, the Kolmogorov tail from its series, and the
+Student-t tail of Pearson and Spearman from a log-space incomplete beta.
 Every test raises ValueError on an empty sample or a NaN or an infinity.
 
-scipy is imported inside the two functions that call it, so the commands
-that compute no p-value never load it.
+The module needs numpy only; the tests check it against scipy and mpmath.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from typing import Sequence
 import numpy as np
 
 EXACT_LIMIT = 20
+
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_TINY = 1e-300
+_MAX_TERMS = 100_000
 
 WILCOXON_RANK_SUM = "wilcoxon_rank_sum"
 WILCOXON_SIGNED_RANK = "wilcoxon_signed_rank"
@@ -88,11 +94,23 @@ def _exact_two_sided(counts: list[int], low: float) -> float:
 
 
 def _two_sided_normal(z: float) -> tuple[float, float]:
-    """(p, log p) of a two-sided normal test at z: twice the upper tail, at most 1."""
-    from scipy.special import log_ndtr
+    """(p, log p) of a two-sided normal test at z: p = erfc(z/sqrt 2), at most 1.
 
-    log_sf = float(log_ndtr(-z))
-    return min(1.0, 2.0 * math.exp(log_sf)), min(0.0, math.log(2.0) + log_sf)
+    From z = 26 sqrt 2 (36.8) on, where erfc nears underflow (6e-296), log p
+    comes from the asymptotic Mills-ratio series of erfc instead.
+    """
+    x = z / _SQRT2
+    if x < 26.0:
+        p = math.erfc(x)
+        return min(1.0, p), min(0.0, math.log(p))
+    # erfc(x) = exp(-x^2) / (x sqrt(pi)) * sum_k (-1)^k (2k-1)!! / (2x^2)^k
+    series, term, k = 1.0, 1.0, 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) / (2 * x * x)
+        series += term
+        k += 1
+    log_p = -0.5 * z * z - math.log(x) - _LOG_SQRT_PI + math.log(series)
+    return math.exp(log_p), log_p
 
 
 def _subset_sums(n: int, k: int) -> np.ndarray:
@@ -227,6 +245,67 @@ def ks_two_sample(x: Sequence[float], y: Sequence[float]) -> TestResult:
     return TestResult(d, p, n1, n2, KS_TWO_SAMPLE, log_p)
 
 
+# Stirling series of lgamma(z) beyond (z - 1/2) log z - z + log(2 pi)/2: sum of c_k / z**(2k + 1).
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+
+
+def _stirling(z: float) -> float:
+    return sum(c / z ** (2 * k + 1) for k, c in enumerate(_STIRLING))
+
+
+def _log_beta_half(a: float) -> float:
+    """log B(a, 1/2) = lgamma(a) + lgamma(1/2) - lgamma(a + 1/2).
+
+    For a >= 10 the lgamma difference comes from Stirling's series: taken as
+    the difference of two lgamma values of size a log a, it would carry their
+    rounding, up to 6e-11 at a = 1e5.
+    """
+    if a < 10.0:
+        return math.lgamma(a) + _LOG_SQRT_PI - math.lgamma(a + 0.5)
+    # lgamma(a + 1/2) - lgamma(a) = log(a)/2 + a log(1 + 1/(2a)) - 1/2 + S(a + 1/2) - S(a)
+    gap = 0.5 * math.log(a) + (a * math.log1p(0.5 / a) - 0.5) + (_stirling(a + 0.5) - _stirling(a))
+    return _LOG_SQRT_PI - gap
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """1/(1 + d1/(1 + d2/(1 + ...))), the continued fraction of I_x(a, b), by Lentz's method."""
+    f, c, d = _TINY, _TINY, 0.0
+    for j in range(_MAX_TERMS):
+        m = j // 2
+        if j == 0:
+            term = 1.0
+        elif j % 2:
+            term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            term = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / ((1.0 + term * d) or _TINY)
+        c = (1.0 + term / c) or _TINY
+        f *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return f
+    raise ArithmeticError(f"incomplete beta fraction unconverged at a={a}, b={b}, x={x}")
+
+
+def _two_sided_t(t_sq: float, df: int) -> tuple[float, float]:
+    """(p, log p) of a two-sided Student-t test with df degrees of freedom at t**2 = t_sq.
+
+    p is the regularized incomplete beta I_x(df/2, 1/2) at x = df/(df + t_sq),
+    taken in log space: x^a (1-x)^b / B(a, b) times a continued fraction, which
+    converges fast for x below the mean (a+1)/(a+b+2); above it, through
+    I_x(a, b) = 1 - I_{1-x}(b, a). log p stays finite where p underflows.
+    """
+    a, x = df / 2.0, df / (df + t_sq)
+    if x >= 1.0:
+        return 1.0, 0.0
+    log_front = a * math.log(x) + 0.5 * math.log1p(-x) - _log_beta_half(a)
+    if x < (a + 1.0) / (a + 2.5):
+        log_p = log_front + math.log(_beta_fraction(a, 0.5, x) / a)
+    else:  # 1 - x is exact here, as x >= 1/2
+        log_p = math.log1p(-math.exp(log_front) * _beta_fraction(0.5, a, 1.0 - x) / 0.5)
+    log_p = min(0.0, log_p)
+    return math.exp(log_p), log_p
+
+
 def _pearson_from_arrays(x: Sequence[float], y: Sequence[float], method: str) -> TestResult:
     n = len(x)
     if n != len(y):
@@ -243,16 +322,10 @@ def _pearson_from_arrays(x: Sequence[float], y: Sequence[float], method: str) ->
         raise ValueError("zero variance sample")
     r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
     r = max(-1.0, min(1.0, r))
-    df = n - 2
     if abs(r) == 1.0:
         return TestResult(r, 0.0, n, n, method, -math.inf)
-    # Two-sided p for the t statistic with df degrees of freedom.
-    t_sq = df * r * r / (1.0 - r * r)
-    from scipy.special import betainc
-
-    p = float(betainc(df / 2.0, 0.5, df / (df + t_sq)))
-    p = max(0.0, min(1.0, p))
-    log_p = math.log(p) if p > 0 else -math.inf
+    df = n - 2
+    p, log_p = _two_sided_t(df * r * r / (1.0 - r * r), df)
     return TestResult(r, p, n, n, method, log_p)
 
 

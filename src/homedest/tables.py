@@ -2,7 +2,8 @@
 
 A table is an optional leading block of ``# `` comment lines, a column row,
 then one row per record, ``\\n``-terminated. Floats are written as their
-``repr``, None as an empty cell and booleans as ``true``/``false``.
+``repr`` (only finite ones: a NaN or an infinity is refused on write as on
+read), None as an empty cell and booleans as ``true``/``false``.
 
 A reader declares each column it needs with its cell type: ``str``, ``int``,
 ``float``, ``bool`` or ``T | None``, whose empty or whitespace-only cell is
@@ -31,6 +32,8 @@ def _cell(value):
         return "true"
     if value is False:
         return "false"
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(value)
     return value
 
 
@@ -40,7 +43,11 @@ def write_table(
     rows: Iterable[Sequence],
     header: Sequence[str] = (),
 ) -> None:
-    """Write ``header`` as ``# `` lines, then the column row, then ``rows``."""
+    """Write ``header`` as ``# `` lines, then the column row, then ``rows``.
+
+    A NaN or an infinity, which no reader accepts, is a TableError naming
+    the row and column, and no file is left behind.
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for line in header:
             handle.write(f"# {line}\n")
@@ -50,7 +57,17 @@ def write_table(
         records = SimpleNamespace(write=lambda record: handle.write(record[:-2] + "\n"))
         writer = csv.writer(records, lineterminator="\r\n")
         writer.writerow(columns)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        for number, row in enumerate(rows, 1):
+            try:
+                writer.writerow([_cell(v) for v in row])
+            except ValueError as exc:
+                (bad,) = exc.args
+                column = next(c for c, v in zip(columns, row) if v is bad)
+                break
+        else:
+            return
+    Path(path).unlink()
+    raise TableError(f"{path}: row {number}: column {column} would hold {bad}, not a finite number")
 
 
 def _bool(cell: str) -> bool:

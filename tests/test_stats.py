@@ -1,4 +1,4 @@
-"""Statistical machinery vs independent references (scipy and enumeration)."""
+"""Statistical machinery vs independent references (scipy, mpmath and enumeration)."""
 
 from __future__ import annotations
 
@@ -7,19 +7,23 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
-from scipy.special import kolmogorov
+from scipy.special import betainc, kolmogorov
 
 from homedest.stats import (
     EXACT_LIMIT,
     _kolmogorov_sf,
     _ks_statistic,
+    _log_beta_half,
     _signed_rank_distribution,
     _tie_sum,
+    _two_sided_normal,
+    _two_sided_t,
     _u_distribution,
     ks_two_sample,
     midranks,
@@ -363,3 +367,69 @@ class TestArrayPropertiesAgainstReferences:
             for x, y in ((spoiled, values), (values, spoiled)):
                 with pytest.raises(ValueError, match="finite"):
                     test(x, y)
+
+
+def assert_tail_close(p, log_p, ref_log_p):
+    """Relative error at most 1e-10 on p where p >= 1e-300, and on log p below that."""
+    ref_p = float(mpmath.exp(ref_log_p))
+    if ref_p >= 1e-300:
+        assert p == pytest.approx(ref_p, rel=1e-10, abs=0)
+    else:
+        assert math.isfinite(log_p)
+        assert log_p == pytest.approx(float(ref_log_p), rel=1e-10, abs=0)
+
+
+def student_t_log_tail(df, x):
+    """log I_x(df/2, 1/2) from the integral x^a / B(a, 1/2) * int_0^inf exp(-a s) (1 - x e^-s)^(-1/2) ds."""
+    with mpmath.workdps(25):
+        a, x = mpmath.mpf(df) / 2, mpmath.mpf(x)
+        integrand = lambda s: mpmath.exp(-a * s) / mpmath.sqrt(1 - x * mpmath.exp(-s))  # noqa: E731
+        # The integrand changes on the scales 1 - x and 1/a.
+        cuts = sorted({mpmath.mpf(0), 1 - x, 10 * (1 - x), 1 / a, 10 / a, 100 / a}) + [mpmath.inf]
+        return a * mpmath.log(x) - mpmath.log(mpmath.beta(a, 0.5)) + mpmath.log(mpmath.quad(integrand, cuts))
+
+
+class TestTailsAgainstMpmath:
+    # Either side of the switch to the asymptotic series at z = 26 sqrt 2.
+    SWITCH = 26 * math.sqrt(2)
+    Z = [*np.linspace(-0.5, 40, 163), *np.geomspace(40, 1e3, 40), SWITCH * (1 - 1e-12), SWITCH * (1 + 1e-12)]
+
+    def test_normal_tail(self):
+        for z in map(float, self.Z):
+            p, log_p = _two_sided_normal(z)
+            with mpmath.workdps(30):
+                ref = min(mpmath.mpf(1), mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)))
+                assert_tail_close(p, log_p, mpmath.log(ref))
+
+    def test_normal_log_tail_stays_finite(self):
+        p, log_p = _two_sided_normal(1e3)
+        assert p == 0.0 and log_p == pytest.approx(-500_007.13, abs=0.01)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 7, 19, 20, 21, 22, 100, 1_000, 10_000, 100_000, 200_000])
+    def test_student_t_tail(self, df):
+        for t in (1e-3, 0.1, 0.5, 1.0, 1.5, 1.75, 2.0, 3.0, 5.0, 10.0, 40.0, 200.0, 1e6):
+            t_sq = t * t
+            p, log_p = _two_sided_t(t_sq, df)
+            assert_tail_close(p, log_p, student_t_log_tail(df, df / (df + t_sq)))
+
+    def test_student_t_at_zero(self):
+        assert _two_sided_t(0.0, 5) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 9.5, 10.0, 10.5, 1e3, 5e4, 1e5, 1e7])
+    def test_log_beta_half(self, a):
+        with mpmath.workdps(30):
+            ref = float(mpmath.log(mpmath.beta(a, 0.5)))
+        assert _log_beta_half(a) == pytest.approx(ref, rel=0, abs=1e-13)
+
+    def test_pearson_log_p_where_p_underflows(self):
+        # n = 20,000 with r near 0.5: the p-value is ~1e-1250, and scipy's betainc returns 0.0.
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=20_000)
+        y = x + math.sqrt(3) * rng.normal(size=20_000)
+        res = pearson(x.tolist(), y.tolist())
+        assert res.statistic == pytest.approx(0.5, abs=0.02)
+        df = 20_000 - 2
+        t_sq = df * res.statistic**2 / (1.0 - res.statistic**2)
+        assert betainc(df / 2, 0.5, df / (df + t_sq)) == 0.0
+        assert res.p_value == 0.0 and math.isfinite(res.log_p)
+        assert res.log_p == pytest.approx(float(student_t_log_tail(df, df / (df + t_sq))), rel=1e-10, abs=0)

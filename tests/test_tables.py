@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -132,13 +135,13 @@ CELL_TYPES = {
 
 
 @st.composite
-def tables(draw):
+def tables(draw, cell_types=CELL_TYPES):
     """Column types, some ``| None``, and rows of values of those types."""
-    kinds = draw(st.lists(st.sampled_from(list(CELL_TYPES)), min_size=1, max_size=5))
+    kinds = draw(st.lists(st.sampled_from(list(cell_types)), min_size=1, max_size=5))
     optional = [draw(st.booleans()) for _ in kinds]
     cells = []
     for kind, nullable in zip(kinds, optional):
-        values = CELL_TYPES[kind]
+        values = cell_types[kind]
         if nullable:  # a blank cell of a | None column reads as None
             values = values.filter(lambda v: not isinstance(v, str) or v.strip()) | st.none()
         cells.append(values)
@@ -154,3 +157,24 @@ def test_write_then_read_gives_the_rows_back(tmp_path, table, header):
     path = tmp_path / "t.csv"
     write_table(path, columns, rows, header)
     assert [tuple(row.values()) for row in read_table(path, columns)] == rows
+
+
+def non_finite(value):
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=tables({**CELL_TYPES, float: st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])}))
+def test_a_non_finite_float_is_refused_on_write(tmp_path, table):
+    columns, rows = table
+    path = tmp_path / "t.csv"
+    bad = [(number, c, v) for number, row in enumerate(rows, 1) for c, v in zip(columns, row) if non_finite(v)]
+    if not bad:
+        write_table(path, columns, rows)
+        assert [tuple(row.values()) for row in read_table(path, columns)] == rows
+        return
+    number, column, value = bad[0]
+    message = f"{path}: row {number}: column {column} would hold {value}, not a finite number"
+    with pytest.raises(TableError, match=re.escape(message)):
+        write_table(path, columns, rows)
+    assert not path.exists()
