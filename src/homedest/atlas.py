@@ -127,6 +127,17 @@ def build_distribution(
     return record.p if record is not None else {}
 
 
+def unit_histogram(values: Sequence[float] | np.ndarray, bins: int = 50) -> tuple[list[float], list[int]]:
+    """Histogram of values in [0, 1] over ``bins`` equal bins; (edges, counts).
+
+    Bin i holds [i/bins, (i+1)/bins); the last bin also holds 1.0.
+    """
+    edges = [i / bins for i in range(bins + 1)]
+    index = (np.asarray(values, dtype=float) * bins).astype(np.int64)
+    counts = np.bincount(np.clip(index, 0, bins - 1), minlength=bins)
+    return edges, counts.tolist()
+
+
 def entropy_histogram(
     records: Iterable[HashtagRecord], bins: int = 50
 ) -> tuple[list[float], list[int]]:
@@ -135,12 +146,7 @@ def entropy_histogram(
     Zero-entropy tokens land in the first bin, which dominates on realistic
     corpora. Suitable for log-scale count plotting.
     """
-    edges = [i / bins for i in range(bins + 1)]
-    counts = [0] * bins
-    for record in records:
-        idx = min(int(record.entropy * bins), bins - 1)
-        counts[idx] += 1
-    return edges, counts
+    return unit_histogram([record.entropy for record in records], bins)
 
 
 def write_atlas(
@@ -155,7 +161,7 @@ def write_atlas(
     write_table(path, ATLAS_COLUMNS, rows, header)
     if distributions_path is not None:
         rows = ((r.token, c, f) for r in records for c, f in sorted(r.p.items()))
-        write_table(distributions_path, ("token", "country", "fraction"), rows, header)
+        write_table(distributions_path, {"token": str, "country": str, "fraction": float}, rows, header)
 
 
 def read_atlas(path: str | Path) -> dict[str, HashtagRecord]:

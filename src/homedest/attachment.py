@@ -9,10 +9,11 @@ fewer than ``min_hashtags`` uses in the reference year are excluded.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +34,8 @@ SCORE_COLUMNS = {
     "user_id": str, "nationality": str, "residence": str, "ha": float, "da": float,
     "n_hashtags": int, "n_home": int, "n_dest": int, "acc_class": str | None, "speaks_dest_lang": bool | None,
 }
+# A null-model scores table: one block of rows per shuffle replicate.
+NULL_SCORE_COLUMNS = {**SCORE_COLUMNS, "replicate": int}
 
 
 @dataclass
@@ -61,6 +64,99 @@ class CohortSplit:
     n_missing_language: int = 0
 
 
+@dataclass(frozen=True)
+class UseCounts:
+    """In-year hashtag uses of every corpus user, and the migrants they score.
+
+    ``n_total``, ``n_home`` and ``n_dest`` hold one count per user of
+    ``users`` (the corpus order): their counted uses, and of those the ones
+    assigned to their nationality and to their residence. Only migrants have
+    uses counted. ``scored`` holds the indices of the migrants with at least
+    ``min_hashtags`` uses, in scores-row order (by user id).
+    """
+
+    users: tuple[str, ...]
+    n_total: np.ndarray
+    n_home: np.ndarray
+    n_dest: np.ndarray
+    scored: np.ndarray
+
+
+def country_codes(
+    corpus: Corpus, profiles: Mapping[str, UserProfile], atlas: Mapping[str, HashtagRecord]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Countries as codes: per corpus user, nationality and residence; per token, assignment.
+
+    A user who is not a migrant has -1 for both; a token assigned to no
+    migrant's country, or absent from the atlas, has -1.
+    """
+    codes: dict[str | None, int] = {}
+    home = np.full(len(corpus.users), -1, dtype=np.int64)
+    dest = np.full(len(corpus.users), -1, dtype=np.int64)
+    for index, user_id in enumerate(corpus.users):
+        profile = profiles.get(user_id)
+        if profile is not None and profile.is_migrant:
+            home[index] = codes.setdefault(profile.nationality, len(codes))
+            dest[index] = codes.setdefault(profile.residence, len(codes))
+    records = (atlas.get(token) for token in corpus.tokens)
+    assignment = np.array(
+        [-1 if r is None else codes.get(r.assignment, -1) for r in records], dtype=np.int64
+    )
+    return home, dest, assignment
+
+
+def count_uses(
+    posts: Iterable[Post] | Corpus,
+    profiles: Mapping[str, UserProfile],
+    atlas: Mapping[str, HashtagRecord],
+    year: int,
+    min_hashtags: int = DEFAULT_MIN_HASHTAGS,
+    count_mode: str = "uses",
+) -> UseCounts:
+    """Count every migrant's hashtag uses in the year; the kernel of ``compute_scores``."""
+    if count_mode not in ("uses", "distinct"):
+        raise ValueError(f"count_mode must be 'uses' or 'distinct', got {count_mode!r}")
+    if min_hashtags < 1:
+        raise ValueError(f"min_hashtags must be >= 1, got {min_hashtags}")
+    corpus = Corpus.from_posts(posts)
+    n_users = len(corpus.users)
+    home, dest, assignment = country_codes(corpus, profiles, atlas)
+
+    in_year = (corpus.year == year) & (home[corpus.user] >= 0)
+    slot_post = corpus.slot_post()
+    keep = (corpus.tags >= 0) & in_year[slot_post]
+    user = corpus.user[slot_post[keep]].astype(np.int64)
+    token = corpus.tags[keep].astype(np.int64)
+    if count_mode == "distinct":
+        user, token = np.divmod(distinct(user * len(corpus.tokens) + token), len(corpus.tokens))
+    is_home = assignment[token] == home[user]
+    is_dest = ~is_home & (assignment[token] == dest[user])
+    n_total = np.bincount(user, minlength=n_users)
+    scored = sorted(np.flatnonzero(n_total >= min_hashtags).tolist(), key=corpus.users.__getitem__)
+    return UseCounts(
+        users=corpus.users,
+        n_total=n_total,
+        n_home=np.bincount(user[is_home], minlength=n_users),
+        n_dest=np.bincount(user[is_dest], minlength=n_users),
+        scored=np.array(scored, dtype=np.int64),
+    )
+
+
+def score_rows(
+    who: Iterable[tuple[str, str, str]], n_total: np.ndarray, n_home: np.ndarray, n_dest: np.ndarray
+) -> Iterator[tuple]:
+    """Scores-table rows, in SCORE_COLUMNS order, of migrants from their use counts.
+
+    ``who`` gives each migrant's (user_id, nationality, residence) and the
+    arrays their counts, in the same order; no class or cohort is set yet.
+    """
+    ha = (n_home / n_total).tolist()
+    da = (n_dest / n_total).tolist()
+    counts = zip(n_total.tolist(), n_home.tolist(), n_dest.tolist())
+    for (user_id, nationality, residence), h, d, (total, home, dest) in zip(who, ha, da, counts, strict=True):
+        yield user_id, nationality, residence, h, d, total, home, dest, None, None
+
+
 def compute_scores(
     posts: Iterable[Post] | Corpus,
     profiles: Mapping[str, UserProfile],
@@ -74,60 +170,12 @@ def compute_scores(
     ``count_mode="uses"`` counts repeated tokens with multiplicity (default);
     ``"distinct"`` counts each token once per user.
     """
-    if count_mode not in ("uses", "distinct"):
-        raise ValueError(f"count_mode must be 'uses' or 'distinct', got {count_mode!r}")
-    if min_hashtags < 1:
-        raise ValueError(f"min_hashtags must be >= 1, got {min_hashtags}")
-    corpus = Corpus.from_posts(posts)
-    n_users = len(corpus.users)
-
-    # Countries as codes: a token's assignment against each migrant's
-    # nationality and residence; -1 matches neither.
-    codes: dict[str | None, int] = {}
-    home = np.full(n_users, -1, dtype=np.int64)
-    dest = np.full(n_users, -1, dtype=np.int64)
-    for index, user_id in enumerate(corpus.users):
-        profile = profiles.get(user_id)
-        if profile is not None and profile.is_migrant:
-            home[index] = codes.setdefault(profile.nationality, len(codes))
-            dest[index] = codes.setdefault(profile.residence, len(codes))
-    records = (atlas.get(token) for token in corpus.tokens)
-    assignment = np.array(
-        [-1 if r is None else codes.get(r.assignment, -1) for r in records], dtype=np.int64
-    )
-
-    in_year = (corpus.year == year) & (home[corpus.user] >= 0)
-    slot_post = corpus.slot_post()
-    keep = (corpus.tags >= 0) & in_year[slot_post]
-    user = corpus.user[slot_post[keep]].astype(np.int64)
-    token = corpus.tags[keep].astype(np.int64)
-    if count_mode == "distinct":
-        user, token = np.divmod(distinct(user * len(corpus.tokens) + token), len(corpus.tokens))
-    is_home = assignment[token] == home[user]
-    is_dest = ~is_home & (assignment[token] == dest[user])
-    n_total = np.bincount(user, minlength=n_users).tolist()
-    n_home = np.bincount(user[is_home], minlength=n_users).tolist()
-    n_dest = np.bincount(user[is_dest], minlength=n_users).tolist()
-
-    scores = []
-    for index in sorted(distinct(corpus.user[in_year]).tolist(), key=corpus.users.__getitem__):
-        if n_total[index] < min_hashtags:
-            continue
-        user_id = corpus.users[index]
-        profile = profiles[user_id]
-        scores.append(
-            AttachmentScore(
-                user_id=user_id,
-                nationality=profile.nationality,
-                residence=profile.residence,
-                ha=n_home[index] / n_total[index],
-                da=n_dest[index] / n_total[index],
-                n_hashtags=n_total[index],
-                n_home=n_home[index],
-                n_dest=n_dest[index],
-            )
-        )
-    return scores
+    counts = count_uses(posts, profiles, atlas, year, min_hashtags, count_mode)
+    rows = counts.scored
+    user_ids = (counts.users[index] for index in rows.tolist())
+    who = ((u, profiles[u].nationality, profiles[u].residence) for u in user_ids)
+    arrays = (counts.n_total[rows], counts.n_home[rows], counts.n_dest[rows])
+    return [AttachmentScore(*row) for row in score_rows(who, *arrays)]
 
 
 def classify_acculturation(ha: float, da: float, ha_split: float, da_split: float) -> str:
@@ -216,9 +264,22 @@ def write_scores(
         write_table(path, SCORE_COLUMNS, rows, header)
     else:
         rows = ((*row, index) for row, index in zip(rows, replicate, strict=True))
-        write_table(path, (*SCORE_COLUMNS, "replicate"), rows, header)
+        write_table(path, NULL_SCORE_COLUMNS, rows, header)
 
 
 def read_scores(path: str | Path) -> list[AttachmentScore]:
     """Load a scores CSV (optionally carrying a replicate column)."""
     return [AttachmentScore(**row) for row in read_table(path, SCORE_COLUMNS)]
+
+
+def read_indices(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``ha`` and ``da`` columns of a scores CSV, as float arrays; no other cell is read.
+
+    A null-model table holds R rows per scored migrant, so its two index
+    columns are kept as arrays, not as one object per row.
+    """
+    ha, da = array("d"), array("d")
+    for row in read_table(path, {"ha": float, "da": float}):
+        ha.append(row["ha"])
+        da.append(row["da"])
+    return np.frombuffer(ha), np.frombuffer(da)

@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import sys
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
@@ -24,9 +25,11 @@ from . import __version__
 from .atlas import DEFAULT_ENTROPY_THRESHOLD, build_atlas, read_atlas, write_atlas
 from .attachment import (
     DEFAULT_MIN_HASHTAGS,
+    NULL_SCORE_COLUMNS,
     apply_acculturation,
     compute_scores,
     language_cohorts,
+    read_indices,
     read_scores,
     write_scores,
 )
@@ -45,11 +48,11 @@ from .covariates import (
 from .labeling import label_population, read_profiles, write_lang_fractions, write_profiles
 from .nullmodel import DEFAULT_REPLICATES, null_distribution
 from .reporting import (
-    attachment_series,
+    attachment_histograms,
     chord_edges,
     group_boxplots,
     scatter_rows,
-    write_attachment_series,
+    write_attachment_histograms,
     write_boxplots,
     write_chord_edges,
     write_entropy_histogram,
@@ -292,11 +295,16 @@ def cmd_score(run) -> int:
     if not scores:
         _fail("no migrants passed the hashtag volume filter")
     ha_split, da_split = apply_acculturation(scores)
-    language_cohorts(scores, profiles, load_country_languages())
+    cohorts = language_cohorts(scores, profiles, load_country_languages())
     write_scores(run.scores, scores, run.header(ha_split=ha_split, da_split=da_split))
     print(
         f"scored {len(scores)} migrants "
         f"(median splits ha={ha_split:.4f}, da={da_split:.4f})"
+    )
+    print(
+        f"language cohorts: {len(cohorts.speakers)} speakers, {len(cohorts.non_speakers)} non-speakers, "
+        f"{len(cohorts.unclassified)} unclassified, of which {cohorts.n_missing_language} "
+        f"with a residence missing from the language table"
     )
     return 0
 
@@ -307,24 +315,19 @@ def cmd_null(run) -> int:
     atlas = read_atlas(run.atlas)
     # The command's options are null_distribution's own parameters.
     runs = null_distribution(posts, profiles, atlas, **run.options)
-    write_scores(
-        run.null_scores,
-        [s for replicate in runs for s in replicate.scores0],
-        run.header(),
-        replicate=[r.replicate_index for r in runs for _ in r.scores0],
-    )
-    total = sum(len(r.scores0) for r in runs)
-    print(f"null model: {len(runs)} replicates, {total} score rows")
+    if not runs[0].who:
+        _fail("no migrants passed the hashtag volume filter")
+    # Each replicate's rows are formatted as the writer takes them, not kept.
+    write_table(run.null_scores, NULL_SCORE_COLUMNS, chain.from_iterable(r.rows() for r in runs), run.header())
+    print(f"null model: {len(runs)} replicates, {len(runs) * len(runs[0].who)} score rows")
     return 0
 
 
 def cmd_stats(run) -> int:
     scores = read_scores(run.scores)
-    null_scores = read_scores(run.null_scores)
     ha = [s.ha for s in scores]
     da = [s.da for s in scores]
-    ha0 = [s.ha for s in null_scores]
-    da0 = [s.da for s in null_scores]
+    ha0, da0 = read_indices(run.null_scores)
 
     rows = []
     for comparison, x, y, tests in (
@@ -339,7 +342,7 @@ def cmd_stats(run) -> int:
 
     write_table(
         run.test_results,
-        ("comparison", "method", "statistic", "p_value", "n1", "n2", "stars"),
+        {"comparison": str, "method": str, "statistic": float, "p_value": float, "n1": int, "n2": int, "stars": str},
         (
             (comparison, t.method, t.statistic, t.p_value, t.n1, t.n2, t.stars)
             for comparison, t in rows
@@ -385,7 +388,7 @@ def cmd_report(run) -> int:
     scores = read_scores(run.scores)
     if not scores:
         _fail(f"{run.scores}: no scores to report")
-    null_scores = read_scores(run.null_scores) if run.null_scores else []
+    null = read_indices(run.null_scores) if run.null_scores else None
 
     report_dir = run.out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -393,7 +396,7 @@ def cmd_report(run) -> int:
     chords, histogram, series, scatter, boxplots = (report_dir / name for name in REPORT_FILES)
     write_chord_edges(chords, chord_edges(profiles), header)
     write_entropy_histogram(histogram, atlas, header=header)
-    write_attachment_series(series, attachment_series(scores, null_scores), header)
+    write_attachment_histograms(series, attachment_histograms(scores, null), header)
     write_scatter(scatter, scatter_rows(scores), header)
     write_boxplots(boxplots, group_boxplots(scores), header)
     print(f"report written to {report_dir}")

@@ -35,7 +35,6 @@ file, so deleting it is always safe.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
@@ -403,10 +402,6 @@ class Corpus:
     def slot_post(self) -> np.ndarray:
         """Index of the post owning each hashtag slot."""
         return np.repeat(np.arange(self.n_posts), np.diff(self.offsets))
-
-    def with_tags(self, tags: np.ndarray) -> Corpus:
-        """The same posts with other token ids in their hashtag slots."""
-        return dataclasses.replace(self, tags=tags)
 
     @classmethod
     def from_posts(cls, posts: Iterable[Post] | Corpus) -> Corpus:

@@ -30,6 +30,9 @@ HOFSTEDE_DIMENSIONS = ("pdi", "idv", "mas", "uai", "lto", "ivr")
 PAIR_COVARIATES = ("distcap", "contig", "comlang_off", "csl", "cnl")
 HOFSTEDE_COLUMNS = {"country": str, **dict.fromkeys(HOFSTEDE_DIMENSIONS, float | None)}
 PAIR_COLUMNS = {"country_a": str, "country_b": str, **dict.fromkeys(PAIR_COVARIATES, float | None)}
+CORRELATION_COLUMNS = {
+    "target": str, "covariate": str, "method": str, "r": float, "p_value": float, "n": int, "stars": str,
+}
 DEFAULT_MIN_GROUP_SIZE = 10
 
 _SCORE_RANGE = (0.0, 120.0)
@@ -273,5 +276,4 @@ def write_correlations(
     rows: Sequence[CorrelationRow],
     header: Sequence[str] = (),
 ) -> None:
-    columns = ("target", "covariate", "method", "r", "p_value", "n", "stars")
-    write_table(path, columns, map(attrgetter(*columns), rows), header)
+    write_table(path, CORRELATION_COLUMNS, map(attrgetter(*CORRELATION_COLUMNS), rows), header)

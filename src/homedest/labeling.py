@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, FriendGraph, Post, distinct, tally
-from .tables import read_table, write_table
+from .tables import TableError, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -264,9 +264,27 @@ def write_lang_fractions(path: str | Path, profiles: Mapping[str, UserProfile], 
     write_table(path, LANG_COLUMNS, rows, header)
 
 
+def _flag_text(flag: bool | None) -> str:
+    return "empty" if flag is None else str(flag).lower()
+
+
 def read_profiles(path: str | Path, lang_path: str | Path | None = None) -> dict[str, UserProfile]:
-    """Load profiles (and optionally language fractions) back from CSV."""
-    profiles = {row["user_id"]: UserProfile(**row) for row in read_table(path, PROFILE_COLUMNS)}
+    """Load profiles (and optionally language fractions) back from CSV.
+
+    A row's ``is_migrant`` must be empty exactly when a country is missing,
+    and otherwise tell whether residence and nationality differ, as
+    ``label_population`` sets it; any other row is a TableError.
+    """
+    profiles = {}
+    for row in read_table(path, PROFILE_COLUMNS):
+        residence, nationality = row["residence"], row["nationality"]
+        expected = None if residence is None or nationality is None else residence != nationality
+        if row["is_migrant"] is not expected:
+            raise TableError(
+                f"{path}: user_id {row['user_id']}: is_migrant is {_flag_text(row['is_migrant'])}, but residence "
+                f"{residence or '(empty)'} and nationality {nationality or '(empty)'} make it {_flag_text(expected)}"
+            )
+        profiles[row["user_id"]] = UserProfile(**row)
     if lang_path is not None:
         for row in read_table(lang_path, LANG_COLUMNS):
             profile = profiles.get(row["user_id"])

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atlas import HashtagRecord, entropy_histogram
+from .atlas import HashtagRecord, entropy_histogram, unit_histogram
 from .attachment import AttachmentScore
 from .labeling import UserProfile
 from .tables import write_table
@@ -100,19 +100,19 @@ def group_boxplots(
     return out
 
 
-def attachment_series(
+def attachment_histograms(
     scores: Sequence[AttachmentScore],
-    null_scores: Sequence[AttachmentScore] = (),
-) -> dict[str, list[float]]:
-    """Raw value series for distribution plots: ha/da and null counterparts."""
-    series = {
-        "ha": [s.ha for s in scores],
-        "da": [s.da for s in scores],
-    }
-    if null_scores:
-        series["ha_null"] = [s.ha for s in null_scores]
-        series["da_null"] = [s.da for s in null_scores]
-    return series
+    null: tuple[Sequence[float], Sequence[float]] | None = None,
+    bins: int = 50,
+) -> dict[str, tuple[list[float], list[int]]]:
+    """Histograms of ha and da over [0, 1] and, given null (HA0, DA0) values, of theirs.
+
+    Each series maps to its (edges, counts), binned as the entropy histogram is.
+    """
+    series = {"ha": [s.ha for s in scores], "da": [s.da for s in scores]}
+    if null is not None:
+        series["ha_null"], series["da_null"] = null
+    return {name: unit_histogram(values, bins) for name, values in series.items()}
 
 
 def scatter_rows(scores: Sequence[AttachmentScore]) -> list[tuple[str, float, float, str]]:
@@ -122,7 +122,7 @@ def scatter_rows(scores: Sequence[AttachmentScore]) -> list[tuple[str, float, fl
 
 def write_chord_edges(path: str | Path, edges: Sequence[FlowEdge], header: Sequence[str] = ()) -> None:
     rows = ((e.origin, e.destination, e.n_users) for e in edges)
-    write_table(path, ("origin", "destination", "n_users"), rows, header)
+    write_table(path, {"origin": str, "destination": str, "n_users": int}, rows, header)
 
 
 def write_entropy_histogram(
@@ -133,16 +133,21 @@ def write_entropy_histogram(
 ) -> None:
     edges, counts = entropy_histogram(atlas.values(), bins=bins)
     rows = zip(edges, edges[1:], counts)
-    write_table(path, ("bin_low", "bin_high", "n_hashtags"), rows, header)
+    write_table(path, {"bin_low": float, "bin_high": float, "n_hashtags": int}, rows, header)
 
 
-def write_attachment_series(
+def write_attachment_histograms(
     path: str | Path,
-    series: dict[str, list[float]],
+    histograms: dict[str, tuple[list[float], list[int]]],
     header: Sequence[str] = (),
 ) -> None:
-    rows = ((name, value) for name in sorted(series) for value in series[name])
-    write_table(path, ("series", "value"), rows, header)
+    """One block of bins per series, in series-name order."""
+    rows = (
+        (name, low, high, count)
+        for name, (edges, counts) in sorted(histograms.items())
+        for low, high, count in zip(edges, edges[1:], counts)
+    )
+    write_table(path, {"series": str, "bin_low": float, "bin_high": float, "count": int}, rows, header)
 
 
 def write_scatter(
@@ -150,13 +155,13 @@ def write_scatter(
     rows: Sequence[tuple[str, float, float, str]],
     header: Sequence[str] = (),
 ) -> None:
-    write_table(path, ("user_id", "ha", "da", "acc_class"), rows, header)
+    write_table(path, {"user_id": str, "ha": float, "da": float, "acc_class": str}, rows, header)
 
 
 def write_boxplots(path: str | Path, rows: Sequence[BoxRow], header: Sequence[str] = ()) -> None:
     write_table(
         path,
-        ("group_by", "group", "score", "n", "min", "q1", "median", "q3", "max", "mean"),
+        {"group_by": str, "group": str, "score": str, "n": int, **dict.fromkeys(("min", "q1", "median", "q3", "max", "mean"), float)},
         (
             (r.group_by, r.group, r.score, r.n, r.minimum, r.q1, r.median, r.q3, r.maximum, r.mean)
             for r in rows

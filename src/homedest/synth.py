@@ -360,7 +360,7 @@ def write_population(population: Population, out_dir: str | Path) -> dict[str, P
         "pair_covariates": out / "pair_covariates.csv",
     }
     write_posts(paths["posts"], population.posts)
-    write_table(paths["friends"], ("user_id", "friend_id"), population.friend_rows)
+    write_table(paths["friends"], {"user_id": str, "friend_id": str}, population.friend_rows)
     truth = (population.truth[user_id] for user_id in sorted(population.truth))
     write_table(paths["ground_truth"], TRUTH_COLUMNS, map(attrgetter(*TRUTH_COLUMNS), truth))
     write_table(paths["pair_covariates"], PAIR_COLUMNS, map(itemgetter(*PAIR_COLUMNS), population.pair_rows))

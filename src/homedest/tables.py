@@ -5,12 +5,13 @@ then one row per record, ``\\n``-terminated. Floats are written as their
 ``repr`` (only finite ones: a NaN or an infinity is refused on write as on
 read), None as an empty cell and booleans as ``true``/``false``.
 
-A reader declares each column it needs with its cell type: ``str``, ``int``,
-``float``, ``bool`` or ``T | None``, whose empty or whitespace-only cell is
-None. Only the leading ``#`` lines are comments (a later one may continue a
-quoted cell) and blank lines are skipped; any other row must have as many
-cells as the column row, each parsing as its column's type (a ``float`` as a
-finite number, so not ``nan``, ``inf`` or ``1e999``), and every quote must close.
+A writer declares every column with its cell type, and a reader each column
+it needs: ``str``, ``int``, ``float``, ``bool`` or ``T | None``, whose empty
+or whitespace-only cell is None. Only the leading ``#`` lines are comments
+(a later one may continue a quoted cell) and blank lines are skipped; any
+other row must have as many cells as the column row, each parsing as its
+column's type (a ``float`` as a finite number, so not ``nan``, ``inf`` or
+``1e999``), and every quote must close.
 """
 
 from __future__ import annotations
@@ -27,47 +28,69 @@ class TableError(ValueError):
     """A table lacks a column its reader needs, has a ragged row or a cell that does not parse, or is not UTF-8."""
 
 
-def _cell(value):
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+def _finite(value):
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(value)
     return value
 
 
+def _flag(value):
+    return "true" if value is True else "false" if value is False else value
+
+
+# The one step a cell of each type takes before csv writes it; other types are written as they are.
+_FORMATTERS = {float: _finite, bool: _flag}
+
+
+def _base(kind) -> type:
+    """The cell type of ``kind``, ``T`` of ``T | None``."""
+    (base,) = set(get_args(kind) or (kind,)) - {type(None)}
+    return base
+
+
 def write_table(
     path: str | Path,
-    columns: Sequence[str],
+    columns: Mapping[str, object],
     rows: Iterable[Sequence],
     header: Sequence[str] = (),
 ) -> None:
     """Write ``header`` as ``# `` lines, then the column row, then ``rows``.
 
-    A NaN or an infinity, which no reader accepts, is a TableError naming
-    the row and column, and no file is left behind.
+    ``columns`` maps each column to its cell type, as ``read_table`` takes
+    it. Each column's formatter is picked once: a ``float`` cell is checked
+    to be finite and a ``bool`` cell written ``true``/``false``; every other
+    cell goes to csv as it is (None as an empty cell). A NaN or an infinity,
+    which no reader accepts, is a TableError naming the row and column, and
+    no file is left behind.
     """
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for line in header:
-            handle.write(f"# {line}\n")
-        # Each record is formatted with a \r\n terminator, so that csv also quotes
-        # a cell holding a bare \r (which a reader takes for a line end), and is
-        # written with \n.
-        records = SimpleNamespace(write=lambda record: handle.write(record[:-2] + "\n"))
-        writer = csv.writer(records, lineterminator="\r\n")
-        writer.writerow(columns)
+    steps = [
+        (i, name, step) for i, (name, kind) in enumerate(columns.items()) if (step := _FORMATTERS.get(_base(kind)))
+    ]
+
+    def formatted(rows):
         for number, row in enumerate(rows, 1):
-            try:
-                writer.writerow([_cell(v) for v in row])
-            except ValueError as exc:
-                (bad,) = exc.args
-                column = next(c for c, v in zip(columns, row) if v is bad)
-                break
-        else:
-            return
-    Path(path).unlink()
-    raise TableError(f"{path}: row {number}: column {column} would hold {bad}, not a finite number")
+            row = list(row)
+            for i, name, step in steps:
+                try:
+                    row[i] = step(row[i])
+                except ValueError:
+                    raise TableError(f"{path}: row {number}: column {name} would hold {row[i]}, not a finite number") from None
+            yield row
+
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            for line in header:
+                handle.write(f"# {line}\n")
+            # Each record is formatted with a \r\n terminator, so that csv also quotes
+            # a cell holding a bare \r (which a reader takes for a line end), and is
+            # written with \n.
+            records = SimpleNamespace(write=lambda record: handle.write(record[:-2] + "\n"))
+            writer = csv.writer(records, lineterminator="\r\n")
+            writer.writerow(columns)
+            writer.writerows(formatted(rows) if steps else rows)
+    except TableError:
+        Path(path).unlink()
+        raise
 
 
 def _bool(cell: str) -> bool:
@@ -91,8 +114,7 @@ def _parser(kind) -> tuple[Callable[[str], object], str]:
     """The parser of a ``kind`` cell and what it expects; ``T | None`` reads a blank cell as None."""
     if kind in _PARSERS:
         return _PARSERS[kind]
-    (base,) = set(get_args(kind)) - {type(None)}
-    parse, expected = _PARSERS[base]
+    parse, expected = _PARSERS[_base(kind)]
     return (lambda cell: parse(cell) if cell.strip() else None), f"{expected}, or empty"
 
 

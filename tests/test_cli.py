@@ -12,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from homedest.attachment import read_scores
+from homedest.atlas import read_atlas
+from homedest.attachment import compute_scores, read_scores, write_scores
 from homedest.cli import COMMANDS, FILES, REPORT_FILES, main
-from homedest.corpus import file_sha256, read_corpus
+from homedest.corpus import file_sha256, iter_posts, read_corpus
+from homedest.labeling import read_profiles
+from homedest.nullmodel import shuffle_hashtags
 from homedest.covariates import packaged_data_path
 from homedest.synth import read_ground_truth
 
@@ -269,6 +272,32 @@ class TestBadInput:
         assert err == f"error: {tmp_path / FILES['scores']}: no scores to report\n"
         assert not (tmp_path / "report").exists()
 
+    def test_null_with_no_migrant_scored(self, labeled, tmp_path, capsys):
+        ws = shutil.copytree(labeled, tmp_path / "ws")
+        assert run("atlas", "--out", ws) == 0
+        err = self.exit_2_stderr(capsys, "null", "--out", ws, "--min-hashtags", 100_000)
+        assert err == "error: no migrants passed the hashtag volume filter\n"
+        assert not (ws / FILES["null_scores"]).exists()
+
+    @pytest.mark.parametrize(
+        "command, row, message",
+        [
+            ("atlas", "{user},DE,,false", "is_migrant is false, but residence DE and nationality (empty) make it empty"),
+            ("atlas", "{user},DE,IT,false", "is_migrant is false, but residence DE and nationality IT make it true"),
+            ("report", "{user},,IT,true", "is_migrant is true, but residence (empty) and nationality IT make it empty"),
+            ("report", "{user},DE,DE,true", "is_migrant is true, but residence DE and nationality DE make it false"),
+        ],
+    )
+    def test_profile_whose_migrant_flag_does_not_fit_its_countries(self, chain_dir, tmp_path, capsys, command, row, message):
+        copy_chain(chain_dir, tmp_path)
+        profiles = tmp_path / FILES["profiles"]
+        lines = profiles.read_text().splitlines()
+        user = lines[-1].split(",")[0]
+        profiles.write_text("\n".join(lines[:-1] + [row.format(user=user)]) + "\n")
+        posts = ["--posts", chain_dir / FILES["posts"]] if command == "atlas" else []
+        err = self.exit_2_stderr(capsys, command, "--out", tmp_path, *posts)
+        assert err == f"error: {profiles}: user_id {user}: {message}\n"
+
     @pytest.mark.parametrize(
         "n_rows, ha, no_null_rows, message",
         [
@@ -327,6 +356,26 @@ class TestBadInput:
         err = self.exit_2_stderr(capsys, "label", "--out", tmp_path)
         assert "posts.jsonl: 4 lines, 4 skipped (bad JSON 1, first at line(s) 1; bad ts 1, first at line(s) 3; bad cc 2, first at line(s) 2, 4)" in err
 
+    def test_score_prints_the_language_cohorts(self, tmp_path, capsys):
+        # Iceland is not in the bundled language table, so its residents stay unclassified.
+        assert run("synth", "--out", tmp_path, "--users", 300, "--countries", "de,it,is", "--seed", 2) == 0
+        for step in ("label", "atlas"):
+            assert run(step, "--out", tmp_path) == 0
+        capsys.readouterr()
+        assert run("score", "--out", tmp_path) == 0
+        scored, cohorts = capsys.readouterr().out.splitlines()
+        scores = read_scores(tmp_path / FILES["scores"])
+        speakers = sum(s.speaks_dest_lang is True for s in scores)
+        non_speakers = sum(s.speaks_dest_lang is False for s in scores)
+        missing = sum(s.residence == "IS" for s in scores)
+        assert scored.startswith(f"scored {len(scores)} migrants")
+        assert missing and speakers and non_speakers
+        assert cohorts == (
+            f"language cohorts: {speakers} speakers, {non_speakers} non-speakers, "
+            f"{len(scores) - speakers - non_speakers} unclassified, of which {missing} "
+            "with a residence missing from the language table"
+        )
+
     def test_label_prints_the_funnel(self, tmp_path, capsys):
         assert run("synth", "--out", tmp_path, "--users", 40) == 0
         posts = tmp_path / FILES["posts"]
@@ -352,6 +401,44 @@ def labeled(tmp_path_factory):
     assert run("synth", "--out", out, "--users", 200, "--seed", 3) == 0
     assert run("label", "--out", out) == 0
     return out
+
+
+class TestNullScoresOracle:
+    """The null rows written by `null` are those of scoring each replicate's shuffled posts."""
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("small")
+        assert run("synth", "--out", out, "--users", 300, "--countries", "de,es,it,fr", "--seed", 8) == 0
+        assert run("label", "--out", out) == 0
+        assert run("atlas", "--out", out) == 0
+        return out
+
+    @pytest.mark.parametrize("population", ["scored", "all"])
+    @pytest.mark.parametrize("min_hashtags", [10, 30])
+    def test_rows_equal_the_rescored_shuffles(self, small, tmp_path, population, min_hashtags):
+        ws = shutil.copytree(small, tmp_path / "ws")
+        seed, replicates, year = 4, 3, 2018
+        argv = ["--replicates", replicates, "--seed", seed, "--shuffle-population", population]
+        assert run("null", "--out", ws, "--min-hashtags", min_hashtags, *argv) == 0
+
+        posts = list(iter_posts(ws / FILES["posts"]))
+        profiles, atlas = read_profiles(ws / FILES["profiles"]), read_atlas(ws / FILES["atlas"])
+        real = compute_scores(posts, profiles, atlas, year, min_hashtags=min_hashtags)
+        if min_hashtags > 10:  # the filter drops some migrants that have uses
+            assert len(real) < len(compute_scores(posts, profiles, atlas, year, min_hashtags=1))
+        users = {s.user_id for s in real} if population == "scored" else None
+        scores, replicate = [], []
+        for index in range(replicates):
+            shuffled = shuffle_hashtags(posts, seed + index, year=year, users=users)
+            scores0 = compute_scores(shuffled, profiles, atlas, year, min_hashtags=min_hashtags)
+            scores += scores0
+            replicate += [index] * len(scores0)
+        written = (ws / FILES["null_scores"]).read_text()
+        header = [line[2:] for line in written.splitlines() if line.startswith("# ")]
+        write_scores(tmp_path / "expected.csv", scores, header, replicate=replicate)
+        assert written == (tmp_path / "expected.csv").read_text()
+        assert len(scores) == replicates * len(real)
 
 
 class TestCorpusCache:

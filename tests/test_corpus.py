@@ -257,7 +257,7 @@ class TestCorpus:
         elif damage == "pickle":
             np.savez(path, key=np.array(["a" * 64], dtype=object))
         elif damage == "bad ids":
-            write_corpus(path, corpus.with_tags(corpus.tags + 5), "a" * 64)
+            write_corpus(path, dataclasses.replace(corpus, tags=corpus.tags + 5), "a" * 64)
         elif damage == "float ids":
             write_corpus(path, dataclasses.replace(corpus, user=corpus.user.astype(float)), "a" * 64)
         else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from homedest.labeling import (
     write_lang_fractions,
     write_profiles,
 )
+from homedest.tables import TableError
 
 from conftest import YEAR, graph_from_rows, make_post
 
@@ -149,3 +151,27 @@ def test_distinct_days_far_from_the_epoch():
     assert dominant_country(posts) == "DE"
     profiles, _ = label_population(posts, graph_from_rows([]), 2200)
     assert profiles["u"].days_per_country == {"IT": 1}
+
+
+@pytest.mark.parametrize(
+    "row, fits",
+    [
+        ("u1,DE,IT,true", True),
+        ("u1,DE,DE,false", True),
+        ("u1,DE,,", True),
+        ("u1,,,", True),
+        ("u1,DE,,false", False),
+        ("u1,,IT,true", False),
+        ("u1,DE,IT,", False),
+        ("u1,DE,IT,false", False),
+        ("u1,IT,IT,true", False),
+    ],
+)
+def test_read_profiles_checks_the_migrant_flag_against_the_countries(tmp_path, row, fits):
+    path = tmp_path / "profiles.csv"
+    path.write_text(f"user_id,residence,nationality,is_migrant\n{row}\n")
+    if fits:
+        assert list(read_profiles(path)) == ["u1"]
+    else:
+        with pytest.raises(TableError, match=f"^{re.escape(str(path))}: user_id u1: is_migrant is "):
+            read_profiles(path)

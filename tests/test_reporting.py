@@ -5,14 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from homedest.atlas import entropy_histogram
 from homedest.attachment import AttachmentScore
 from homedest.labeling import UserProfile
 from homedest.reporting import (
-    attachment_series,
+    attachment_histograms,
     chord_edges,
     group_boxplots,
     scatter_rows,
-    write_attachment_series,
+    write_attachment_histograms,
     write_boxplots,
     write_chord_edges,
     write_entropy_histogram,
@@ -100,16 +101,26 @@ class TestBoxplots:
         assert group_boxplots(scores, min_group=10) == []
 
 
-class TestSeries:
+class TestHistograms:
     def test_keys_without_null(self):
-        series = attachment_series([_score("u1")])
-        assert set(series) == {"ha", "da"}
-        assert series["ha"] == [0.3]
+        histograms = attachment_histograms([_score("u1")])
+        assert set(histograms) == {"ha", "da"}
+        edges, counts = histograms["ha"]
+        assert len(edges) == 51 and edges[0] == 0.0 and edges[-1] == 1.0
+        assert counts == [0] * 15 + [1] + [0] * 34  # 0.3 * 50 = 15
 
     def test_keys_with_null(self):
-        series = attachment_series([_score("u1")], [_score("u1", ha=0.1, da=0.1)])
-        assert set(series) == {"ha", "da", "ha_null", "da_null"}
-        assert series["ha_null"] == [0.1]
+        histograms = attachment_histograms([_score("u1")], (np.array([0.1, 1.0]), np.array([0.0, 0.5])))
+        assert set(histograms) == {"ha", "da", "ha_null", "da_null"}
+        _, counts = histograms["ha_null"]
+        assert counts[5] == 1 and counts[49] == 1 and sum(counts) == 2  # 1.0 lands in the last bin
+        assert histograms["da_null"][1][0] == 1 and histograms["da_null"][1][25] == 1
+
+    def test_bins_are_those_of_the_entropy_histogram(self, micro_pipeline):
+        _, _, atlas = micro_pipeline
+        values = [record.entropy for record in atlas.values()]
+        scores = [_score(f"u{i}", ha=v) for i, v in enumerate(values)]
+        assert attachment_histograms(scores, bins=10)["ha"] == entropy_histogram(atlas.values(), bins=10)
 
 
 def test_scatter_rows():
@@ -140,8 +151,13 @@ class TestWriters:
         assert total == len(atlas)
 
         series = tmp_path / "series.csv"
-        write_attachment_series(series, {"ha": [0.25]}, header=header)
-        assert series.read_text().splitlines()[2] == "ha,0.25"
+        write_attachment_histograms(series, attachment_histograms([_score("u1", ha=0.25)], bins=4), header=header)
+        lines = series.read_text().splitlines()
+        assert lines[1] == "series,bin_low,bin_high,count"
+        assert lines[2:] == [
+            "da,0.0,0.25,1", "da,0.25,0.5,0", "da,0.5,0.75,0", "da,0.75,1.0,0",
+            "ha,0.0,0.25,0", "ha,0.25,0.5,1", "ha,0.5,0.75,0", "ha,0.75,1.0,0",
+        ]
 
         scatter = tmp_path / "scatter.csv"
         write_scatter(scatter, [("u1", 0.5, 0.25, "")], header=header)
