@@ -148,7 +148,8 @@ def score_rows(
     """Scores-table rows, in SCORE_COLUMNS order, of migrants from their use counts.
 
     ``who`` gives each migrant's (user_id, nationality, residence) and the
-    arrays their counts, in the same order; no class or cohort is set yet.
+    arrays give their counts, in the same order; no class or cohort is set
+    yet.
     """
     ha = (n_home / n_total).tolist()
     da = (n_dest / n_total).tolist()
