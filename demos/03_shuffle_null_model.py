@@ -35,9 +35,10 @@ ha = [s.ha for s in scores]
 da = [s.da for s in scores]
 print(f"observed:  mean HA = {mean(ha):.4f}   mean DA = {mean(da):.4f}")
 
-# Five shuffle replicates; each permutes the scored migrants' hashtag uses
-# and re-scores. The atlas is untouched (it comes from non-migrants).
-runs = null_distribution(pop.posts, profiles, atlas, spec.year, replicates=5, seed=0)
+# Five shuffle replicates of the scored migrants; each permutes their
+# hashtag uses and re-scores. The atlas is untouched (it comes from
+# non-migrants).
+runs = null_distribution(pop.posts, scores, atlas, spec.year, replicates=5, seed=0)
 ha0 = pooled(runs, "ha")
 da0 = pooled(runs, "da")
 print(f"null:      mean HA0 = {mean(ha0):.4f}  mean DA0 = {mean(da0):.4f}")

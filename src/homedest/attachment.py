@@ -18,9 +18,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .atlas import HashtagRecord
-from .corpus import Corpus, Post, distinct
+from .corpus import Corpus, Post
 from .labeling import UserProfile
-from .tables import read_table, write_table
+from .tables import TableError, read_table, write_table
 
 DEFAULT_MIN_HASHTAGS = 10
 
@@ -64,82 +64,16 @@ class CohortSplit:
     n_missing_language: int = 0
 
 
-@dataclass(frozen=True)
-class UseCounts:
-    """In-year hashtag uses of every corpus user, and the migrants they score.
+def assignment_codes(
+    tokens: Sequence[str], atlas: Mapping[str, HashtagRecord], codes: Mapping[str, int]
+) -> np.ndarray:
+    """Each token's atlas assignment as its code in ``codes`` (country -> code).
 
-    ``n_total``, ``n_home`` and ``n_dest`` hold one count per user of
-    ``users`` (the corpus order): their counted uses, and of those the ones
-    assigned to their nationality and to their residence. Only migrants have
-    uses counted. ``scored`` holds the indices of the migrants with at least
-    ``min_hashtags`` uses, in scores-row order (by user id).
+    A token absent from the atlas, or assigned to no country of ``codes``,
+    has -1.
     """
-
-    users: tuple[str, ...]
-    n_total: np.ndarray
-    n_home: np.ndarray
-    n_dest: np.ndarray
-    scored: np.ndarray
-
-
-def country_codes(
-    corpus: Corpus, profiles: Mapping[str, UserProfile], atlas: Mapping[str, HashtagRecord]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Countries as codes: per corpus user, nationality and residence; per token, assignment.
-
-    A user who is not a migrant has -1 for both; a token assigned to no
-    migrant's country, or absent from the atlas, has -1.
-    """
-    codes: dict[str | None, int] = {}
-    home = np.full(len(corpus.users), -1, dtype=np.int64)
-    dest = np.full(len(corpus.users), -1, dtype=np.int64)
-    for index, user_id in enumerate(corpus.users):
-        profile = profiles.get(user_id)
-        if profile is not None and profile.is_migrant:
-            home[index] = codes.setdefault(profile.nationality, len(codes))
-            dest[index] = codes.setdefault(profile.residence, len(codes))
-    records = (atlas.get(token) for token in corpus.tokens)
-    assignment = np.array(
-        [-1 if r is None else codes.get(r.assignment, -1) for r in records], dtype=np.int64
-    )
-    return home, dest, assignment
-
-
-def count_uses(
-    posts: Iterable[Post] | Corpus,
-    profiles: Mapping[str, UserProfile],
-    atlas: Mapping[str, HashtagRecord],
-    year: int,
-    min_hashtags: int = DEFAULT_MIN_HASHTAGS,
-    count_mode: str = "uses",
-) -> UseCounts:
-    """Count every migrant's hashtag uses in the year; the kernel of ``compute_scores``."""
-    if count_mode not in ("uses", "distinct"):
-        raise ValueError(f"count_mode must be 'uses' or 'distinct', got {count_mode!r}")
-    if min_hashtags < 1:
-        raise ValueError(f"min_hashtags must be >= 1, got {min_hashtags}")
-    corpus = Corpus.from_posts(posts)
-    n_users = len(corpus.users)
-    home, dest, assignment = country_codes(corpus, profiles, atlas)
-
-    in_year = (corpus.year == year) & (home[corpus.user] >= 0)
-    slot_post = corpus.slot_post()
-    keep = (corpus.tags >= 0) & in_year[slot_post]
-    user = corpus.user[slot_post[keep]].astype(np.int64)
-    token = corpus.tags[keep].astype(np.int64)
-    if count_mode == "distinct":
-        user, token = np.divmod(distinct(user * len(corpus.tokens) + token), len(corpus.tokens))
-    is_home = assignment[token] == home[user]
-    is_dest = ~is_home & (assignment[token] == dest[user])
-    n_total = np.bincount(user, minlength=n_users)
-    scored = sorted(np.flatnonzero(n_total >= min_hashtags).tolist(), key=corpus.users.__getitem__)
-    return UseCounts(
-        users=corpus.users,
-        n_total=n_total,
-        n_home=np.bincount(user[is_home], minlength=n_users),
-        n_dest=np.bincount(user[is_dest], minlength=n_users),
-        scored=np.array(scored, dtype=np.int64),
-    )
+    records = (atlas.get(token) for token in tokens)
+    return np.array([-1 if r is None else codes.get(r.assignment, -1) for r in records], dtype=np.int64)
 
 
 def score_rows(
@@ -164,19 +98,41 @@ def compute_scores(
     atlas: Mapping[str, HashtagRecord],
     year: int,
     min_hashtags: int = DEFAULT_MIN_HASHTAGS,
-    count_mode: str = "uses",
 ) -> list[AttachmentScore]:
-    """Score every migrant with at least ``min_hashtags`` hashtag uses in the year.
+    """Score every migrant with at least ``min_hashtags`` hashtag uses in the year, by user id.
 
-    ``count_mode="uses"`` counts repeated tokens with multiplicity (default);
-    ``"distinct"`` counts each token once per user.
+    Every use counts, a repeated token as often as it is used.
     """
-    counts = count_uses(posts, profiles, atlas, year, min_hashtags, count_mode)
-    rows = counts.scored
-    user_ids = (counts.users[index] for index in rows.tolist())
-    who = ((u, profiles[u].nationality, profiles[u].residence) for u in user_ids)
-    arrays = (counts.n_total[rows], counts.n_home[rows], counts.n_dest[rows])
-    return [AttachmentScore(*row) for row in score_rows(who, *arrays)]
+    if min_hashtags < 1:
+        raise ValueError(f"min_hashtags must be >= 1, got {min_hashtags}")
+    corpus = Corpus.from_posts(posts)
+    n_users = len(corpus.users)
+    # Per corpus user, nationality and residence as country codes; -1 for a non-migrant.
+    codes: dict[str, int] = {}
+    home = np.full(n_users, -1, dtype=np.int64)
+    dest = np.full(n_users, -1, dtype=np.int64)
+    for index, user_id in enumerate(corpus.users):
+        profile = profiles.get(user_id)
+        if profile is not None and profile.is_migrant:
+            home[index] = codes.setdefault(profile.nationality, len(codes))
+            dest[index] = codes.setdefault(profile.residence, len(codes))
+    assignment = assignment_codes(corpus.tokens, atlas, codes)
+
+    in_year = (corpus.year == year) & (home[corpus.user] >= 0)
+    slot_post = corpus.slot_post()
+    keep = (corpus.tags >= 0) & in_year[slot_post]
+    user = corpus.user[slot_post[keep]].astype(np.int64)
+    assigned = assignment[corpus.tags[keep]]
+    is_home = assigned == home[user]
+    is_dest = ~is_home & (assigned == dest[user])
+    n_total = np.bincount(user, minlength=n_users)
+    n_home = np.bincount(user[is_home], minlength=n_users)
+    n_dest = np.bincount(user[is_dest], minlength=n_users)
+
+    rows = sorted(np.flatnonzero(n_total >= min_hashtags).tolist(), key=corpus.users.__getitem__)
+    user_ids = (corpus.users[r] for r in rows)
+    who = [(u, profiles[u].nationality, profiles[u].residence) for u in user_ids]
+    return [AttachmentScore(*row) for row in score_rows(who, n_total[rows], n_home[rows], n_dest[rows])]
 
 
 def classify_acculturation(ha: float, da: float, ha_split: float, da_split: float) -> str:
@@ -249,28 +205,20 @@ def language_cohorts(
     return split
 
 
-def write_scores(
-    path: str | Path,
-    scores: Iterable[AttachmentScore],
-    header: Sequence[str] = (),
-    replicate: Iterable[int] | None = None,
-) -> None:
-    """Persist scores as CSV.
-
-    Null-model runs pass ``replicate``, one replicate index per score, which
-    adds a ``replicate`` column.
-    """
-    rows = map(attrgetter(*SCORE_COLUMNS), scores)
-    if replicate is None:
-        write_table(path, SCORE_COLUMNS, rows, header)
-    else:
-        rows = ((*row, index) for row, index in zip(rows, replicate, strict=True))
-        write_table(path, NULL_SCORE_COLUMNS, rows, header)
+def write_scores(path: str | Path, scores: Iterable[AttachmentScore], header: Sequence[str] = ()) -> None:
+    """Persist scores as CSV."""
+    write_table(path, SCORE_COLUMNS, map(attrgetter(*SCORE_COLUMNS), scores), header)
 
 
 def read_scores(path: str | Path) -> list[AttachmentScore]:
-    """Load a scores CSV (optionally carrying a replicate column)."""
-    return [AttachmentScore(**row) for row in read_table(path, SCORE_COLUMNS)]
+    """Load a scores CSV, one row per migrant: a repeated ``user_id`` is a TableError."""
+    scores = [AttachmentScore(**row) for row in read_table(path, SCORE_COLUMNS)]
+    seen: set[str] = set()
+    for score in scores:
+        if score.user_id in seen:
+            raise TableError(f"{path}: user_id {score.user_id} is on more than one row")
+        seen.add(score.user_id)
+    return scores
 
 
 def read_indices(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

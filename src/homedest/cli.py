@@ -310,13 +310,16 @@ def cmd_score(run) -> int:
 
 
 def cmd_null(run) -> int:
-    posts, _ = _load_corpus(run.posts, run.out)
-    profiles = read_profiles(run.profiles)
+    scores = read_scores(run.scores)
+    if not scores:
+        _fail(f"{run.scores}: no scores to shuffle")
     atlas = read_atlas(run.atlas)
-    # The command's options are null_distribution's own parameters.
-    runs = null_distribution(posts, profiles, atlas, **run.options)
-    if not runs[0].who:
-        _fail("no migrants passed the hashtag volume filter")
+    posts, _ = _load_corpus(run.posts, run.out)
+    try:
+        # The command's options are null_distribution's own parameters.
+        runs = null_distribution(posts, scores, atlas, **run.options)
+    except ValueError as exc:  # a scores row that the posts, atlas and year do not give
+        _fail(f"{run.scores}: {exc}")
     # Each replicate's rows are formatted as the writer takes them, not kept.
     write_table(run.null_scores, NULL_SCORE_COLUMNS, chain.from_iterable(r.rows() for r in runs), run.header())
     print(f"null model: {len(runs)} replicates, {len(runs) * len(runs[0].who)} score rows")
@@ -406,7 +409,6 @@ def cmd_report(run) -> int:
 # ---------------------------------------------------------------- table and parser
 
 YEAR = Option("year", int, 2018, "reference year")
-MIN_HASHTAGS = Option("min_hashtags", int, DEFAULT_MIN_HASHTAGS, "minimum in-year hashtag uses", low=1)
 
 COMMANDS = {
     "synth": Command(
@@ -439,14 +441,16 @@ COMMANDS = {
     "score": Command(
         cmd_score, "compute attachment scores",
         inputs=("posts", "profiles", "atlas", "lang_fractions"), outputs=("scores",),
-        options=(YEAR, MIN_HASHTAGS),
+        options=(
+            YEAR,
+            Option("min_hashtags", int, DEFAULT_MIN_HASHTAGS, "minimum in-year hashtag uses", low=1),
+        ),
     ),
     "null": Command(
         cmd_null, "volume-preserving shuffled baseline",
-        inputs=("posts", "profiles", "atlas"), outputs=("null_scores",),
+        inputs=("posts", "atlas", "scores"), outputs=("null_scores",),
         options=(
             YEAR,
-            MIN_HASHTAGS,
             Option("replicates", int, DEFAULT_REPLICATES, "shuffle replicates", low=1),
             Option("seed", int, 0, "base shuffle seed"),
             Option("shuffle_population", str, "scored", "whose hashtags get pooled", choices=("scored", "all")),

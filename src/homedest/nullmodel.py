@@ -13,6 +13,11 @@ the assignment codes, compares them with the owners' codes and counts the
 matches per scored migrant. The permutation is the one ``shuffle_hashtags``
 deals with the same seed, so the counts equal those of ``compute_scores`` on
 the shuffled posts.
+
+The scored migrants are the rows of a scores table, not a second volume
+filter. Before the first replicate the unshuffled slots are counted the
+same way, and a row whose counts they do not give is refused: the table
+does not fit the posts, atlas or year.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .atlas import HashtagRecord
-from .attachment import AttachmentScore, compute_scores, country_codes, score_rows
+from .attachment import AttachmentScore, assignment_codes, score_rows
 from .corpus import Corpus, Post
-from .labeling import UserProfile
 
 DEFAULT_REPLICATES = 5
 
@@ -118,55 +122,69 @@ def shuffle_hashtags(
 
 def null_distribution(
     posts: Iterable[Post] | Corpus,
-    profiles: Mapping[str, UserProfile],
+    scores: Sequence[AttachmentScore],
     atlas: Mapping[str, HashtagRecord],
     year: int,
     replicates: int = DEFAULT_REPLICATES,
     seed: int = 0,
-    min_hashtags: int = 10,
     shuffle_population: str = "scored",
 ) -> list[ShuffleRun]:
-    """Run the shuffle + rescore loop; one ShuffleRun per replicate.
+    """Run the shuffle + rescore loop over the migrants of ``scores``; one ShuffleRun per replicate.
 
     Replicate i uses derived seed ``seed + i``. The shuffle population is
     the scored migrants by default; ``shuffle_population="all"`` pools the
     hashtags of every user instead. Per-user volumes are preserved either
-    way, so every replicate scores the observed scored migrants, in the
-    same order.
+    way, so every replicate scores the migrants of ``scores``, in their order.
+
+    Each score row must fit the posts, atlas and year: counted unshuffled,
+    its user's ``n_hashtags``, ``n_home`` and ``n_dest`` must equal the
+    row's, or a ValueError names the first user whose row does not.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if shuffle_population not in ("scored", "all"):
         raise ValueError(f"unknown shuffle population {shuffle_population!r}")
     corpus = Corpus.from_posts(posts)
-    real = compute_scores(corpus, profiles, atlas, year, min_hashtags=min_hashtags)
-    who = [(s.user_id, s.nationality, s.residence) for s in real]
-    n_hashtags = np.array([s.n_hashtags for s in real], dtype=np.int64)
-    pool = _pool(corpus, year, {s.user_id for s in real} if shuffle_population == "scored" else None)
+    who = [(s.user_id, s.nationality, s.residence) for s in scores]
+    n_hashtags = np.array([s.n_hashtags for s in scores], dtype=np.int64)
+    row_of = {user_id: row for row, (user_id, _, _) in enumerate(who)}
+    pool = _pool(corpus, year, set(row_of) if shuffle_population == "scored" else None)
 
-    # Once per call: the scored row owning each pooled slot, kept only where
+    # Once per call: the score row owning each pooled slot, kept only where
     # there is one, that row's home and destination codes, and the
     # assignment code of every pooled slot's token.
-    row_of = {user_id: row for row, (user_id, _, _) in enumerate(who)}
+    countries: dict[str, int] = {}
+    home = np.array([countries.setdefault(s.nationality, len(countries)) for s in scores], dtype=np.int64)
+    dest = np.array([countries.setdefault(s.residence, len(countries)) for s in scores], dtype=np.int64)
     user_row = np.array([row_of.get(user_id, -1) for user_id in corpus.users], dtype=np.int64)
-    owner = corpus.user[corpus.slot_post()[pool]]
-    owned = np.flatnonzero(user_row[owner] >= 0)
-    owner = owner[owned]
-    row = user_row[owner]
-    home, dest, assignment = country_codes(corpus, profiles, atlas)
-    home, dest = home[owner], dest[owner]
-    codes = assignment[corpus.tags[pool]]
+    owner_row = user_row[corpus.user[corpus.slot_post()[pool]]]
+    owned = np.flatnonzero(owner_row >= 0)
+    row = owner_row[owned]
+    home, dest = home[row], dest[row]
+    codes = assignment_codes(corpus.tokens, atlas, countries)[corpus.tags[pool]]
+
+    def count(drawn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per score row, the owned slots whose drawn code is the owner's home, and its destination."""
+        is_home = drawn == home
+        is_dest = ~is_home & (drawn == dest)
+        return np.bincount(row[is_home], minlength=len(who)), np.bincount(row[is_dest], minlength=len(who))
+
+    observed = np.stack([np.bincount(row, minlength=len(who)), *count(codes[owned])])
+    expected = np.array([n_hashtags, [s.n_home for s in scores], [s.n_dest for s in scores]], dtype=np.int64)
+    unfit = np.flatnonzero((observed != expected).any(axis=0))
+    if len(unfit):
+        first = unfit[0]
+        raise ValueError(
+            f"user_id {who[first][0]}: its row holds n_hashtags, n_home, n_dest = {expected[:, first].tolist()}, "
+            f"but the posts, atlas and year {year} give {observed[:, first].tolist()}"
+        )
 
     runs = []
     for index in range(replicates):
         derived = seed + index
         # Pooled slot j receives the token of slot order[j], as _permuted deals them.
         order = np.random.default_rng(derived).permutation(len(pool))
-        drawn = codes[order[owned]]
-        is_home = drawn == home
-        is_dest = ~is_home & (drawn == dest)
-        n_home = np.bincount(row[is_home], minlength=len(who))
-        n_dest = np.bincount(row[is_dest], minlength=len(who))
+        n_home, n_dest = count(codes[order[owned]])
         runs.append(ShuffleRun(derived, index, who, n_hashtags, n_home, n_dest))
     return runs
 

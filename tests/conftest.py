@@ -109,7 +109,7 @@ class DefaultRun:
         )
         self.null_runs = null_distribution(
             self.population.posts,
-            self.profiles,
+            self.scores,
             self.atlas,
             self.spec.year,
             replicates=5,

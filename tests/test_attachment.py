@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from homedest.attachment import (
@@ -18,6 +20,7 @@ from homedest.attachment import (
     write_scores,
 )
 from homedest.labeling import UserProfile
+from homedest.tables import TableError
 
 from conftest import YEAR, make_post
 
@@ -38,14 +41,6 @@ class TestComputeScores:
         kept = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=10)
         assert len(kept) == 1
 
-    def test_distinct_mode(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        (s,) = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1, count_mode="distinct")
-        # Distinct tokens: roma, berlin, pizza, xyzq.
-        assert s.n_hashtags == 4
-        assert (s.n_home, s.n_dest) == (1, 1)
-        assert s.ha == s.da == 0.25
-
     def test_non_migrants_never_scored(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
         scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
@@ -60,11 +55,6 @@ class TestComputeScores:
     def test_year_filter(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
         assert compute_scores(posts, profiles, atlas, YEAR - 1, min_hashtags=1) == []
-
-    def test_bad_mode(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        with pytest.raises(ValueError):
-            compute_scores(posts, profiles, atlas, YEAR, count_mode="weird")
 
 
 class TestQuadrants:
@@ -172,11 +162,8 @@ def test_scores_round_trip(tmp_path):
     assert loaded == scores
 
 
-def test_null_scores_replicate_column(tmp_path):
-    path = tmp_path / "null.csv"
-    scores = [_score("a", 0.1, 0.2), _score("a", 0.3, 0.1)]
-    write_scores(path, scores, ["h"], replicate=[0, 1])
-    assert read_scores(path) == scores
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[1].endswith(",replicate")
-    assert [line.rsplit(",", 1)[1] for line in lines[2:]] == ["0", "1"]
+def test_scores_with_a_repeated_user_refused(tmp_path):
+    path = tmp_path / "scores.csv"
+    write_scores(path, [_score("a", 0.1, 0.2), _score("b", 0.3, 0.1), _score("a", 0.1, 0.2)], ["h"])
+    with pytest.raises(TableError, match=f"^{re.escape(str(path))}: user_id a is on more than one row$"):
+        read_scores(path)

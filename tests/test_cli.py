@@ -8,18 +8,20 @@ import os
 import shutil
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 from homedest.atlas import read_atlas
-from homedest.attachment import compute_scores, read_scores, write_scores
+from homedest.attachment import NULL_SCORE_COLUMNS, SCORE_COLUMNS, compute_scores, read_scores
 from homedest.cli import COMMANDS, FILES, REPORT_FILES, main
 from homedest.corpus import file_sha256, iter_posts, read_corpus
 from homedest.labeling import read_profiles
 from homedest.nullmodel import shuffle_hashtags
 from homedest.covariates import packaged_data_path
 from homedest.synth import read_ground_truth
+from homedest.tables import read_table, write_table
 
 
 def run(*argv):
@@ -215,7 +217,7 @@ class TestBadInput:
         err = self.exit_2_stderr(capsys, "null", "--out", tmp_path, "--replicates", 0)
         assert err.startswith("error: --replicates must be at least 1, got 0")
 
-    @pytest.mark.parametrize("command", ["score", "null"])
+    @pytest.mark.parametrize("command", ["score"])
     def test_min_hashtags_below_one(self, tmp_path, capsys, command):
         for value in (0, -3):
             err = self.exit_2_stderr(capsys, command, "--out", tmp_path, "--min-hashtags", value)
@@ -272,12 +274,28 @@ class TestBadInput:
         assert err == f"error: {tmp_path / FILES['scores']}: no scores to report\n"
         assert not (tmp_path / "report").exists()
 
-    def test_null_with_no_migrant_scored(self, labeled, tmp_path, capsys):
-        ws = shutil.copytree(labeled, tmp_path / "ws")
-        assert run("atlas", "--out", ws) == 0
-        err = self.exit_2_stderr(capsys, "null", "--out", ws, "--min-hashtags", 100_000)
-        assert err == "error: no migrants passed the hashtag volume filter\n"
-        assert not (ws / FILES["null_scores"]).exists()
+    def test_null_on_header_only_scores(self, chain_dir, tmp_path, capsys):
+        copy_chain(chain_dir, tmp_path, n_rows=0)
+        (tmp_path / FILES["null_scores"]).unlink()
+        err = self.exit_2_stderr(capsys, "null", "--out", tmp_path, "--posts", chain_dir / FILES["posts"])
+        assert err == f"error: {tmp_path / FILES['scores']}: no scores to shuffle\n"
+        assert not (tmp_path / FILES["null_scores"]).exists()
+
+    @pytest.mark.parametrize("command", ["stats", "correlate", "report", "null"])
+    def test_repeated_scores_row(self, chain_dir, tmp_path, capsys, command):
+        copy_chain(chain_dir, tmp_path)
+        scores = tmp_path / FILES["scores"]
+        last = scores.read_text().splitlines()[-1]
+        with scores.open("a") as handle:
+            handle.write(last + "\n")
+        posts = []
+        if command == "null":
+            (tmp_path / FILES["null_scores"]).unlink()
+            posts = ["--posts", chain_dir / FILES["posts"]]
+        err = self.exit_2_stderr(capsys, command, "--out", tmp_path, *posts)
+        assert err == f"error: {scores}: user_id {last.split(',')[0]} is on more than one row\n"
+        assert (tmp_path / FILES["null_scores"]).exists() == (command != "null")
+        assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
         "command, row, message",
@@ -420,7 +438,8 @@ class TestNullScoresOracle:
         ws = shutil.copytree(small, tmp_path / "ws")
         seed, replicates, year = 4, 3, 2018
         argv = ["--replicates", replicates, "--seed", seed, "--shuffle-population", population]
-        assert run("null", "--out", ws, "--min-hashtags", min_hashtags, *argv) == 0
+        assert run("score", "--out", ws, "--min-hashtags", min_hashtags) == 0
+        assert run("null", "--out", ws, *argv) == 0
 
         posts = list(iter_posts(ws / FILES["posts"]))
         profiles, atlas = read_profiles(ws / FILES["profiles"]), read_atlas(ws / FILES["atlas"])
@@ -428,17 +447,60 @@ class TestNullScoresOracle:
         if min_hashtags > 10:  # the filter drops some migrants that have uses
             assert len(real) < len(compute_scores(posts, profiles, atlas, year, min_hashtags=1))
         users = {s.user_id for s in real} if population == "scored" else None
-        scores, replicate = [], []
+        rows = []
         for index in range(replicates):
             shuffled = shuffle_hashtags(posts, seed + index, year=year, users=users)
             scores0 = compute_scores(shuffled, profiles, atlas, year, min_hashtags=min_hashtags)
-            scores += scores0
-            replicate += [index] * len(scores0)
+            rows += [(*attrgetter(*SCORE_COLUMNS)(s), index) for s in scores0]
         written = (ws / FILES["null_scores"]).read_text()
         header = [line[2:] for line in written.splitlines() if line.startswith("# ")]
-        write_scores(tmp_path / "expected.csv", scores, header, replicate=replicate)
+        write_table(tmp_path / "expected.csv", NULL_SCORE_COLUMNS, rows, header)
         assert written == (tmp_path / "expected.csv").read_text()
-        assert len(scores) == replicates * len(real)
+        assert written.splitlines()[len(header)].endswith(",replicate")
+        assert len(rows) == replicates * len(real)
+
+
+class TestNullFitsScores:
+    """`null` shuffles the migrants of scores.csv, and refuses a scores file that its inputs do not give."""
+
+    @pytest.fixture(scope="class")
+    def scored(self, labeled, tmp_path_factory):
+        ws = shutil.copytree(labeled, tmp_path_factory.mktemp("scored") / "ws")
+        assert run("atlas", "--out", ws) == 0
+        assert run("score", "--out", ws) == 0
+        return ws
+
+    def test_null_shuffles_the_migrants_of_scores(self, scored, tmp_path):
+        ws = shutil.copytree(scored, tmp_path / "ws")
+        n_default = len(read_scores(ws / FILES["scores"]))
+        assert run("score", "--out", ws, "--min-hashtags", 40) == 0
+        user_ids = [s.user_id for s in read_scores(ws / FILES["scores"])]
+        assert 0 < len(user_ids) < n_default
+        assert run("null", "--out", ws, "--replicates", 3) == 0
+        rows = list(read_table(ws / FILES["null_scores"], {"user_id": str, "replicate": int}))
+        assert [r["user_id"] for r in rows] == user_ids * 3
+        assert [r["replicate"] for r in rows] == [i for i in range(3) for _ in user_ids]
+
+    def test_null_refuses_a_changed_count(self, scored, tmp_path, capsys):
+        ws = shutil.copytree(scored, tmp_path / "ws")
+        scores = ws / FILES["scores"]
+        lines = scores.read_text().splitlines()
+        names = next(line for line in lines if not line.startswith("#")).split(",")
+        row = lines[-1].split(",")
+        row[names.index("n_home")] = str(int(row[names.index("n_home")]) + 1)
+        scores.write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
+        err = TestBadInput.exit_2_stderr(capsys, "null", "--out", ws)
+        assert err.startswith(f"error: {scores}: user_id {row[0]}: its row holds n_hashtags, n_home, n_dest")
+        assert err.count("\n") == 1
+        assert not (ws / FILES["null_scores"]).exists()
+
+    def test_null_for_another_year(self, scored, tmp_path, capsys):
+        ws = shutil.copytree(scored, tmp_path / "ws")
+        err = TestBadInput.exit_2_stderr(capsys, "null", "--out", ws, "--year", 2017)
+        first = read_scores(ws / FILES["scores"])[0].user_id
+        assert err.startswith(f"error: {ws / FILES['scores']}: user_id {first}: its row holds")
+        assert "but the posts, atlas and year 2017 give" in err and err.count("\n") == 1
+        assert not (ws / FILES["null_scores"]).exists()
 
 
 class TestCorpusCache:
@@ -593,7 +655,6 @@ class TestConfig:
         "command, key, value, kind",
         [
             ("score", "min_hashtags", "ten", "an integer"),
-            ("null", "min_hashtags", 2.7, "an integer"),
             ("correlate", "signed_deltas", "false", "true or false"),
         ],
     )

@@ -89,9 +89,8 @@ class TestShuffle:
 class TestNullDistribution:
     def test_replicates_and_derived_seeds(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
-        runs = null_distribution(
-            posts, profiles, atlas, YEAR, replicates=3, seed=100, min_hashtags=1
-        )
+        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
+        runs = null_distribution(posts, scores, atlas, YEAR, replicates=3, seed=100)
         assert [r.seed for r in runs] == [100, 101, 102]
         assert [r.replicate_index for r in runs] == [0, 1, 2]
         for run in runs:
@@ -100,27 +99,25 @@ class TestNullDistribution:
 
     def test_scored_population_excludes_others(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
-        runs = null_distribution(
-            posts, profiles, atlas, YEAR, replicates=1, seed=0, min_hashtags=1
-        )
+        (real,) = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
+        runs = null_distribution(posts, [real], atlas, YEAR, replicates=1, seed=0)
         # Only m1 is scored, so the shuffle is a permutation of m1's own
         # 10 uses: multiset unchanged, hence identical scores.
         (s0,) = runs[0].scores0
-        (real,) = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
         assert (s0.ha, s0.da) == (real.ha, real.da)
 
     def test_all_population_mixes_tokens(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
+        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
         seen = set()
         for seed in range(20):
             runs = null_distribution(
                 posts,
-                profiles,
+                scores,
                 atlas,
                 YEAR,
                 replicates=1,
                 seed=seed,
-                min_hashtags=1,
                 shuffle_population="all",
             )
             (s0,) = runs[0].scores0
@@ -129,10 +126,20 @@ class TestNullDistribution:
 
     def test_validation(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
+        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
         with pytest.raises(ValueError):
-            null_distribution(posts, profiles, atlas, YEAR, replicates=0)
+            null_distribution(posts, scores, atlas, YEAR, replicates=0)
         with pytest.raises(ValueError):
-            null_distribution(posts, profiles, atlas, YEAR, shuffle_population="some")
+            null_distribution(posts, scores, atlas, YEAR, shuffle_population="some")
+
+    @pytest.mark.parametrize("field, year", [("n_home", YEAR), ("n_dest", YEAR), ("n_hashtags", YEAR), (None, YEAR - 1)])
+    def test_a_row_that_does_not_fit_is_refused(self, micro_pipeline, field, year):
+        posts, profiles, atlas = micro_pipeline
+        (real,) = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
+        if field:
+            setattr(real, field, getattr(real, field) + 1)
+        with pytest.raises(ValueError, match=rf"^user_id m1: its row holds .* but the posts, atlas and year {year} give"):
+            null_distribution(posts, [real], atlas, year)
 
     @pytest.mark.parametrize("population", ["scored", "all"])
     def test_replicate_rescores_the_shuffled_posts(self, default_run, population):
@@ -140,7 +147,7 @@ class TestNullDistribution:
         posts = default_run.population.posts
         profiles, atlas, year = default_run.profiles, default_run.atlas, default_run.spec.year
         runs = null_distribution(
-            posts, profiles, atlas, year, replicates=2, seed=7, shuffle_population=population
+            posts, default_run.scores, atlas, year, replicates=2, seed=7, shuffle_population=population
         )
         users = None if population == "all" else {s.user_id for s in default_run.scores}
         for run in runs:
@@ -149,9 +156,8 @@ class TestNullDistribution:
 
     def test_pooled(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
-        runs = null_distribution(
-            posts, profiles, atlas, YEAR, replicates=4, seed=0, min_hashtags=1
-        )
+        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
+        runs = null_distribution(posts, scores, atlas, YEAR, replicates=4, seed=0)
         assert len(pooled(runs, "ha")) == 4
         with pytest.raises(ValueError):
             pooled(runs, "zz")
@@ -176,12 +182,11 @@ def test_shuffle_expectation_matches_enumeration(micro_pipeline):
 
     runs = null_distribution(
         posts,
-        profiles,
+        compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1),
         atlas,
         YEAR,
         replicates=400,
         seed=1,
-        min_hashtags=1,
         shuffle_population="all",
     )
     ha0 = pooled(runs, "ha")
