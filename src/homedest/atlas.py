@@ -24,6 +24,8 @@ INTERNATIONAL = "international"
 UNASSIGNED = "unassigned"
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5
+# Equal bins over [0, 1] of every histogram the report writes.
+HISTOGRAM_BINS = 50
 
 ATLAS_COLUMNS = {"token": str, "assignment": str, "entropy": float, "n_users": int, "top_country_fraction": float}
 
@@ -127,41 +129,39 @@ def build_distribution(
     return record.p if record is not None else {}
 
 
-def unit_histogram(values: Sequence[float] | np.ndarray, bins: int = 50) -> tuple[list[float], list[int]]:
-    """Histogram of values in [0, 1] over ``bins`` equal bins; (edges, counts).
+def unit_histogram(values: Sequence[float] | np.ndarray) -> tuple[list[float], list[int]]:
+    """Histogram of values in [0, 1] over HISTOGRAM_BINS equal bins; (edges, counts).
 
     Bin i holds [i/bins, (i+1)/bins); the last bin also holds 1.0.
     """
+    bins = HISTOGRAM_BINS
     edges = [i / bins for i in range(bins + 1)]
     index = (np.asarray(values, dtype=float) * bins).astype(np.int64)
     counts = np.bincount(np.clip(index, 0, bins - 1), minlength=bins)
     return edges, counts.tolist()
 
 
-def entropy_histogram(
-    records: Iterable[HashtagRecord], bins: int = 50
-) -> tuple[list[float], list[int]]:
+def entropy_histogram(records: Iterable[HashtagRecord]) -> tuple[list[float], list[int]]:
     """Histogram of entropy values over [0, 1]; (edges, counts).
 
     Zero-entropy tokens land in the first bin, which dominates on realistic
     corpora. Suitable for log-scale count plotting.
     """
-    return unit_histogram([record.entropy for record in records], bins)
+    return unit_histogram([record.entropy for record in records])
 
 
 def write_atlas(
     path: str | Path,
     atlas: Mapping[str, HashtagRecord],
-    header: Sequence[str] = (),
-    distributions_path: str | Path | None = None,
+    header: Sequence[str],
+    distributions_path: str | Path,
 ) -> None:
-    """Persist the atlas as CSV, with an optional long-format distribution file."""
+    """Persist the atlas as CSV, and each token's distribution in a long-format file."""
     records = [atlas[token] for token in sorted(atlas)]
     rows = ((r.token, r.assignment, r.entropy, r.n_users, r.top_fraction) for r in records)
     write_table(path, ATLAS_COLUMNS, rows, header)
-    if distributions_path is not None:
-        rows = ((r.token, c, f) for r in records for c, f in sorted(r.p.items()))
-        write_table(distributions_path, {"token": str, "country": str, "fraction": float}, rows, header)
+    rows = ((r.token, c, f) for r in records for c, f in sorted(r.p.items()))
+    write_table(distributions_path, {"token": str, "country": str, "fraction": float}, rows, header)
 
 
 def read_atlas(path: str | Path) -> dict[str, HashtagRecord]:

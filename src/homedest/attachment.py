@@ -23,6 +23,10 @@ from .labeling import UserProfile
 from .tables import TableError, read_table, write_table
 
 DEFAULT_MIN_HASHTAGS = 10
+# Shares of a migrant's language-tagged posts in the destination language
+# that make a speaker (at least) and a non-speaker (at most).
+SPEAKER_SHARE = 0.9
+NON_SPEAKER_SHARE = 0.1
 
 ASSIMILATION = "assimilation"
 INTEGRATION = "integration"
@@ -148,23 +152,17 @@ def classify_acculturation(ha: float, da: float, ha_split: float, da_split: floa
     return MARGINALISATION
 
 
-def apply_acculturation(
-    scores: Iterable[AttachmentScore],
-    ha_split: float | None = None,
-    da_split: float | None = None,
-) -> tuple[float, float]:
-    """Fill ``acc_class`` on every score; returns the splits used.
+def apply_acculturation(scores: Iterable[AttachmentScore]) -> tuple[float, float]:
+    """Fill ``acc_class`` on every score; returns the (ha, da) splits used.
 
-    Splits default to the population medians of HA and DA over the given
+    The splits are the population medians of HA and DA over the given
     scores, since no fixed thresholds are defined for the quadrant taxonomy.
     """
     scores = list(scores)
     if not scores:
         raise ValueError("no scores to classify")
-    if ha_split is None:
-        ha_split = float(np.median([s.ha for s in scores]))
-    if da_split is None:
-        da_split = float(np.median([s.da for s in scores]))
+    ha_split = float(np.median([s.ha for s in scores]))
+    da_split = float(np.median([s.da for s in scores]))
     for score in scores:
         score.acc_class = classify_acculturation(score.ha, score.da, ha_split, da_split)
     return ha_split, da_split
@@ -174,18 +172,14 @@ def language_cohorts(
     scores: Iterable[AttachmentScore],
     profiles: Mapping[str, UserProfile],
     dest_lang_table: Mapping[str, str],
-    hi: float = 0.9,
-    lo: float = 0.1,
 ) -> CohortSplit:
     """Split scored migrants by destination-language proficiency.
 
-    Speakers post at least ``hi`` of their language-tagged posts in the
-    official language of the residence country; non-speakers at most ``lo``.
-    Everyone else, and users whose residence is missing from the language
-    table, stays unclassified.
+    Speakers post at least SPEAKER_SHARE of their language-tagged posts in
+    the official language of the residence country; non-speakers at most
+    NON_SPEAKER_SHARE. Everyone else, and users whose residence is missing
+    from the language table, stays unclassified.
     """
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"need 0 <= lo < hi <= 1, got lo={lo}, hi={hi}")
     split = CohortSplit(speakers=[], non_speakers=[], unclassified=[])
     for score in scores:
         dest_lang = dest_lang_table.get(score.residence)
@@ -194,10 +188,10 @@ def language_cohorts(
             split.unclassified.append(score)
             continue
         fraction = profiles[score.user_id].lang_fractions.get(dest_lang, 0.0)
-        if fraction >= hi:
+        if fraction >= SPEAKER_SHARE:
             score.speaks_dest_lang = True
             split.speakers.append(score)
-        elif fraction <= lo:
+        elif fraction <= NON_SPEAKER_SHARE:
             score.speaks_dest_lang = False
             split.non_speakers.append(score)
         else:
@@ -211,13 +205,24 @@ def write_scores(path: str | Path, scores: Iterable[AttachmentScore], header: Se
 
 
 def read_scores(path: str | Path) -> list[AttachmentScore]:
-    """Load a scores CSV, one row per migrant: a repeated ``user_id`` is a TableError."""
+    """Load a scores CSV, one row per migrant.
+
+    A repeated ``user_id`` is a TableError, and so is a row whose counts
+    cannot make a score: ``n_hashtags`` below 1, a negative count, or
+    ``n_home + n_dest`` above ``n_hashtags``.
+    """
     scores = [AttachmentScore(**row) for row in read_table(path, SCORE_COLUMNS)]
     seen: set[str] = set()
     for score in scores:
         if score.user_id in seen:
             raise TableError(f"{path}: user_id {score.user_id} is on more than one row")
         seen.add(score.user_id)
+        total, home, dest = score.n_hashtags, score.n_home, score.n_dest
+        if total < 1 or home < 0 or dest < 0 or home + dest > total:
+            raise TableError(
+                f"{path}: user_id {score.user_id}: n_hashtags {total}, n_home {home}, n_dest {dest} "
+                "cannot make a score (need n_hashtags >= 1, no negative count and n_home + n_dest <= n_hashtags)"
+            )
     return scores
 
 

@@ -292,14 +292,15 @@ def cmd_score(run) -> int:
     profiles = read_profiles(run.profiles, run.lang_fractions)
     atlas = read_atlas(run.atlas)
     scores = compute_scores(posts, profiles, atlas, run.year, min_hashtags=run.min_hashtags)
+    n_migrants = sum(profile.is_migrant is True for profile in profiles.values())
     if not scores:
-        _fail("no migrants passed the hashtag volume filter")
+        _fail(f"none of {n_migrants} labelled migrants passed the hashtag volume filter (--min-hashtags {run.min_hashtags})")
     ha_split, da_split = apply_acculturation(scores)
     cohorts = language_cohorts(scores, profiles, load_country_languages())
     write_scores(run.scores, scores, run.header(ha_split=ha_split, da_split=da_split))
     print(
-        f"scored {len(scores)} migrants "
-        f"(median splits ha={ha_split:.4f}, da={da_split:.4f})"
+        f"scored {len(scores)} migrants of {n_migrants} labelled, {n_migrants - len(scores)} below "
+        f"--min-hashtags {run.min_hashtags} (median splits ha={ha_split:.4f}, da={da_split:.4f})"
     )
     print(
         f"language cohorts: {len(cohorts.speakers)} speakers, {len(cohorts.non_speakers)} non-speakers, "

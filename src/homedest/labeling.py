@@ -23,8 +23,9 @@ from .tables import TableError, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SELF_WEIGHT = 0.5
-DEFAULT_FRIEND_WEIGHT = 0.5
+# Nationality blends the user's own geotag share and their friends' share equally.
+SELF_WEIGHT = 0.5
+FRIEND_WEIGHT = 0.5
 
 PROFILE_COLUMNS = {"user_id": str, "residence": str | None, "nationality": str | None, "is_migrant": bool | None}
 LANG_COLUMNS = {"user_id": str, "lang": str, "fraction": float}
@@ -93,21 +94,12 @@ def _pooled_evidence(posts: Iterable[Post], year: int | None):
     return days.get(0, {}), n_posts.get(0, {})
 
 
-def _residence(day_counts: Mapping[str, int], post_counts: Mapping[str, int], min_evidence: int) -> str | None:
-    if sum(day_counts.values()) < max(1, min_evidence):
-        return None
-    return pick_country(day_counts, post_counts)
-
-
-def assign_residence(
-    posts: Iterable[Post], year: int, min_evidence: int = 0
-) -> str | None:
+def assign_residence(posts: Iterable[Post], year: int) -> str | None:
     """Residence = country with most distinct geo-tagged days in the year.
 
-    Returns None when the user has no geo-tagged post in the year, or when
-    the total distinct-day count falls below ``min_evidence``.
+    Returns None when the user has no geo-tagged post in the year.
     """
-    return _residence(*_pooled_evidence(posts, year), min_evidence)
+    return pick_country(*_pooled_evidence(posts, year))
 
 
 def dominant_country(posts: Iterable[Post]) -> str | None:
@@ -119,24 +111,18 @@ def _nationality(
     geo_counts: Mapping[str, int],
     friend_ids: Iterable[str],
     friend_countries: Mapping[str, str],
-    w_self: float,
-    w_friends: float,
-    min_evidence: int,
 ) -> str | None:
     labeled = [friend_countries[f] for f in friend_ids if f in friend_countries]
 
     n_geo = sum(geo_counts.values())
     n_friends = len(labeled)
-    if n_geo + n_friends < max(1, min_evidence):
-        return None
-
     scores: dict[str, float] = defaultdict(float)
     if n_geo:
         for country, count in geo_counts.items():
-            scores[country] += w_self * count / n_geo
+            scores[country] += SELF_WEIGHT * count / n_geo
     if n_friends:
         for country, count in Counter(labeled).items():
-            scores[country] += w_friends * count / n_friends
+            scores[country] += FRIEND_WEIGHT * count / n_friends
     if not scores:
         return None
     best = max(scores.values())
@@ -147,11 +133,8 @@ def assign_nationality(
     posts: Iterable[Post],
     friend_ids: Iterable[str],
     friend_countries: Mapping[str, str],
-    w_self: float = DEFAULT_SELF_WEIGHT,
-    w_friends: float = DEFAULT_FRIEND_WEIGHT,
-    min_evidence: int = 0,
 ) -> str | None:
-    """Nationality = argmax of w_self * f_self(c) + w_friends * f_friends(c).
+    """Nationality = argmax of SELF_WEIGHT * f_self(c) + FRIEND_WEIGHT * f_friends(c).
 
     f_self is the fraction of the user's all-time geo-tagged posts in each
     country; f_friends is the fraction of the user's labeled friends whose
@@ -160,7 +143,7 @@ def assign_nationality(
     None when no geo evidence and no labeled friend exists.
     """
     _, geo_counts = _pooled_evidence(posts, None)
-    return _nationality(geo_counts, friend_ids, friend_countries, w_self, w_friends, min_evidence)
+    return _nationality(geo_counts, friend_ids, friend_countries)
 
 
 def _fractions(counts: Mapping[str, int]) -> dict[str, float]:
@@ -183,9 +166,6 @@ def label_population(
     posts: Iterable[Post] | Corpus,
     friends: FriendGraph,
     year: int,
-    w_self: float = DEFAULT_SELF_WEIGHT,
-    w_friends: float = DEFAULT_FRIEND_WEIGHT,
-    min_evidence: int = 0,
 ) -> tuple[dict[str, UserProfile], LabelSummary]:
     """Label every user that has at least one post.
 
@@ -194,8 +174,6 @@ def label_population(
     reordering: users are processed in sorted order and all evidence is
     aggregated before any decision.
     """
-    if w_self < 0 or w_friends < 0 or abs(w_self + w_friends - 1.0) > 1e-9:
-        raise ValueError(f"weights must be nonnegative and sum to 1, got {w_self}+{w_friends}")
     corpus = Corpus.from_posts(posts)
     n_users = len(corpus.users)
     all_days, all_posts = _geo_evidence(corpus, corpus.user, None)
@@ -215,15 +193,8 @@ def label_population(
         user_id = corpus.users[index]
         profile = UserProfile(
             user_id=user_id,
-            residence=_residence(year_days.get(index, {}), year_posts.get(index, {}), min_evidence),
-            nationality=_nationality(
-                all_posts.get(index, {}),
-                friends.friends_of(user_id),
-                dominant,
-                w_self=w_self,
-                w_friends=w_friends,
-                min_evidence=min_evidence,
-            ),
+            residence=pick_country(year_days.get(index, {}), year_posts.get(index, {})),
+            nationality=_nationality(all_posts.get(index, {}), friends.friends_of(user_id), dominant),
             lang_fractions=_fractions(languages.get(index, {})),
             days_per_country=year_days.get(index, {}),
         )
@@ -273,10 +244,13 @@ def read_profiles(path: str | Path, lang_path: str | Path | None = None) -> dict
 
     A row's ``is_migrant`` must be empty exactly when a country is missing,
     and otherwise tell whether residence and nationality differ, as
-    ``label_population`` sets it; any other row is a TableError.
+    ``label_population`` sets it; any other row, or a repeated ``user_id``,
+    is a TableError.
     """
     profiles = {}
     for row in read_table(path, PROFILE_COLUMNS):
+        if row["user_id"] in profiles:
+            raise TableError(f"{path}: user_id {row['user_id']} is on more than one row")
         residence, nationality = row["residence"], row["nationality"]
         expected = None if residence is None or nationality is None else residence != nationality
         if row["is_migrant"] is not expected:

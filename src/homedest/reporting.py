@@ -18,8 +18,9 @@ from .attachment import AttachmentScore
 from .labeling import UserProfile
 from .tables import write_table
 
-DEFAULT_MIN_FLOW = 10
-DEFAULT_MIN_GROUP = 10
+# Smallest migration flow kept as a chord edge, and smallest group given a quartile row.
+MIN_FLOW = 10
+MIN_GROUP = 10
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,8 @@ class FlowEdge:
     n_users: int
 
 
-def chord_edges(
-    profiles: dict[str, UserProfile],
-    min_users: int = DEFAULT_MIN_FLOW,
-) -> list[FlowEdge]:
-    """Migration flows: (origin, destination) migrant counts, small flows dropped."""
+def chord_edges(profiles: dict[str, UserProfile]) -> list[FlowEdge]:
+    """Migration flows: (origin, destination) migrant counts; flows below MIN_FLOW are dropped."""
     counts: dict[tuple[str, str], int] = {}
     for user_id in sorted(profiles):
         profile = profiles[user_id]
@@ -44,7 +42,7 @@ def chord_edges(
     return [
         FlowEdge(origin, destination, n)
         for (origin, destination), n in sorted(counts.items())
-        if n >= min_users
+        if n >= MIN_FLOW
     ]
 
 
@@ -81,11 +79,8 @@ def _summarise(group_by: str, group: str, score: str, values: Sequence[float]) -
     )
 
 
-def group_boxplots(
-    scores: Sequence[AttachmentScore],
-    min_group: int = DEFAULT_MIN_GROUP,
-) -> list[BoxRow]:
-    """Quartile tables of ha and da, sliced by destination and by origin."""
+def group_boxplots(scores: Sequence[AttachmentScore]) -> list[BoxRow]:
+    """Quartile tables of ha and da, sliced by destination and by origin; groups below MIN_GROUP are dropped."""
     out: list[BoxRow] = []
     for group_by, key in (("residence", "residence"), ("nationality", "nationality")):
         groups: dict[str, list[AttachmentScore]] = {}
@@ -93,7 +88,7 @@ def group_boxplots(
             groups.setdefault(getattr(score, key), []).append(score)
         for group in sorted(groups):
             members = groups[group]
-            if len(members) < min_group:
+            if len(members) < MIN_GROUP:
                 continue
             out.append(_summarise(group_by, group, "ha", [m.ha for m in members]))
             out.append(_summarise(group_by, group, "da", [m.da for m in members]))
@@ -103,7 +98,6 @@ def group_boxplots(
 def attachment_histograms(
     scores: Sequence[AttachmentScore],
     null: tuple[Sequence[float], Sequence[float]] | None = None,
-    bins: int = 50,
 ) -> dict[str, tuple[list[float], list[int]]]:
     """Histograms of ha and da over [0, 1] and, given null (HA0, DA0) values, of theirs.
 
@@ -112,7 +106,7 @@ def attachment_histograms(
     series = {"ha": [s.ha for s in scores], "da": [s.da for s in scores]}
     if null is not None:
         series["ha_null"], series["da_null"] = null
-    return {name: unit_histogram(values, bins) for name, values in series.items()}
+    return {name: unit_histogram(values) for name, values in series.items()}
 
 
 def scatter_rows(scores: Sequence[AttachmentScore]) -> list[tuple[str, float, float, str]]:
@@ -128,10 +122,9 @@ def write_chord_edges(path: str | Path, edges: Sequence[FlowEdge], header: Seque
 def write_entropy_histogram(
     path: str | Path,
     atlas: dict[str, HashtagRecord],
-    bins: int = 50,
     header: Sequence[str] = (),
 ) -> None:
-    edges, counts = entropy_histogram(atlas.values(), bins=bins)
+    edges, counts = entropy_histogram(atlas.values())
     rows = zip(edges, edges[1:], counts)
     write_table(path, {"bin_low": float, "bin_high": float, "n_hashtags": int}, rows, header)
 

@@ -143,11 +143,11 @@ def test_entropy_histogram_binning():
             self.entropy = entropy
 
     records = [R(0.0), R(0.01), R(0.5), R(0.999), R(1.0)]
-    edges, counts = entropy_histogram(records, bins=10)
-    assert len(edges) == 11 and edges[0] == 0.0 and edges[-1] == 1.0
+    edges, counts = entropy_histogram(records)
+    assert len(edges) == 51 and edges[0] == 0.0 and edges[-1] == 1.0
     assert counts[0] == 2  # 0.0 and 0.01
-    assert counts[5] == 1  # 0.5 lands in [0.5, 0.6)
-    assert counts[9] == 2  # 0.999 and the exact 1.0 share the last bin
+    assert counts[25] == 1  # 0.5 lands in [0.5, 0.52)
+    assert counts[49] == 2  # 0.999 and the exact 1.0 share the last bin
     assert sum(counts) == len(records)
 
 

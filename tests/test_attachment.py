@@ -85,11 +85,6 @@ class TestQuadrants:
             MARGINALISATION,
         ]
 
-    def test_apply_with_explicit_splits(self):
-        scores = [_score("a", ha=0.3, da=0.3)]
-        apply_acculturation(scores, ha_split=0.2, da_split=0.4)
-        assert scores[0].acc_class == SEPARATION
-
     def test_apply_empty_raises(self):
         with pytest.raises(ValueError):
             apply_acculturation([])
@@ -142,12 +137,6 @@ class TestLanguageCohorts:
         assert split.n_missing_language == 1
         assert split.unclassified == scores
 
-    def test_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            language_cohorts([], {}, {}, hi=0.4, lo=0.6)
-        with pytest.raises(ValueError):
-            language_cohorts([], {}, {}, hi=1.2, lo=0.1)
-
 
 def test_scores_round_trip(tmp_path):
     scores = [
@@ -166,4 +155,18 @@ def test_scores_with_a_repeated_user_refused(tmp_path):
     path = tmp_path / "scores.csv"
     write_scores(path, [_score("a", 0.1, 0.2), _score("b", 0.3, 0.1), _score("a", 0.1, 0.2)], ["h"])
     with pytest.raises(TableError, match=f"^{re.escape(str(path))}: user_id a is on more than one row$"):
+        read_scores(path)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(0, 0, 0), (5, -1, 2), (5, 2, -1), (5, 3, 3), (-2, 0, 0)],
+    ids=["no uses", "negative n_home", "negative n_dest", "more home and dest than uses", "negative n_hashtags"],
+)
+def test_scores_with_counts_that_cannot_be_a_score_refused(tmp_path, counts):
+    path = tmp_path / "scores.csv"
+    score = _score("b", 0.0, 0.0)
+    score.n_hashtags, score.n_home, score.n_dest = counts
+    write_scores(path, [_score("a", 0.1, 0.2), score], ["h"])
+    with pytest.raises(TableError, match=f"^{re.escape(str(path))}: user_id b: n_hashtags {counts[0]}, n_home {counts[1]}, "):
         read_scores(path)

@@ -297,6 +297,35 @@ class TestBadInput:
         assert (tmp_path / FILES["null_scores"]).exists() == (command != "null")
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["null", "stats", "correlate", "report"])
+    def test_scores_row_whose_counts_cannot_be_a_score(self, chain_dir, tmp_path, capsys, command):
+        copy_chain(chain_dir, tmp_path)
+        scores = tmp_path / FILES["scores"]
+        with scores.open("a") as handle:
+            handle.write("zz_nobody,IT,DE,0.0,0.0,0,0,0,,\n")
+        posts = []
+        if command == "null":
+            (tmp_path / FILES["null_scores"]).unlink()
+            posts = ["--posts", chain_dir / FILES["posts"]]
+        err = self.exit_2_stderr(capsys, command, "--out", tmp_path, *posts)
+        assert err.startswith(f"error: {scores}: user_id zz_nobody: n_hashtags 0, n_home 0, n_dest 0 cannot make a score")
+        assert err.count("\n") == 1
+        assert (tmp_path / FILES["null_scores"]).exists() == (command != "null")
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("command", ["atlas", "report"])
+    def test_repeated_profiles_row(self, chain_dir, tmp_path, capsys, command):
+        copy_chain(chain_dir, tmp_path)
+        profiles = tmp_path / FILES["profiles"]
+        lines = profiles.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+        user = lines[first].split(",")[0]
+        profiles.write_text("\n".join(lines + [lines[first]]) + "\n")
+        posts = ["--posts", chain_dir / FILES["posts"]] if command == "atlas" else []
+        err = self.exit_2_stderr(capsys, command, "--out", tmp_path, *posts)
+        assert err == f"error: {profiles}: user_id {user} is on more than one row\n"
+
     @pytest.mark.parametrize(
         "command, row, message",
         [
@@ -393,6 +422,18 @@ class TestBadInput:
             f"{len(scores) - speakers - non_speakers} unclassified, of which {missing} "
             "with a residence missing from the language table"
         )
+
+    def test_score_prints_the_volume_filter_funnel(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path, "--users", 1000, "--seed", 42) == 0
+        for step in ("label", "atlas"):
+            assert run(step, "--out", tmp_path) == 0
+        capsys.readouterr()
+        assert run("score", "--out", tmp_path, "--min-hashtags", 40) == 0
+        scored = capsys.readouterr().out.splitlines()[0]
+        assert scored.startswith("scored 45 migrants of 100 labelled, 55 below --min-hashtags 40 (median splits ")
+        assert len(read_scores(tmp_path / FILES["scores"])) == 45
+        err = self.exit_2_stderr(capsys, "score", "--out", tmp_path, "--min-hashtags", 10**6)
+        assert err == "error: none of 100 labelled migrants passed the hashtag volume filter (--min-hashtags 1000000)\n"
 
     def test_label_prints_the_funnel(self, tmp_path, capsys):
         assert run("synth", "--out", tmp_path, "--users", 40) == 0

@@ -49,11 +49,6 @@ class TestResidence:
         posts += [make_post("u", d, cc="FR") for d in (20, 21)]
         assert assign_residence(posts, YEAR) == "FR"
 
-    def test_min_evidence(self):
-        posts = [make_post("u", d, cc="DE") for d in range(2)]
-        assert assign_residence(posts, YEAR, min_evidence=3) is None
-        assert assign_residence(posts, YEAR, min_evidence=2) == "DE"
-
     def test_no_geo_is_none(self):
         assert assign_residence([make_post("u", 1, tags=["x"])], YEAR) is None
 
@@ -68,11 +63,6 @@ class TestNationality:
         # -> lexicographic tie-break picks DE.
         got = assign_nationality(posts, {"f1", "f2", "f3", "f4"}, friend_countries)
         assert got == "DE"
-        # Weight shift toward self evidence breaks the symmetry.
-        got = assign_nationality(
-            posts, {"f1", "f2", "f3", "f4"}, friend_countries, w_self=0.7, w_friends=0.3
-        )
-        assert got == "IT"
 
     def test_friends_without_countries_ignored(self):
         posts = [make_post("u", 1, cc="IT")]
@@ -120,11 +110,6 @@ class TestLabelPopulation:
         assert {u: (p.residence, p.nationality) for u, p in reference.items()} == {
             u: (p.residence, p.nationality) for u, p in again.items()
         }
-
-    def test_bad_weights_rejected(self, micro_corpus):
-        posts, graph = micro_corpus
-        with pytest.raises(ValueError):
-            label_population(posts, graph, YEAR, w_self=0.9, w_friends=0.3)
 
 
 def test_profile_round_trip(tmp_path, micro_corpus):
@@ -175,3 +160,10 @@ def test_read_profiles_checks_the_migrant_flag_against_the_countries(tmp_path, r
     else:
         with pytest.raises(TableError, match=f"^{re.escape(str(path))}: user_id u1: is_migrant is "):
             read_profiles(path)
+
+
+def test_read_profiles_refuses_a_repeated_user(tmp_path):
+    path = tmp_path / "profiles.csv"
+    path.write_text("user_id,residence,nationality,is_migrant\nu1,MX,BR,true\nu2,BR,BR,false\nu1,DE,BR,true\n")
+    with pytest.raises(TableError, match=f"^{re.escape(str(path))}: user_id u1 is on more than one row$"):
+        read_profiles(path)

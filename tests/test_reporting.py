@@ -9,6 +9,9 @@ from homedest.atlas import entropy_histogram
 from homedest.attachment import AttachmentScore
 from homedest.labeling import UserProfile
 from homedest.reporting import (
+    MIN_FLOW,
+    MIN_GROUP,
+    FlowEdge,
     attachment_histograms,
     chord_edges,
     group_boxplots,
@@ -52,21 +55,19 @@ class TestChordEdges:
         return out
 
     def test_counts_and_threshold(self):
-        edges = chord_edges(self._profiles(), min_users=5)
+        edges = chord_edges(self._profiles())
         assert len(edges) == 1
         assert edges[0].origin == "IT"
         assert edges[0].destination == "DE"
         assert edges[0].n_users == 12
 
-    def test_low_threshold_keeps_small_flows(self):
-        edges = chord_edges(self._profiles(), min_users=1)
-        assert {(e.origin, e.destination, e.n_users) for e in edges} == {
-            ("IT", "DE", 12),
-            ("FR", "ES", 4),
-        }
+    def test_flow_of_min_flow_kept_and_one_fewer_dropped(self):
+        profiles = {f"a{i}": _profile(f"a{i}", "IT", "DE") for i in range(MIN_FLOW)}
+        profiles |= {f"b{i}": _profile(f"b{i}", "FR", "ES") for i in range(MIN_FLOW - 1)}
+        assert chord_edges(profiles) == [FlowEdge("IT", "DE", MIN_FLOW)]
 
     def test_non_migrants_excluded(self):
-        edges = chord_edges({"n1": _profile("n1", "IT", "IT", migrant=False)}, min_users=1)
+        edges = chord_edges({f"n{i}": _profile(f"n{i}", "IT", "IT", migrant=False) for i in range(MIN_FLOW)})
         assert edges == []
 
 
@@ -75,7 +76,7 @@ class TestBoxplots:
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 1, size=30)
         scores = [_score(f"u{i}", ha=float(v), da=float(v) / 2) for i, v in enumerate(values)]
-        rows = group_boxplots(scores, min_group=10)
+        rows = group_boxplots(scores)
         ha_row = next(r for r in rows if r.group_by == "residence" and r.score == "ha")
         assert ha_row.n == 30
         q1, med, q3 = np.percentile(values, [25, 50, 75])
@@ -87,8 +88,8 @@ class TestBoxplots:
         assert ha_row.mean == values.mean()
 
     def test_both_slices_present(self):
-        scores = [_score(f"u{i}") for i in range(10)]
-        rows = group_boxplots(scores, min_group=10)
+        scores = [_score(f"u{i}") for i in range(MIN_GROUP)]
+        rows = group_boxplots(scores)
         assert {(r.group_by, r.group, r.score) for r in rows} == {
             ("residence", "DE", "ha"),
             ("residence", "DE", "da"),
@@ -97,8 +98,8 @@ class TestBoxplots:
         }
 
     def test_small_groups_dropped(self):
-        scores = [_score(f"u{i}") for i in range(9)]
-        assert group_boxplots(scores, min_group=10) == []
+        scores = [_score(f"u{i}") for i in range(MIN_GROUP - 1)]
+        assert group_boxplots(scores) == []
 
 
 class TestHistograms:
@@ -120,7 +121,7 @@ class TestHistograms:
         _, _, atlas = micro_pipeline
         values = [record.entropy for record in atlas.values()]
         scores = [_score(f"u{i}", ha=v) for i, v in enumerate(values)]
-        assert attachment_histograms(scores, bins=10)["ha"] == entropy_histogram(atlas.values(), bins=10)
+        assert attachment_histograms(scores)["ha"] == entropy_histogram(atlas.values())
 
 
 def test_scatter_rows():
@@ -130,34 +131,33 @@ def test_scatter_rows():
 
 class TestWriters:
     def test_headers_and_shapes(self, tmp_path, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
+        _, _, atlas = micro_pipeline
         header = ["config_hash=x seed=0 version=0"]
 
         chord = tmp_path / "chord.csv"
-        write_chord_edges(chord, chord_edges(profiles, min_users=1), header=header)
+        migrants = {f"m{i}": _profile(f"m{i}", "IT", "DE") for i in range(MIN_FLOW)}
+        write_chord_edges(chord, chord_edges(migrants), header=header)
         lines = chord.read_text().splitlines()
         assert lines[0] == "# config_hash=x seed=0 version=0"
         assert lines[1] == "origin,destination,n_users"
-        assert lines[2] == "IT,DE,1"
+        assert lines[2] == f"IT,DE,{MIN_FLOW}"
 
         hist = tmp_path / "hist.csv"
-        write_entropy_histogram(hist, atlas, bins=10, header=header)
+        write_entropy_histogram(hist, atlas, header=header)
         lines = hist.read_text().splitlines()
         assert lines[1] == "bin_low,bin_high,n_hashtags"
-        assert len(lines) == 2 + 10
+        assert len(lines) == 2 + 50
         # roma and berlin sit in the zero bin; pizza (entropy > 0.9) at the top.
         assert lines[2].split(",")[2] == "2"
         total = sum(int(line.split(",")[2]) for line in lines[2:])
         assert total == len(atlas)
 
         series = tmp_path / "series.csv"
-        write_attachment_histograms(series, attachment_histograms([_score("u1", ha=0.25)], bins=4), header=header)
+        write_attachment_histograms(series, attachment_histograms([_score("u1", ha=0.25)]), header=header)
         lines = series.read_text().splitlines()
         assert lines[1] == "series,bin_low,bin_high,count"
-        assert lines[2:] == [
-            "da,0.0,0.25,1", "da,0.25,0.5,0", "da,0.5,0.75,0", "da,0.75,1.0,0",
-            "ha,0.0,0.25,0", "ha,0.25,0.5,1", "ha,0.5,0.75,0", "ha,0.75,1.0,0",
-        ]
+        assert len(lines) == 2 + 2 * 50
+        assert [line for line in lines[2:] if not line.endswith(",0")] == ["da,0.2,0.22,1", "ha,0.24,0.26,1"]
 
         scatter = tmp_path / "scatter.csv"
         write_scatter(scatter, [("u1", 0.5, 0.25, "")], header=header)
