@@ -28,6 +28,12 @@ DEFAULT_ENTROPY_THRESHOLD = 0.5
 HISTOGRAM_BINS = 50
 
 ATLAS_COLUMNS = {"token": str, "assignment": str, "entropy": float, "n_users": int, "top_country_fraction": float}
+ATLAS_KEY = ("token",)
+ATLAS_RULES = {
+    "0 <= entropy <= 1": lambda row: 0 <= row["entropy"] <= 1,
+    "0 < top_country_fraction <= 1": lambda row: 0 < row["top_country_fraction"] <= 1,
+    "n_users >= 1": lambda row: row["n_users"] >= 1,
+}
 
 
 @dataclass
@@ -165,13 +171,13 @@ def write_atlas(
 
 
 def read_atlas(path: str | Path) -> dict[str, HashtagRecord]:
-    """Load an atlas CSV back into records.
+    """Load an atlas CSV back into records; a row that breaks ATLAS_KEY or ATLAS_RULES is a TableError.
 
     The full per-country distribution lives in the companion file and is not
     reloaded here; downstream scoring only needs the assignment column.
     """
     atlas = {}
-    for row in read_table(path, ATLAS_COLUMNS):
+    for row in read_table(path, ATLAS_COLUMNS, ATLAS_KEY, ATLAS_RULES):
         top_fraction = row.pop("top_country_fraction")
         atlas[row["token"]] = HashtagRecord(counts={}, p={}, top_fraction=top_fraction, **row)
     return atlas

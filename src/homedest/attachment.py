@@ -20,7 +20,7 @@ import numpy as np
 from .atlas import HashtagRecord
 from .corpus import Corpus, Post
 from .labeling import UserProfile
-from .tables import TableError, read_table, write_table
+from .tables import read_table, write_table
 
 DEFAULT_MIN_HASHTAGS = 10
 # Shares of a migrant's language-tagged posts in the destination language
@@ -37,6 +37,12 @@ ACC_CLASSES = (ASSIMILATION, INTEGRATION, MARGINALISATION, SEPARATION)
 SCORE_COLUMNS = {
     "user_id": str, "nationality": str, "residence": str, "ha": float, "da": float,
     "n_hashtags": int, "n_home": int, "n_dest": int, "acc_class": str | None, "speaks_dest_lang": bool | None,
+}
+SCORE_KEY = ("user_id",)
+SCORE_RULES = {
+    "n_hashtags >= 1": lambda row: row["n_hashtags"] >= 1,
+    "no negative count": lambda row: row["n_home"] >= 0 and row["n_dest"] >= 0,
+    "n_home + n_dest <= n_hashtags": lambda row: row["n_home"] + row["n_dest"] <= row["n_hashtags"],
 }
 # A null-model scores table: one block of rows per shuffle replicate.
 NULL_SCORE_COLUMNS = {**SCORE_COLUMNS, "replicate": int}
@@ -205,25 +211,8 @@ def write_scores(path: str | Path, scores: Iterable[AttachmentScore], header: Se
 
 
 def read_scores(path: str | Path) -> list[AttachmentScore]:
-    """Load a scores CSV, one row per migrant.
-
-    A repeated ``user_id`` is a TableError, and so is a row whose counts
-    cannot make a score: ``n_hashtags`` below 1, a negative count, or
-    ``n_home + n_dest`` above ``n_hashtags``.
-    """
-    scores = [AttachmentScore(**row) for row in read_table(path, SCORE_COLUMNS)]
-    seen: set[str] = set()
-    for score in scores:
-        if score.user_id in seen:
-            raise TableError(f"{path}: user_id {score.user_id} is on more than one row")
-        seen.add(score.user_id)
-        total, home, dest = score.n_hashtags, score.n_home, score.n_dest
-        if total < 1 or home < 0 or dest < 0 or home + dest > total:
-            raise TableError(
-                f"{path}: user_id {score.user_id}: n_hashtags {total}, n_home {home}, n_dest {dest} "
-                "cannot make a score (need n_hashtags >= 1, no negative count and n_home + n_dest <= n_hashtags)"
-            )
-    return scores
+    """Load a scores CSV, one row per migrant; a row that breaks SCORE_KEY or SCORE_RULES is a TableError."""
+    return [AttachmentScore(**row) for row in read_table(path, SCORE_COLUMNS, SCORE_KEY, SCORE_RULES)]
 
 
 def read_indices(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

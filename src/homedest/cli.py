@@ -156,12 +156,6 @@ class Command(NamedTuple):
     options: tuple[Option, ...] = ()
 
 
-def _header(config: dict, seed: int) -> list[str]:
-    """Comment header of an artifact: config hash, seed and package version."""
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return [f"config_hash={hashlib.sha256(canonical).hexdigest()[:12]} seed={seed} version={__version__}"]
-
-
 def _load_corpus(path: Path, out: Path) -> tuple[Corpus, LoadStats | None]:
     """The posts file as a Corpus, parsed once per workspace, and its load stats.
 
@@ -204,10 +198,11 @@ class Run(SimpleNamespace):
     """One command's checked option values and paths, as attributes."""
 
     def header(self, **extra) -> list[str]:
-        """Artifact header of the command, its options and ``extra``; the ``seed`` option is its seed."""
+        """Artifact header: a hash of the command, its options and ``extra``, the ``seed`` option and the version."""
         config = {"command": self.command, **self.options, **extra}
         seed = config.pop("seed", 0)
-        return _header(config, seed)
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return [f"config_hash={hashlib.sha256(canonical).hexdigest()[:12]} seed={seed} version={__version__}"]
 
 
 def _resolve(name: str, args: argparse.Namespace) -> Run:
@@ -266,6 +261,10 @@ def cmd_label(run) -> int:
     else:
         print(f"posts: {stats.lines} lines, {stats.loaded} loaded, {stats.skipped_text()}")
     friends = load_friends(run.friends)
+    print(
+        f"friends: {friends.n_edges} edges, {friends.n_duplicates} duplicates, {friends.n_self_loops} self-loops "
+        f"and {friends.n_empty} rows with an empty id dropped"
+    )
     profiles, summary = label_population(posts, friends, run.year)
     header = run.header()
     write_profiles(run.profiles, profiles, header)
@@ -370,8 +369,7 @@ def cmd_correlate(run) -> int:
     if len(rows) < 3:
         _fail("fewer than 3 users joined to any covariate")
     individual = individual_correlations(rows)
-    # The header has always named signed_deltas "signed".
-    header = _header({"command": "correlate", "min_group_size": run.min_group_size, "signed": run.signed_deltas}, 0)
+    header = run.header()
     write_correlations(run.correlations_individual, individual, header)
     try:
         grouped = grouped_correlations(rows, min_group_size=run.min_group_size)

@@ -144,6 +144,7 @@ class FriendGraph:
     n_edges: int = 0
     n_duplicates: int = 0
     n_self_loops: int = 0
+    n_empty: int = 0  # rows with an empty user_id or friend_id
 
     def friends_of(self, user_id: str) -> set[str]:
         return self.adjacency.get(user_id, set())
@@ -585,6 +586,7 @@ def load_friends(path: str | Path) -> FriendGraph:
         user = row["user_id"].strip()
         friend = row["friend_id"].strip()
         if not user or not friend:
+            graph.n_empty += 1
             continue
         if user == friend:
             graph.n_self_loops += 1

@@ -22,20 +22,23 @@ from typing import Sequence
 
 from .attachment import AttachmentScore
 from .stats import pearson, significance_stars, spearman
-from .tables import TableError, read_table, write_table
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
 HOFSTEDE_DIMENSIONS = ("pdi", "idv", "mas", "uai", "lto", "ivr")
 PAIR_COVARIATES = ("distcap", "contig", "comlang_off", "csl", "cnl")
 HOFSTEDE_COLUMNS = {"country": str, **dict.fromkeys(HOFSTEDE_DIMENSIONS, float | None)}
+HOFSTEDE_KEY = ("country",)
+HOFSTEDE_RULES = {
+    f"{dim} is empty or in [0, 120]": lambda row, dim=dim: row[dim] is None or 0 <= row[dim] <= 120
+    for dim in HOFSTEDE_DIMENSIONS
+}
 PAIR_COLUMNS = {"country_a": str, "country_b": str, **dict.fromkeys(PAIR_COVARIATES, float | None)}
 CORRELATION_COLUMNS = {
     "target": str, "covariate": str, "method": str, "r": float, "p_value": float, "n": int, "stars": str,
 }
 DEFAULT_MIN_GROUP_SIZE = 10
-
-_SCORE_RANGE = (0.0, 120.0)
 
 
 def packaged_data_path(name: str) -> Path:
@@ -83,16 +86,13 @@ class JoinedRow:
 
 
 def load_hofstede(path: str | Path | None = None) -> CountryScores:
-    """Read per-country dimension scores; empty cells mean missing."""
+    """Read per-country dimension scores, empty cells as missing; refuses rows that break HOFSTEDE_KEY or HOFSTEDE_RULES."""
     if path is None:
         path = packaged_data_path("hofstede.csv")
     table = CountryScores()
-    for row in read_table(path, HOFSTEDE_COLUMNS):
+    for row in read_table(path, HOFSTEDE_COLUMNS, HOFSTEDE_KEY, HOFSTEDE_RULES):
         country = row["country"].strip().upper()
         dims = {dim: row[dim] for dim in HOFSTEDE_DIMENSIONS if row[dim] is not None}
-        for dim, value in dims.items():
-            if not _SCORE_RANGE[0] <= value <= _SCORE_RANGE[1]:
-                raise TableError(f"{path}: column {dim} holds {value} for {country}, outside {list(_SCORE_RANGE)}")
         if dims:
             table.scores[country] = dims
     return table

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, FriendGraph, Post, distinct, tally
-from .tables import TableError, read_table, write_table
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -28,7 +28,14 @@ SELF_WEIGHT = 0.5
 FRIEND_WEIGHT = 0.5
 
 PROFILE_COLUMNS = {"user_id": str, "residence": str | None, "nationality": str | None, "is_migrant": bool | None}
+PROFILE_KEY = ("user_id",)
+PROFILE_RULES = {
+    "is_migrant is empty without both countries, else residence != nationality":
+        lambda row: row["is_migrant"] is _is_migrant(row["residence"], row["nationality"]),
+}
 LANG_COLUMNS = {"user_id": str, "lang": str, "fraction": float}
+LANG_KEY = ("user_id", "lang")
+LANG_RULES = {"0 <= fraction <= 1": lambda row: 0 <= row["fraction"] <= 1}
 
 
 @dataclass
@@ -68,6 +75,11 @@ def pick_country(
     if len(tied) == 1:
         return tied[0]
     return min(tied, key=lambda c: (-post_counts.get(c, 0), c))
+
+
+def _is_migrant(residence: str | None, nationality: str | None) -> bool | None:
+    """Whether the two countries differ; None unless both are known."""
+    return None if residence is None or nationality is None else residence != nationality
 
 
 def _geo_evidence(corpus: Corpus, group: np.ndarray, year: int | None):
@@ -198,8 +210,7 @@ def label_population(
             lang_fractions=_fractions(languages.get(index, {})),
             days_per_country=year_days.get(index, {}),
         )
-        if profile.residence is not None and profile.nationality is not None:
-            profile.is_migrant = profile.residence != profile.nationality
+        profile.is_migrant = _is_migrant(profile.residence, profile.nationality)
         profiles[user_id] = profile
 
         summary.n_with_residence += profile.residence is not None
@@ -235,32 +246,15 @@ def write_lang_fractions(path: str | Path, profiles: Mapping[str, UserProfile], 
     write_table(path, LANG_COLUMNS, rows, header)
 
 
-def _flag_text(flag: bool | None) -> str:
-    return "empty" if flag is None else str(flag).lower()
-
-
 def read_profiles(path: str | Path, lang_path: str | Path | None = None) -> dict[str, UserProfile]:
     """Load profiles (and optionally language fractions) back from CSV.
 
-    A row's ``is_migrant`` must be empty exactly when a country is missing,
-    and otherwise tell whether residence and nationality differ, as
-    ``label_population`` sets it; any other row, or a repeated ``user_id``,
-    is a TableError.
+    A row that breaks PROFILE_KEY, PROFILE_RULES, LANG_KEY or LANG_RULES is a TableError.
     """
-    profiles = {}
-    for row in read_table(path, PROFILE_COLUMNS):
-        if row["user_id"] in profiles:
-            raise TableError(f"{path}: user_id {row['user_id']} is on more than one row")
-        residence, nationality = row["residence"], row["nationality"]
-        expected = None if residence is None or nationality is None else residence != nationality
-        if row["is_migrant"] is not expected:
-            raise TableError(
-                f"{path}: user_id {row['user_id']}: is_migrant is {_flag_text(row['is_migrant'])}, but residence "
-                f"{residence or '(empty)'} and nationality {nationality or '(empty)'} make it {_flag_text(expected)}"
-            )
-        profiles[row["user_id"]] = UserProfile(**row)
+    rows = read_table(path, PROFILE_COLUMNS, PROFILE_KEY, PROFILE_RULES)
+    profiles = {row["user_id"]: UserProfile(**row) for row in rows}
     if lang_path is not None:
-        for row in read_table(lang_path, LANG_COLUMNS):
+        for row in read_table(lang_path, LANG_COLUMNS, LANG_KEY, LANG_RULES):
             profile = profiles.get(row["user_id"])
             if profile is not None:
                 profile.lang_fractions[row["lang"]] = row["fraction"]

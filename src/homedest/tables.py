@@ -11,7 +11,7 @@ or whitespace-only cell is None. Only the leading ``#`` lines are comments
 (a later one may continue a quoted cell) and blank lines are skipped; any
 other row must have as many cells as the column row, each parsing as its
 column's type (a ``float`` as a finite number, so not ``nan``, ``inf`` or
-``1e999``), and every quote must close.
+``1e999``), and every quote must close; a reader may add a key and row rules.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from __future__ import annotations
 import csv
 import math
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args
 
 
 class TableError(ValueError):
-    """A table lacks a column its reader needs, has a ragged row or a cell that does not parse, or is not UTF-8."""
+    """A table lacks a needed column, has a ragged row, a bad cell, a repeated key or a broken rule, or is not UTF-8."""
 
 
 def _finite(value):
@@ -118,11 +119,15 @@ def _parser(kind) -> tuple[Callable[[str], object], str]:
     return (lambda cell: parse(cell) if cell.strip() else None), f"{expected}, or empty"
 
 
-def read_table(path: str | Path, columns: Mapping[str, object]) -> Iterator[dict]:
+def read_table(
+    path: str | Path, columns: Mapping[str, object], key: Sequence[str] = (), rules: Mapping[str, Callable] = {}
+) -> Iterator[dict]:
     """Yield each row of a table as a dict of ``columns``, every cell parsed as its type.
 
-    Columns the table has beyond ``columns`` are not read. Raises TableError
-    naming the file, and the line, column and value where there is one.
+    Columns the table has beyond ``columns`` are not read. No two rows share
+    their ``key`` cells, and each row passes every predicate of ``rules`` (its
+    text -> a test of the parsed row). Raises TableError naming the file, and
+    the line, column and value where there is one, or the key cells and rule.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         try:
@@ -138,6 +143,12 @@ def read_table(path: str | Path, columns: Mapping[str, object]) -> Iterator[dict
                 raise TableError(f"{path}: missing column(s) {', '.join(missing)}")
             # Each cell's index and parser are found once, not per row.
             cells = [(names.index(name), name, *_parser(kind)) for name, kind in columns.items()]
+            key_of = itemgetter(*key) if key else None
+            first_line = {}  # each key's first line, as the reader counts them
+
+            def refused(record, what):  # the message is built only for a row that fails
+                named = ", ".join(f"{name} {record[name]}" for name in key)
+                return TableError(f"{path}: line {comments + reader.line_num}: {named} {what}")
             for row in reader:
                 if not row:
                     continue
@@ -151,6 +162,11 @@ def read_table(path: str | Path, columns: Mapping[str, object]) -> Iterator[dict
                     except ValueError:
                         where = f"{path}: line {comments + reader.line_num}: column {name}"
                         raise TableError(f"{where} holds {row[i]!r}, expected {expected}") from None
+                if key_of and first_line.setdefault(key_of(record), reader.line_num) != reader.line_num:
+                    raise refused(record, f"repeats line {comments + first_line[key_of(record)]}")
+                for text, holds in rules.items():
+                    if not holds(record):
+                        raise refused(record, f"breaks the rule {text}")
                 yield record
         except UnicodeDecodeError:
             raise TableError(f"{path}: not UTF-8") from None

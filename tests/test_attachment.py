@@ -154,19 +154,25 @@ def test_scores_round_trip(tmp_path):
 def test_scores_with_a_repeated_user_refused(tmp_path):
     path = tmp_path / "scores.csv"
     write_scores(path, [_score("a", 0.1, 0.2), _score("b", 0.3, 0.1), _score("a", 0.1, 0.2)], ["h"])
-    with pytest.raises(TableError, match=f"^{re.escape(str(path))}: user_id a is on more than one row$"):
+    with pytest.raises(TableError, match=f"^{re.escape(str(path))}: line 5: user_id a repeats line 3$"):
         read_scores(path)
 
 
 @pytest.mark.parametrize(
-    "counts",
-    [(0, 0, 0), (5, -1, 2), (5, 2, -1), (5, 3, 3), (-2, 0, 0)],
+    "counts, rule",
+    [
+        ((0, 0, 0), "n_hashtags >= 1"),
+        ((5, -1, 2), "no negative count"),
+        ((5, 2, -1), "no negative count"),
+        ((5, 3, 3), "n_home + n_dest <= n_hashtags"),
+        ((-2, 0, 0), "n_hashtags >= 1"),
+    ],
     ids=["no uses", "negative n_home", "negative n_dest", "more home and dest than uses", "negative n_hashtags"],
 )
-def test_scores_with_counts_that_cannot_be_a_score_refused(tmp_path, counts):
+def test_scores_with_counts_that_cannot_be_a_score_refused(tmp_path, counts, rule):
     path = tmp_path / "scores.csv"
     score = _score("b", 0.0, 0.0)
     score.n_hashtags, score.n_home, score.n_dest = counts
     write_scores(path, [_score("a", 0.1, 0.2), score], ["h"])
-    with pytest.raises(TableError, match=f"^{re.escape(str(path))}: user_id b: n_hashtags {counts[0]}, n_home {counts[1]}, "):
+    with pytest.raises(TableError, match=f"^{re.escape(str(path))}: line 4: user_id b breaks the rule {re.escape(rule)}$"):
         read_scores(path)

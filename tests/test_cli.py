@@ -245,7 +245,7 @@ class TestBadInput:
         "cell, message",
         [
             ("abc", "line 2: column pdi holds 'abc', expected a number, or empty"),
-            ("150", "column pdi holds 150.0 for AR"),
+            ("150", "line 2: country AR breaks the rule pdi is empty or in [0, 120]"),
         ],
     )
     def test_bad_hofstede_cell(self, chain_dir, tmp_path, capsys, cell, message):
@@ -285,15 +285,16 @@ class TestBadInput:
     def test_repeated_scores_row(self, chain_dir, tmp_path, capsys, command):
         copy_chain(chain_dir, tmp_path)
         scores = tmp_path / FILES["scores"]
-        last = scores.read_text().splitlines()[-1]
+        lines = scores.read_text().splitlines()
         with scores.open("a") as handle:
-            handle.write(last + "\n")
+            handle.write(lines[-1] + "\n")
         posts = []
         if command == "null":
             (tmp_path / FILES["null_scores"]).unlink()
             posts = ["--posts", chain_dir / FILES["posts"]]
         err = self.exit_2_stderr(capsys, command, "--out", tmp_path, *posts)
-        assert err == f"error: {scores}: user_id {last.split(',')[0]} is on more than one row\n"
+        user = lines[-1].split(",")[0]
+        assert err == f"error: {scores}: line {len(lines) + 1}: user_id {user} repeats line {len(lines)}\n"
         assert (tmp_path / FILES["null_scores"]).exists() == (command != "null")
         assert not (tmp_path / "report").exists()
 
@@ -302,6 +303,7 @@ class TestBadInput:
     def test_scores_row_whose_counts_cannot_be_a_score(self, chain_dir, tmp_path, capsys, command):
         copy_chain(chain_dir, tmp_path)
         scores = tmp_path / FILES["scores"]
+        line = len(scores.read_text().splitlines()) + 1
         with scores.open("a") as handle:
             handle.write("zz_nobody,IT,DE,0.0,0.0,0,0,0,,\n")
         posts = []
@@ -309,8 +311,7 @@ class TestBadInput:
             (tmp_path / FILES["null_scores"]).unlink()
             posts = ["--posts", chain_dir / FILES["posts"]]
         err = self.exit_2_stderr(capsys, command, "--out", tmp_path, *posts)
-        assert err.startswith(f"error: {scores}: user_id zz_nobody: n_hashtags 0, n_home 0, n_dest 0 cannot make a score")
-        assert err.count("\n") == 1
+        assert err == f"error: {scores}: line {line}: user_id zz_nobody breaks the rule n_hashtags >= 1\n"
         assert (tmp_path / FILES["null_scores"]).exists() == (command != "null")
         assert not (tmp_path / "report").exists()
 
@@ -324,18 +325,18 @@ class TestBadInput:
         profiles.write_text("\n".join(lines + [lines[first]]) + "\n")
         posts = ["--posts", chain_dir / FILES["posts"]] if command == "atlas" else []
         err = self.exit_2_stderr(capsys, command, "--out", tmp_path, *posts)
-        assert err == f"error: {profiles}: user_id {user} is on more than one row\n"
+        assert err == f"error: {profiles}: line {len(lines) + 1}: user_id {user} repeats line {first + 1}\n"
 
     @pytest.mark.parametrize(
-        "command, row, message",
+        "command, row",
         [
-            ("atlas", "{user},DE,,false", "is_migrant is false, but residence DE and nationality (empty) make it empty"),
-            ("atlas", "{user},DE,IT,false", "is_migrant is false, but residence DE and nationality IT make it true"),
-            ("report", "{user},,IT,true", "is_migrant is true, but residence (empty) and nationality IT make it empty"),
-            ("report", "{user},DE,DE,true", "is_migrant is true, but residence DE and nationality DE make it false"),
+            ("atlas", "{user},DE,,false"),
+            ("atlas", "{user},DE,IT,false"),
+            ("report", "{user},,IT,true"),
+            ("report", "{user},DE,DE,true"),
         ],
     )
-    def test_profile_whose_migrant_flag_does_not_fit_its_countries(self, chain_dir, tmp_path, capsys, command, row, message):
+    def test_profile_whose_migrant_flag_does_not_fit_its_countries(self, chain_dir, tmp_path, capsys, command, row):
         copy_chain(chain_dir, tmp_path)
         profiles = tmp_path / FILES["profiles"]
         lines = profiles.read_text().splitlines()
@@ -343,7 +344,8 @@ class TestBadInput:
         profiles.write_text("\n".join(lines[:-1] + [row.format(user=user)]) + "\n")
         posts = ["--posts", chain_dir / FILES["posts"]] if command == "atlas" else []
         err = self.exit_2_stderr(capsys, command, "--out", tmp_path, *posts)
-        assert err == f"error: {profiles}: user_id {user}: {message}\n"
+        rule = "is_migrant is empty without both countries, else residence != nationality"
+        assert err == f"error: {profiles}: line {len(lines)}: user_id {user} breaks the rule {rule}\n"
 
     @pytest.mark.parametrize(
         "n_rows, ha, no_null_rows, message",
@@ -364,6 +366,44 @@ class TestBadInput:
         err = self.exit_2_stderr(capsys, "stats", "--out", tmp_path)
         assert err == f"error: {message.format(n=n)}\n"
         assert not (tmp_path / FILES["test_results"]).exists()
+
+    @pytest.mark.parametrize("repeat", [True, False], ids=["repeated user and language", "fraction above 1"])
+    def test_bad_lang_fractions_row(self, chain_dir, tmp_path, capsys, repeat):
+        copy_chain(chain_dir, tmp_path)
+        (tmp_path / FILES["scores"]).unlink()
+        table = tmp_path / FILES["lang_fractions"]
+        lines = (chain_dir / FILES["lang_fractions"]).read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1  # the first data row
+        user, lang, _ = lines[at].split(",")
+        if repeat:
+            lines.insert(at + 1, f"{user},{lang},0.0")
+            message = f"line {at + 2}: user_id {user}, lang {lang} repeats line {at + 1}"
+        else:
+            lines[at] = f"{user},{lang},7.5"
+            message = f"line {at + 1}: user_id {user}, lang {lang} breaks the rule 0 <= fraction <= 1"
+        table.write_text("\n".join(lines) + "\n")
+        err = self.exit_2_stderr(capsys, "score", "--out", tmp_path, "--posts", chain_dir / FILES["posts"])
+        assert err == f"error: {table}: {message}\n"
+        assert not (tmp_path / FILES["scores"]).exists()
+
+    @pytest.mark.parametrize("command", ["score", "null", "report"])
+    def test_atlas_entropy_above_1(self, chain_dir, tmp_path, capsys, command):
+        copy_chain(chain_dir, tmp_path)
+        shutil.copy(chain_dir / FILES["lang_fractions"], tmp_path / FILES["lang_fractions"])
+        outputs = [tmp_path / FILES[key] for key in COMMANDS[command].outputs] + [tmp_path / "report"]
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        atlas = tmp_path / FILES["atlas"]
+        lines = atlas.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1  # the first data row
+        row = lines[at].split(",")
+        row[lines[at - 1].split(",").index("entropy")] = "7.5"
+        lines[at] = ",".join(row)
+        atlas.write_text("\n".join(lines) + "\n")
+        posts = ["--posts", chain_dir / FILES["posts"]] if command != "report" else []
+        err = self.exit_2_stderr(capsys, command, "--out", tmp_path, *posts)
+        assert err == f"error: {atlas}: line {at + 1}: token {row[0]} breaks the rule 0 <= entropy <= 1\n"
+        assert not any(path.exists() for path in outputs)
 
     def test_correlate_skips_a_constant_ha(self, chain_dir, tmp_path, capsys):
         copy_chain(chain_dir, tmp_path, ha=lambda i: "0.25")
@@ -452,6 +492,15 @@ class TestBadInput:
         assert run("label", "--out", tmp_path) == 0
         assert capsys.readouterr().out.splitlines()[0] == f"posts: {n - 2} loaded from corpus.npz"
 
+
+    def test_label_prints_the_friends_funnel(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path, "--users", 40) == 0
+        rows = ["a,b", "a,b", "b,a", "a,a", " c , a ", "b,", ",c", " ,a", "c,a"]
+        (tmp_path / FILES["friends"]).write_text("user_id,friend_id\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run("label", "--out", tmp_path) == 0
+        funnel = capsys.readouterr().out.splitlines()[1]
+        assert funnel == "friends: 3 edges, 2 duplicates, 1 self-loops and 3 rows with an empty id dropped"
 
 @pytest.fixture(scope="module")
 def labeled(tmp_path_factory):

@@ -158,12 +158,13 @@ def test_read_profiles_checks_the_migrant_flag_against_the_countries(tmp_path, r
     if fits:
         assert list(read_profiles(path)) == ["u1"]
     else:
-        with pytest.raises(TableError, match=f"^{re.escape(str(path))}: user_id u1: is_migrant is "):
+        rule = "is_migrant is empty without both countries, else residence != nationality"
+        with pytest.raises(TableError, match=f"^{re.escape(str(path))}: line 2: user_id u1 breaks the rule {rule}$"):
             read_profiles(path)
 
 
 def test_read_profiles_refuses_a_repeated_user(tmp_path):
     path = tmp_path / "profiles.csv"
     path.write_text("user_id,residence,nationality,is_migrant\nu1,MX,BR,true\nu2,BR,BR,false\nu1,DE,BR,true\n")
-    with pytest.raises(TableError, match=f"^{re.escape(str(path))}: user_id u1 is on more than one row$"):
+    with pytest.raises(TableError, match=f"^{re.escape(str(path))}: line 4: user_id u1 repeats line 2$"):
         read_profiles(path)

@@ -1,0 +1,161 @@
+"""Every declared table key and row rule is enforced by every command that reads the table.
+
+One small workspace is built per module. Each example breaks one key or rule
+in one row of one table, then runs, in process, each command that reads that
+table: the command must exit 2 with one stderr line naming the file, the line,
+the row's key cells and the broken rule, and must write none of its outputs.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homedest.atlas import ATLAS_KEY, ATLAS_RULES
+from homedest.attachment import SCORE_KEY, SCORE_RULES
+from homedest.cli import COMMANDS, FILES, main
+from homedest.covariates import HOFSTEDE_DIMENSIONS, HOFSTEDE_KEY, HOFSTEDE_RULES, packaged_data_path
+from homedest.labeling import LANG_KEY, LANG_RULES, PROFILE_KEY, PROFILE_RULES
+
+# Each table's declared key and rules, by the input name its commands give it.
+CONTRACTS = {
+    "profiles": (PROFILE_KEY, PROFILE_RULES),
+    "lang_fractions": (LANG_KEY, LANG_RULES),
+    "atlas": (ATLAS_KEY, ATLAS_RULES),
+    "scores": (SCORE_KEY, SCORE_RULES),
+    "hofstede": (HOFSTEDE_KEY, HOFSTEDE_RULES),
+}
+KEY = "key"
+
+
+def outside(low, high):
+    """Finite floats below ``low`` or above ``high``."""
+    finite = {"allow_nan": False, "allow_infinity": False}
+    below = st.floats(max_value=low, exclude_max=True, **finite)
+    above = st.floats(min_value=high, exclude_min=True, **finite)
+    return st.one_of(below, above).filter(lambda value: not low <= value <= high)  # -0.0 is not below 0.0
+
+
+def wrong_migrant_flag(draw, row):
+    both = row["residence"] and row["nationality"]
+    right = ("true" if row["residence"] != row["nationality"] else "false") if both else ""
+    return {"is_migrant": draw(st.sampled_from([flag for flag in ("true", "false", "") if flag != right]))}
+
+
+def more_home_and_dest_than_uses(draw, row):
+    excess = draw(st.integers(min_value=1, max_value=10**6))
+    return {"n_home": str(int(row["n_hashtags"]) - int(row["n_dest"]) + excess)}
+
+
+# For each (table, rule), new cells that make one row break the rule, given the
+# row and hypothesis's `draw`. Where they break more rules than one, this one is
+# the first in declared order, which is the one read_table names.
+BREAKERS = {
+    ("profiles", "is_migrant is empty without both countries, else residence != nationality"): wrong_migrant_flag,
+    ("lang_fractions", "0 <= fraction <= 1"): lambda draw, row: {"fraction": repr(draw(outside(0.0, 1.0)))},
+    ("atlas", "0 <= entropy <= 1"): lambda draw, row: {"entropy": repr(draw(outside(0.0, 1.0)))},
+    ("atlas", "0 < top_country_fraction <= 1"): lambda draw, row: {
+        "top_country_fraction": repr(draw(st.one_of(st.just(0.0), outside(0.0, 1.0))))
+    },
+    ("atlas", "n_users >= 1"): lambda draw, row: {"n_users": str(draw(st.integers(max_value=0)))},
+    ("scores", "n_hashtags >= 1"): lambda draw, row: {
+        "n_hashtags": str(draw(st.integers(max_value=0))), "n_home": "0", "n_dest": "0"
+    },
+    ("scores", "no negative count"): lambda draw, row: {
+        draw(st.sampled_from(["n_home", "n_dest"])): str(draw(st.integers(max_value=-1)))
+    },
+    ("scores", "n_home + n_dest <= n_hashtags"): more_home_and_dest_than_uses,
+    **{
+        ("hofstede", f"{dim} is empty or in [0, 120]"): lambda draw, row, dim=dim: {dim: repr(draw(outside(0.0, 120.0)))}
+        for dim in HOFSTEDE_DIMENSIONS
+    },
+    **{(table, KEY): None for table in CONTRACTS},  # a key is broken by a copy of a row
+}
+
+
+def test_every_declared_key_and_rule_has_a_breaker():
+    declared = {(table, rule) for table, (_, rules) in CONTRACTS.items() for rule in (KEY, *rules)}
+    assert set(BREAKERS) == declared
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A 300-user workspace after `null`, with the bundled cultural table beside it."""
+    out = tmp_path_factory.mktemp("rules")
+    for argv in (["synth", "--users", "300", "--seed", "42"], ["label"], ["atlas"], ["score"], ["null", "--replicates", "2"]):
+        with redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(out)]) == 0
+    shutil.copy(packaged_data_path("hofstede.csv"), out / "hofstede.csv")
+    return out
+
+
+def table_path(out: Path, table: str) -> Path:
+    return out / FILES.get(table, f"{table}.csv")
+
+
+def read_lines(path: Path) -> tuple[list[str], list[str], list[list[str]]]:
+    """A table's comment lines, column row and data rows; no cell of these tables spans lines."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    names, *rows = csv.reader(lines[len(comments):])
+    return comments, names, rows
+
+
+def run_refused(out: Path, command: str) -> str:
+    """Run ``command`` in ``out``, which must refuse it with exit 2; its stderr."""
+    argv = [command, "--out", str(out)]
+    for key in COMMANDS[command].inputs:
+        if key not in FILES:  # a bundled table, read from the copy in the workspace
+            argv += ["--" + key, str(table_path(out, key))]
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return stderr.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_row_that_breaks_a_declared_key_or_rule_is_refused_by_every_reader(workspace, data):
+    table, rule = data.draw(st.sampled_from(sorted(BREAKERS)), label="case")
+    key = CONTRACTS[table][0]
+    comments, names, rows = read_lines(table_path(workspace, table))
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    first_data_line = len(comments) + 2
+    if rule == KEY:
+        j = data.draw(st.integers(i + 1, len(rows)), label="copy at")
+        rows.insert(j, rows[i])
+        line, broken = first_data_line + j, f"repeats line {first_data_line + i}"
+    else:
+        row = dict(zip(names, rows[i]))
+        row.update(BREAKERS[table, rule](data.draw, row))
+        rows[i] = [row[name] for name in names]
+        line, broken = first_data_line + i, f"breaks the rule {rule}"
+    cells = dict(zip(names, rows[line - first_data_line]))
+    named = ", ".join(f"{name} {cells[name]}" for name in key)
+
+    readers = [name for name, command in COMMANDS.items() if table in command.inputs + command.optional]
+    assert readers
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(shutil.copytree(workspace, Path(scratch) / "ws"))
+        path = table_path(out, table)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(f"{comment}\n" for comment in comments)
+            csv.writer(handle, lineterminator="\n").writerows([names, *rows])
+        for command in readers:
+            outputs = [out / FILES[name] for name in COMMANDS[command].outputs] + [out / "report"]
+            for output in outputs:
+                output.unlink(missing_ok=True)
+            assert run_refused(out, command) == f"error: {path}: line {line}: {named} {broken}\n", command
+            assert not any(output.exists() for output in outputs), command
+            for output in outputs:  # a later reader may need it as an input
+                if (workspace / output.name).is_file():
+                    shutil.copy(workspace / output.name, output)
