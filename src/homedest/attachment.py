@@ -43,6 +43,8 @@ SCORE_RULES = {
     "n_hashtags >= 1": lambda row: row["n_hashtags"] >= 1,
     "no negative count": lambda row: row["n_home"] >= 0 and row["n_dest"] >= 0,
     "n_home + n_dest <= n_hashtags": lambda row: row["n_home"] + row["n_dest"] <= row["n_hashtags"],
+    "ha == n_home / n_hashtags": lambda row: row["ha"] == row["n_home"] / row["n_hashtags"],
+    "da == n_dest / n_hashtags": lambda row: row["da"] == row["n_dest"] / row["n_hashtags"],
 }
 # A null-model scores table: one block of rows per shuffle replicate.
 NULL_SCORE_COLUMNS = {**SCORE_COLUMNS, "replicate": int}

@@ -35,6 +35,7 @@ from .attachment import (
 )
 from .corpus import Corpus, LoadStats, file_sha256, load_friends, load_posts, read_corpus, write_corpus
 from .covariates import (
+    CORRELATION_COLUMNS,
     DEFAULT_MIN_GROUP_SIZE,
     grouped_correlations,
     individual_correlations,
@@ -43,21 +44,10 @@ from .covariates import (
     load_hofstede,
     load_pair_covariates,
     packaged_data_path,
-    write_correlations,
 )
 from .labeling import label_population, read_profiles, write_lang_fractions, write_profiles
 from .nullmodel import DEFAULT_REPLICATES, null_distribution
-from .reporting import (
-    attachment_histograms,
-    chord_edges,
-    group_boxplots,
-    scatter_rows,
-    write_attachment_histograms,
-    write_boxplots,
-    write_chord_edges,
-    write_entropy_histogram,
-    write_scatter,
-)
+from .reporting import REPORT_COLUMNS, report_rows
 from .stats import ks_two_sample, pearson, spearman, wilcoxon_rank_sum
 from .synth import PopulationSpec, generate
 from .tables import TableError, write_table
@@ -80,15 +70,6 @@ FILES = {
     "correlations_individual": "correlations_individual.csv",
     "correlations_grouped": "correlations_grouped.csv",
 }
-
-# The report's files, in the order cmd_report writes them.
-REPORT_FILES = (
-    "chord_edges.csv",
-    "entropy_histogram.csv",
-    "attachment_distributions.csv",
-    "ha_vs_da_scatter.csv",
-    "group_boxplots.csv",
-)
 
 # Inputs a flag can name (``--null-scores`` for null_scores), with its help.
 # The default is the workspace file in FILES, else the bundled table.
@@ -370,13 +351,13 @@ def cmd_correlate(run) -> int:
         _fail("fewer than 3 users joined to any covariate")
     individual = individual_correlations(rows)
     header = run.header()
-    write_correlations(run.correlations_individual, individual, header)
+    write_table(run.correlations_individual, CORRELATION_COLUMNS, individual, header)
     try:
         grouped = grouped_correlations(rows, min_group_size=run.min_group_size)
     except ValueError as exc:
         print(f"grouped correlations skipped: {exc}", file=sys.stderr)
         grouped = []
-    write_correlations(run.correlations_grouped, grouped, header)
+    write_table(run.correlations_grouped, CORRELATION_COLUMNS, grouped, header)
     print(
         f"correlated {len(rows)} users ({dropped} dropped): "
         f"{len(individual)} individual rows, {len(grouped)} grouped rows"
@@ -395,12 +376,9 @@ def cmd_report(run) -> int:
     report_dir = run.out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     header = run.header()
-    chords, histogram, series, scatter, boxplots = (report_dir / name for name in REPORT_FILES)
-    write_chord_edges(chords, chord_edges(profiles), header)
-    write_entropy_histogram(histogram, atlas, header=header)
-    write_attachment_histograms(series, attachment_histograms(scores, null), header)
-    write_scatter(scatter, scatter_rows(scores), header)
-    write_boxplots(boxplots, group_boxplots(scores), header)
+    tables = report_rows(profiles, atlas, scores, null)
+    for (name, columns), rows in zip(REPORT_COLUMNS.items(), tables, strict=True):
+        write_table(report_dir / name, columns, rows, header)
     print(f"report written to {report_dir}")
     return 0
 

@@ -136,6 +136,10 @@ class LoadStats:
         return f"{self.skipped} skipped" + (f" ({'; '.join(parts)})" if parts else "")
 
 
+# A friends file's columns: one directed edge per row.
+FRIEND_COLUMNS = {"user_id": str, "friend_id": str}
+
+
 @dataclass
 class FriendGraph:
     """Directed follower -> followed adjacency with dedup bookkeeping."""
@@ -582,7 +586,7 @@ def load_posts(path: str | Path) -> tuple[Corpus, LoadStats]:
 def load_friends(path: str | Path) -> FriendGraph:
     """Load a friends CSV into a deduplicated directed adjacency."""
     graph = FriendGraph()
-    for row in read_table(path, {"user_id": str, "friend_id": str}):
+    for row in read_table(path, FRIEND_COLUMNS):
         user = row["user_id"].strip()
         friend = row["friend_id"].strip()
         if not user or not friend:

@@ -16,13 +16,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
-from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .attachment import AttachmentScore
-from .stats import pearson, significance_stars, spearman
-from .tables import read_table, write_table
+from .stats import pearson, spearman
+from .tables import read_table
 
 logger = logging.getLogger(__name__)
 
@@ -183,18 +182,16 @@ def join_covariates(
     return rows, dropped
 
 
-@dataclass(frozen=True)
-class CorrelationRow:
+class CorrelationRow(NamedTuple):
+    """One correlation, a row of CORRELATION_COLUMNS."""
+
     target: str  # "ha" or "da"
     covariate: str
     method: str
     r: float
     p_value: float
     n: int
-
-    @property
-    def stars(self) -> str:
-        return significance_stars(self.p_value)
+    stars: str
 
 
 def _correlate_pairs(
@@ -206,7 +203,7 @@ def _correlate_pairs(
     except ValueError as exc:
         logger.info("skipping %s/%s: %s", target, covariate, exc)
         return []
-    return [CorrelationRow(target, covariate, t.method, t.statistic, t.p_value, t.n1) for t in tests]
+    return [CorrelationRow(target, covariate, t.method, t.statistic, t.p_value, t.n1, t.stars) for t in tests]
 
 
 def _covariate_names(rows: Sequence[JoinedRow]) -> list[str]:
@@ -269,11 +266,3 @@ def grouped_correlations(
                 ys.append(sum(values) / len(values))
             out.extend(_correlate_pairs(target, name, xs, ys))
     return out
-
-
-def write_correlations(
-    path: str | Path,
-    rows: Sequence[CorrelationRow],
-    header: Sequence[str] = (),
-) -> None:
-    write_table(path, CORRELATION_COLUMNS, map(attrgetter(*CORRELATION_COLUMNS), rows), header)

@@ -7,24 +7,34 @@ that a plotting notebook can consume directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .atlas import HashtagRecord, entropy_histogram, unit_histogram
 from .attachment import AttachmentScore
 from .labeling import UserProfile
-from .tables import write_table
 
 # Smallest migration flow kept as a chord edge, and smallest group given a quartile row.
 MIN_FLOW = 10
 MIN_GROUP = 10
 
+# Each report file's columns, in the order `report` writes the files; report_rows gives their rows.
+REPORT_COLUMNS = {
+    "chord_edges.csv": {"origin": str, "destination": str, "n_users": int},
+    "entropy_histogram.csv": {"bin_low": float, "bin_high": float, "n_hashtags": int},
+    "attachment_distributions.csv": {"series": str, "bin_low": float, "bin_high": float, "count": int},
+    "ha_vs_da_scatter.csv": {"user_id": str, "ha": float, "da": float, "acc_class": str},
+    "group_boxplots.csv": {
+        "group_by": str, "group": str, "score": str, "n": int,
+        **dict.fromkeys(("min", "q1", "median", "q3", "max", "mean"), float),
+    },
+}
 
-@dataclass(frozen=True)
-class FlowEdge:
+
+class FlowEdge(NamedTuple):
+    """One migration flow, a ``chord_edges.csv`` row."""
+
     origin: str
     destination: str
     n_users: int
@@ -46,9 +56,8 @@ def chord_edges(profiles: dict[str, UserProfile]) -> list[FlowEdge]:
     ]
 
 
-@dataclass(frozen=True)
-class BoxRow:
-    """Five-number summary (plus mean) of one score within one group."""
+class BoxRow(NamedTuple):
+    """Five-number summary (plus mean) of one score within one group, a ``group_boxplots.csv`` row."""
 
     group_by: str  # "residence" or "nationality"
     group: str
@@ -114,50 +123,23 @@ def scatter_rows(scores: Sequence[AttachmentScore]) -> list[tuple[str, float, fl
     return [(s.user_id, s.ha, s.da, s.acc_class or "") for s in scores]
 
 
-def write_chord_edges(path: str | Path, edges: Sequence[FlowEdge], header: Sequence[str] = ()) -> None:
-    rows = ((e.origin, e.destination, e.n_users) for e in edges)
-    write_table(path, {"origin": str, "destination": str, "n_users": int}, rows, header)
-
-
-def write_entropy_histogram(
-    path: str | Path,
+def report_rows(
+    profiles: dict[str, UserProfile],
     atlas: dict[str, HashtagRecord],
-    header: Sequence[str] = (),
-) -> None:
-    edges, counts = entropy_histogram(atlas.values())
-    rows = zip(edges, edges[1:], counts)
-    write_table(path, {"bin_low": float, "bin_high": float, "n_hashtags": int}, rows, header)
-
-
-def write_attachment_histograms(
-    path: str | Path,
-    histograms: dict[str, tuple[list[float], list[int]]],
-    header: Sequence[str] = (),
-) -> None:
-    """One block of bins per series, in series-name order."""
-    rows = (
-        (name, low, high, count)
-        for name, (edges, counts) in sorted(histograms.items())
-        for low, high, count in zip(edges, edges[1:], counts)
-    )
-    write_table(path, {"series": str, "bin_low": float, "bin_high": float, "count": int}, rows, header)
-
-
-def write_scatter(
-    path: str | Path,
-    rows: Sequence[tuple[str, float, float, str]],
-    header: Sequence[str] = (),
-) -> None:
-    write_table(path, {"user_id": str, "ha": float, "da": float, "acc_class": str}, rows, header)
-
-
-def write_boxplots(path: str | Path, rows: Sequence[BoxRow], header: Sequence[str] = ()) -> None:
-    write_table(
-        path,
-        {"group_by": str, "group": str, "score": str, "n": int, **dict.fromkeys(("min", "q1", "median", "q3", "max", "mean"), float)},
-        (
-            (r.group_by, r.group, r.score, r.n, r.minimum, r.q1, r.median, r.q3, r.maximum, r.mean)
-            for r in rows
-        ),
-        header,
-    )
+    scores: Sequence[AttachmentScore],
+    null: tuple[Sequence[float], Sequence[float]] | None = None,
+) -> list[list[tuple]]:
+    """Each report table's rows, in REPORT_COLUMNS order; the attachment histograms in series-name order."""
+    entropy_edges, entropy_counts = entropy_histogram(atlas.values())
+    histograms = attachment_histograms(scores, null)
+    return [
+        chord_edges(profiles),
+        list(zip(entropy_edges, entropy_edges[1:], entropy_counts)),
+        [
+            (name, low, high, count)
+            for name, (edges, counts) in sorted(histograms.items())
+            for low, high, count in zip(edges, edges[1:], counts)
+        ],
+        scatter_rows(scores),
+        group_boxplots(scores),
+    ]

@@ -35,7 +35,7 @@ from .attachment import (
     SEPARATION,
     AttachmentScore,
 )
-from .corpus import Post, canonicalize_hashtag, write_posts
+from .corpus import FRIEND_COLUMNS, Post, canonicalize_hashtag, write_posts
 from .countries import normalize_alpha2
 from .covariates import PAIR_COLUMNS, load_country_languages
 from .tables import read_table, write_table
@@ -85,28 +85,6 @@ class PopulationSpec:
     class_targets: dict[str, tuple[float, float]] = field(
         default_factory=lambda: dict(DEFAULT_CLASS_TARGETS)
     )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "migrant_fraction": self.migrant_fraction,
-            "countries": list(self.countries),
-            "acc_mix": dict(sorted(self.acc_mix.items())),
-            "tags_per_user": list(self.tags_per_user),
-            "country_tag_specificity": self.country_tag_specificity,
-            "seed": self.seed,
-            "year": self.year,
-            "noise": self.noise,
-            "country_vocab": self.country_vocab,
-            "intl_vocab": self.intl_vocab,
-            "geo_days": list(self.geo_days),
-            "history_geo_days": list(self.history_geo_days),
-            "friends_per_user": self.friends_per_user,
-            "home_friend_bias": self.home_friend_bias,
-            "lang_alignment": self.lang_alignment,
-            "user_prefix": self.user_prefix,
-            "class_targets": {c: list(t) for c, t in sorted(self.class_targets.items())},
-        }
 
     def validate(self) -> None:
         if self.n_users < 1:
@@ -360,7 +338,7 @@ def write_population(population: Population, out_dir: str | Path) -> dict[str, P
         "pair_covariates": out / "pair_covariates.csv",
     }
     write_posts(paths["posts"], population.posts)
-    write_table(paths["friends"], {"user_id": str, "friend_id": str}, population.friend_rows)
+    write_table(paths["friends"], FRIEND_COLUMNS, population.friend_rows)
     truth = (population.truth[user_id] for user_id in sorted(population.truth))
     write_table(paths["ground_truth"], TRUTH_COLUMNS, map(attrgetter(*TRUTH_COLUMNS), truth))
     write_table(paths["pair_covariates"], PAIR_COLUMNS, map(itemgetter(*PAIR_COLUMNS), population.pair_rows))

@@ -20,7 +20,7 @@ import pytest
 
 from homedest.atlas import HashtagRecord, build_atlas, normalized_entropy
 from homedest.attachment import apply_acculturation, compute_scores, language_cohorts
-from homedest.cli import FILES, REPORT_FILES, main as cli_main
+from homedest.cli import FILES, main as cli_main
 from homedest.covariates import (
     PairTable,
     grouped_correlations,
@@ -31,6 +31,7 @@ from homedest.covariates import (
 from homedest.corpus import Post
 from homedest.labeling import UserProfile, label_population
 from homedest.nullmodel import pooled
+from homedest.reporting import REPORT_COLUMNS
 from homedest.stats import spearman, wilcoxon_rank_sum, _ks_statistic
 from homedest.synth import class_recovery, default_spec, generate_population, oracle_scores
 
@@ -386,9 +387,9 @@ def test_c9_full_chain_is_byte_identical_across_reruns(tmp_path):
     compared = []
     for name in FILES.values():
         compared.append((a / name, b / name))
-    for name in REPORT_FILES:
+    for name in REPORT_COLUMNS:
         compared.append((a / "report" / name, b / "report" / name))
     for left, right in compared:
         assert left.exists() and right.exists(), left.name
         assert filecmp.cmp(left, right, shallow=False), f"{left.name} differs between runs"
-    assert len(compared) == len(FILES) + len(REPORT_FILES)
+    assert len(compared) == len(FILES) + len(REPORT_COLUMNS)

@@ -90,16 +90,16 @@ class TestQuadrants:
             apply_acculturation([])
 
 
-def _score(user, ha, da, nationality="IT", residence="DE"):
+def _score(user, ha, da, nationality="IT", residence="DE", n_hashtags=20):
     return AttachmentScore(
         user_id=user,
         nationality=nationality,
         residence=residence,
         ha=ha,
         da=da,
-        n_hashtags=20,
-        n_home=int(ha * 20),
-        n_dest=int(da * 20),
+        n_hashtags=n_hashtags,
+        n_home=int(ha * n_hashtags),
+        n_dest=int(da * n_hashtags),
     )
 
 
@@ -141,7 +141,7 @@ class TestLanguageCohorts:
 def test_scores_round_trip(tmp_path):
     scores = [
         _score("a", ha=0.25, da=0.5),
-        _score("b", ha=1 / 3, da=0.0),
+        _score("b", ha=1 / 3, da=0.0, n_hashtags=3),
     ]
     scores[0].acc_class = ASSIMILATION
     scores[0].speaks_dest_lang = True

@@ -15,10 +15,11 @@ import pytest
 
 from homedest.atlas import read_atlas
 from homedest.attachment import NULL_SCORE_COLUMNS, SCORE_COLUMNS, compute_scores, read_scores
-from homedest.cli import COMMANDS, FILES, REPORT_FILES, main
+from homedest.cli import COMMANDS, FILES, main
 from homedest.corpus import file_sha256, iter_posts, read_corpus
 from homedest.labeling import read_profiles
 from homedest.nullmodel import shuffle_hashtags
+from homedest.reporting import REPORT_COLUMNS
 from homedest.covariates import packaged_data_path
 from homedest.synth import read_ground_truth
 from homedest.tables import read_table, write_table
@@ -43,16 +44,17 @@ def chain_dir(tmp_path_factory):
     return Path(out)
 
 
-def copy_chain(chain_dir, out, ha=lambda i: None, n_rows=None):
-    """The chain's tables in ``out``; scores keep ``n_rows`` data rows, row i's ha cell set to ``ha(i)`` unless None."""
+def copy_chain(chain_dir, out, cells=lambda i: {}, n_rows=None):
+    """The chain's tables in ``out``; scores keep ``n_rows`` data rows, row i's cells set to ``cells(i)`` (column -> text)."""
     for key in ("profiles", "atlas", "null_scores", "pair_covariates"):
         shutil.copy(chain_dir / FILES[key], out / FILES[key])
     lines = (chain_dir / FILES["scores"]).read_text().splitlines()
     start = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
-    column = lines[start - 1].split(",").index("ha")
+    names = lines[start - 1].split(",")
     rows = [line.split(",") for line in lines[start:]][:n_rows]
     for i, row in enumerate(rows):
-        row[column] = ha(i) or row[column]
+        for name, text in cells(i).items():
+            row[names.index(name)] = text
     (out / FILES["scores"]).write_text("\n".join(lines[:start] + [",".join(row) for row in rows]) + "\n")
     return start + 1  # the line number of the first data row
 
@@ -61,7 +63,7 @@ class TestChain:
     def test_all_artifacts_exist(self, chain_dir):
         for name in FILES.values():
             assert (chain_dir / name).exists(), name
-        for name in REPORT_FILES:
+        for name in REPORT_COLUMNS:
             assert (chain_dir / "report" / name).exists(), name
 
     def test_headers_on_artifacts(self, chain_dir):
@@ -113,7 +115,10 @@ class TestChain:
             assert r[6] in ("", "*", "**", "***")
 
     def test_report_holds_exactly_the_report_files(self, chain_dir):
-        assert sorted(p.name for p in (chain_dir / "report").iterdir()) == sorted(REPORT_FILES)
+        assert sorted(p.name for p in (chain_dir / "report").iterdir()) == sorted(REPORT_COLUMNS)
+        for name, columns in REPORT_COLUMNS.items():
+            lines = (chain_dir / "report" / name).read_text().splitlines()
+            assert next(line for line in lines if not line.startswith("#")) == ",".join(columns), name
 
     def test_individual_correlations_include_score_pair(self, chain_dir):
         text = (chain_dir / FILES["correlations_individual"]).read_text()
@@ -263,7 +268,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("command", ["stats", "correlate", "report"])
     def test_non_finite_score(self, chain_dir, tmp_path, capsys, command):
-        line = copy_chain(chain_dir, tmp_path, ha=lambda i: "nan" if i == 0 else None)
+        line = copy_chain(chain_dir, tmp_path, cells=lambda i: {"ha": "nan"} if i == 0 else {})
         err = self.exit_2_stderr(capsys, command, "--out", tmp_path)
         assert err == f"error: {tmp_path / FILES['scores']}: line {line}: column ha holds 'nan', expected a number\n"
         assert not (tmp_path / "report").exists()
@@ -348,16 +353,16 @@ class TestBadInput:
         assert err == f"error: {profiles}: line {len(lines)}: user_id {user} breaks the rule {rule}\n"
 
     @pytest.mark.parametrize(
-        "n_rows, ha, no_null_rows, message",
+        "n_rows, cells, no_null_rows, message",
         [
-            (None, None, True, "cannot test ha_vs_null on {n} and 0 values: samples must be nonempty"),
-            (2, None, False, "cannot test ha_vs_da on 2 and 2 values: need at least 3 pairs"),
-            (None, "0.25", False, "cannot test ha_vs_da on {n} and {n} values: zero variance sample"),
+            (None, {}, True, "cannot test ha_vs_null on {n} and 0 values: samples must be nonempty"),
+            (2, {}, False, "cannot test ha_vs_da on 2 and 2 values: need at least 3 pairs"),
+            (None, {"n_home": "0", "ha": "0.0"}, False, "cannot test ha_vs_da on {n} and {n} values: zero variance sample"),
         ],
         ids=["header-only null scores", "two scores", "constant ha"],
     )
-    def test_stats_on_samples_it_cannot_test(self, chain_dir, tmp_path, capsys, n_rows, ha, no_null_rows, message):
-        copy_chain(chain_dir, tmp_path, ha=lambda i: ha, n_rows=n_rows)
+    def test_stats_on_samples_it_cannot_test(self, chain_dir, tmp_path, capsys, n_rows, cells, no_null_rows, message):
+        copy_chain(chain_dir, tmp_path, cells=lambda i: cells, n_rows=n_rows)
         null_scores = tmp_path / FILES["null_scores"]
         if no_null_rows:
             lines = null_scores.read_text().splitlines(keepends=True)
@@ -406,7 +411,7 @@ class TestBadInput:
         assert not any(path.exists() for path in outputs)
 
     def test_correlate_skips_a_constant_ha(self, chain_dir, tmp_path, capsys):
-        copy_chain(chain_dir, tmp_path, ha=lambda i: "0.25")
+        copy_chain(chain_dir, tmp_path, cells=lambda i: {"n_home": "0", "ha": "0.0"})
         assert run("correlate", "--out", tmp_path, "--min-group-size", 2) == 0
         for key in ("correlations_individual", "correlations_grouped"):
             lines = [line for line in (tmp_path / FILES[key]).read_text().splitlines() if not line.startswith("#")]
@@ -577,7 +582,10 @@ class TestNullFitsScores:
         lines = scores.read_text().splitlines()
         names = next(line for line in lines if not line.startswith("#")).split(",")
         row = lines[-1].split(",")
-        row[names.index("n_home")] = str(int(row[names.index("n_home")]) + 1)
+        n_home, n_dest, n_hashtags = (int(row[names.index(name)]) for name in ("n_home", "n_dest", "n_hashtags"))
+        n_home += 1 if n_home + n_dest < n_hashtags else -1  # the way that keeps the count rules
+        row[names.index("n_home")] = str(n_home)
+        row[names.index("ha")] = repr(n_home / n_hashtags)
         scores.write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
         err = TestBadInput.exit_2_stderr(capsys, "null", "--out", ws)
         assert err.startswith(f"error: {scores}: user_id {row[0]}: its row holds n_hashtags, n_home, n_dest")

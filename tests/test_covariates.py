@@ -7,6 +7,7 @@ import pytest
 
 from homedest.attachment import AttachmentScore
 from homedest.covariates import (
+    CORRELATION_COLUMNS,
     CountryScores,
     PairTable,
     grouped_correlations,
@@ -17,8 +18,9 @@ from homedest.covariates import (
     load_hofstede,
     load_pair_covariates,
     packaged_data_path,
-    write_correlations,
 )
+from homedest.stats import significance_stars
+from homedest.tables import write_table
 
 
 def _score(user, nat, res, ha, da):
@@ -228,7 +230,7 @@ def test_write_correlations_format(tmp_path):
     rows = _joined_population()
     out = individual_correlations(rows)
     path = tmp_path / "corr.csv"
-    write_correlations(path, out, header=["config_hash=abc seed=1 version=0"])
+    write_table(path, CORRELATION_COLUMNS, out, header=["config_hash=abc seed=1 version=0"])
     text = path.read_text()
     lines = text.splitlines()
     assert lines[0] == "# config_hash=abc seed=1 version=0"
@@ -237,3 +239,4 @@ def test_write_correlations_format(tmp_path):
     # repr round-trip of the first data row's r
     first = lines[2].split(",")
     assert float(first[3]) == out[0].r
+    assert first[6] == significance_stars(out[0].p_value)

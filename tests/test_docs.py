@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from homedest.corpus import LoadStats, iter_posts
+from homedest.reporting import REPORT_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -36,6 +37,12 @@ def test_readme_posts_format_loads(tmp_path):
     assert (stats.loaded, stats.skipped) == (1, 0)
     assert posts[0].country == "IT" and posts[0].language == "it"
     assert posts[0].hashtags == ("roma",)
+
+
+def test_readme_report_tables_match_their_declaration():
+    section = README.split("## Report tables\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([^`]+)` — `([^`]+)`", section, flags=re.M)
+    assert listed == [(name, ",".join(columns)) for name, columns in REPORT_COLUMNS.items()]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

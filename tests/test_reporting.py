@@ -11,17 +11,15 @@ from homedest.labeling import UserProfile
 from homedest.reporting import (
     MIN_FLOW,
     MIN_GROUP,
+    REPORT_COLUMNS,
     FlowEdge,
     attachment_histograms,
     chord_edges,
     group_boxplots,
+    report_rows,
     scatter_rows,
-    write_attachment_histograms,
-    write_boxplots,
-    write_chord_edges,
-    write_entropy_histogram,
-    write_scatter,
 )
+from homedest.tables import write_table
 
 
 def _profile(user, nat, res, migrant=True):
@@ -134,17 +132,21 @@ class TestWriters:
         _, _, atlas = micro_pipeline
         header = ["config_hash=x seed=0 version=0"]
 
-        chord = tmp_path / "chord.csv"
+        def written(name, profiles, scores):
+            """The lines of report table ``name`` written from report_rows of ``profiles``, the atlas and ``scores``."""
+            tables = report_rows(profiles, atlas, scores)
+            assert all(isinstance(rows, list) for rows in tables)
+            path = tmp_path / name
+            write_table(path, REPORT_COLUMNS[name], tables[list(REPORT_COLUMNS).index(name)], header)
+            return path.read_text().splitlines()
+
         migrants = {f"m{i}": _profile(f"m{i}", "IT", "DE") for i in range(MIN_FLOW)}
-        write_chord_edges(chord, chord_edges(migrants), header=header)
-        lines = chord.read_text().splitlines()
+        lines = written("chord_edges.csv", migrants, [])
         assert lines[0] == "# config_hash=x seed=0 version=0"
         assert lines[1] == "origin,destination,n_users"
         assert lines[2] == f"IT,DE,{MIN_FLOW}"
 
-        hist = tmp_path / "hist.csv"
-        write_entropy_histogram(hist, atlas, header=header)
-        lines = hist.read_text().splitlines()
+        lines = written("entropy_histogram.csv", {}, [])
         assert lines[1] == "bin_low,bin_high,n_hashtags"
         assert len(lines) == 2 + 50
         # roma and berlin sit in the zero bin; pizza (entropy > 0.9) at the top.
@@ -152,19 +154,14 @@ class TestWriters:
         total = sum(int(line.split(",")[2]) for line in lines[2:])
         assert total == len(atlas)
 
-        series = tmp_path / "series.csv"
-        write_attachment_histograms(series, attachment_histograms([_score("u1", ha=0.25)]), header=header)
-        lines = series.read_text().splitlines()
+        lines = written("attachment_distributions.csv", {}, [_score("u1", ha=0.25)])
         assert lines[1] == "series,bin_low,bin_high,count"
         assert len(lines) == 2 + 2 * 50
         assert [line for line in lines[2:] if not line.endswith(",0")] == ["da,0.2,0.22,1", "ha,0.24,0.26,1"]
 
-        scatter = tmp_path / "scatter.csv"
-        write_scatter(scatter, [("u1", 0.5, 0.25, "")], header=header)
-        assert scatter.read_text().splitlines()[2] == "u1,0.5,0.25,"
+        lines = written("ha_vs_da_scatter.csv", {}, [_score("u1", ha=0.5, da=0.25)])
+        assert lines[2] == "u1,0.5,0.25,"
 
-        box = tmp_path / "box.csv"
-        write_boxplots(box, group_boxplots([_score(f"u{i}") for i in range(10)]), header=header)
-        lines = box.read_text().splitlines()
+        lines = written("group_boxplots.csv", {}, [_score(f"u{i}") for i in range(10)])
         assert lines[1].startswith("group_by,group,score,n,min")
         assert len(lines) == 2 + 4

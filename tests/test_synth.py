@@ -54,13 +54,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             default_spec(**overrides).validate()
 
-    def test_to_dict_round_trips_key_knobs(self):
-        spec = small_spec()
-        d = spec.to_dict()
-        assert d["n_users"] == 240
-        assert d["countries"] == ["DE", "ES", "IT", "US"]
-        assert d["seed"] == 11
-
 
 class TestGeneration:
     def test_equal_specs_give_equal_populations(self):

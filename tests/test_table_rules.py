@@ -55,6 +55,16 @@ def more_home_and_dest_than_uses(draw, row):
     return {"n_home": str(int(row["n_hashtags"]) - int(row["n_dest"]) + excess)}
 
 
+def not_the_quotient(index, count):
+    """A breaker of ``index == count / n_hashtags``: a finite float in [0, 1] that is not that quotient."""
+
+    def breaker(draw, row):
+        exact = int(row[count]) / int(row["n_hashtags"])
+        return {index: repr(draw(st.floats(0.0, 1.0).filter(lambda value: value != exact)))}
+
+    return breaker
+
+
 # For each (table, rule), new cells that make one row break the rule, given the
 # row and hypothesis's `draw`. Where they break more rules than one, this one is
 # the first in declared order, which is the one read_table names.
@@ -73,6 +83,8 @@ BREAKERS = {
         draw(st.sampled_from(["n_home", "n_dest"])): str(draw(st.integers(max_value=-1)))
     },
     ("scores", "n_home + n_dest <= n_hashtags"): more_home_and_dest_than_uses,
+    ("scores", "ha == n_home / n_hashtags"): not_the_quotient("ha", "n_home"),
+    ("scores", "da == n_dest / n_hashtags"): not_the_quotient("da", "n_dest"),
     **{
         ("hofstede", f"{dim} is empty or in [0, 120]"): lambda draw, row, dim=dim: {dim: repr(draw(outside(0.0, 120.0)))}
         for dim in HOFSTEDE_DIMENSIONS
