@@ -19,7 +19,7 @@ from homedest.covariates import (
 )
 
 hofstede = load_hofstede()
-print(f"bundled cultural table: {len(hofstede.countries())} countries")
+print(f"bundled cultural table: {len(hofstede)} countries")
 print("IT -> DE deltas:", hofstede_delta(hofstede, "IT", "DE"))
 
 # Cook up migrants whose home attachment *increases* with cultural

@@ -24,7 +24,7 @@ from .stats import (
     wilcoxon_rank_sum,
     wilcoxon_signed_rank,
 )
-from .synth import PopulationSpec, default_spec, generate, oracle_scores
+from .synth import PopulationSpec, default_spec, oracle_scores
 
 __all__ = [
     "__version__",
@@ -38,7 +38,6 @@ __all__ = [
     "canonicalize_hashtag",
     "compute_scores",
     "default_spec",
-    "generate",
     "ks_two_sample",
     "label_population",
     "load_friends",

@@ -147,15 +147,6 @@ def unit_histogram(values: Sequence[float] | np.ndarray) -> tuple[list[float], l
     return edges, counts.tolist()
 
 
-def entropy_histogram(records: Iterable[HashtagRecord]) -> tuple[list[float], list[int]]:
-    """Histogram of entropy values over [0, 1]; (edges, counts).
-
-    Zero-entropy tokens land in the first bin, which dominates on realistic
-    corpora. Suitable for log-scale count plotting.
-    """
-    return unit_histogram([record.entropy for record in records])
-
-
 def write_atlas(
     path: str | Path,
     atlas: Mapping[str, HashtagRecord],

@@ -88,6 +88,19 @@ def assignment_codes(
     return np.array([-1 if r is None else codes.get(r.assignment, -1) for r in records], dtype=np.int64)
 
 
+def count_uses(
+    row: np.ndarray, drawn: np.ndarray, home: np.ndarray, dest: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row in ``range(n)``, its home and destination uses; use i is ``row[i]``'s, with code ``drawn[i]``.
+
+    A use is home when its code is the nationality's (``home[i]``), else
+    destination when it is the residence's (``dest[i]``).
+    """
+    is_home = drawn == home
+    is_dest = ~is_home & (drawn == dest)
+    return np.bincount(row[is_home], minlength=n), np.bincount(row[is_dest], minlength=n)
+
+
 def score_rows(
     who: Iterable[tuple[str, str, str]], n_total: np.ndarray, n_home: np.ndarray, n_dest: np.ndarray
 ) -> Iterator[tuple]:
@@ -134,12 +147,8 @@ def compute_scores(
     slot_post = corpus.slot_post()
     keep = (corpus.tags >= 0) & in_year[slot_post]
     user = corpus.user[slot_post[keep]].astype(np.int64)
-    assigned = assignment[corpus.tags[keep]]
-    is_home = assigned == home[user]
-    is_dest = ~is_home & (assigned == dest[user])
     n_total = np.bincount(user, minlength=n_users)
-    n_home = np.bincount(user[is_home], minlength=n_users)
-    n_dest = np.bincount(user[is_dest], minlength=n_users)
+    n_home, n_dest = count_uses(user, assignment[corpus.tags[keep]], home[user], dest[user], n_users)
 
     rows = sorted(np.flatnonzero(n_total >= min_hashtags).tolist(), key=corpus.users.__getitem__)
     user_ids = (corpus.users[r] for r in rows)

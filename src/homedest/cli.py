@@ -49,7 +49,7 @@ from .labeling import label_population, read_profiles, write_lang_fractions, wri
 from .nullmodel import DEFAULT_REPLICATES, null_distribution
 from .reporting import REPORT_COLUMNS, report_rows
 from .stats import ks_two_sample, pearson, spearman, wilcoxon_rank_sum
-from .synth import PopulationSpec, generate
+from .synth import PopulationSpec, generate_population, write_population
 from .tables import TableError, write_table
 
 logger = logging.getLogger(__name__)
@@ -230,7 +230,7 @@ def cmd_synth(run) -> int:
         spec.validate()
     except ValueError as exc:
         _fail(f"bad population spec: {exc}")
-    paths = generate(spec, run.out)
+    paths = write_population(generate_population(spec), run.out)
     logger.info("wrote %s", ", ".join(str(p) for p in paths.values()))
     return 0
 

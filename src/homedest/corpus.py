@@ -79,11 +79,6 @@ class Post:
     def year(self) -> int:
         return self.timestamp.year
 
-    @property
-    def day(self):
-        """UTC calendar date of the post."""
-        return self.timestamp.date()
-
 
 # Why a posts line is skipped, in the order the checks run.
 SKIP_REASONS = {

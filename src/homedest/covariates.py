@@ -30,10 +30,18 @@ PAIR_COVARIATES = ("distcap", "contig", "comlang_off", "csl", "cnl")
 HOFSTEDE_COLUMNS = {"country": str, **dict.fromkeys(HOFSTEDE_DIMENSIONS, float | None)}
 HOFSTEDE_KEY = ("country",)
 HOFSTEDE_RULES = {
-    f"{dim} is empty or in [0, 120]": lambda row, dim=dim: row[dim] is None or 0 <= row[dim] <= 120
-    for dim in HOFSTEDE_DIMENSIONS
+    "country is upper case, without spaces": lambda row: row["country"] == row["country"].strip().upper(),
+    **{
+        f"{dim} is empty or in [0, 120]": lambda row, dim=dim: row[dim] is None or 0 <= row[dim] <= 120
+        for dim in HOFSTEDE_DIMENSIONS
+    },
 }
 PAIR_COLUMNS = {"country_a": str, "country_b": str, **dict.fromkeys(PAIR_COVARIATES, float | None)}
+PAIR_KEY = ("country_a", "country_b")
+PAIR_RULES = {
+    f"{code} is upper case, without spaces": lambda row, code=code: row[code] == row[code].strip().upper()
+    for code in PAIR_KEY
+}
 CORRELATION_COLUMNS = {
     "target": str, "covariate": str, "method": str, "r": float, "p_value": float, "n": int, "stars": str,
 }
@@ -43,19 +51,6 @@ DEFAULT_MIN_GROUP_SIZE = 10
 def packaged_data_path(name: str) -> Path:
     """Path to a bundled reference table (hofstede.csv, country_language.csv)."""
     return Path(str(resources.files("homedest") / "data" / name))
-
-
-@dataclass
-class CountryScores:
-    """Cultural dimension scores per country; inner dicts may be partial."""
-
-    scores: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def countries(self) -> list[str]:
-        return sorted(self.scores)
-
-    def get(self, country: str) -> dict[str, float] | None:
-        return self.scores.get(country)
 
 
 @dataclass
@@ -84,43 +79,36 @@ class JoinedRow:
     covariates: dict[str, float]
 
 
-def load_hofstede(path: str | Path | None = None) -> CountryScores:
+def load_hofstede(path: str | Path | None = None) -> dict[str, dict[str, float]]:
     """Read per-country dimension scores, empty cells as missing; refuses rows that break HOFSTEDE_KEY or HOFSTEDE_RULES."""
     if path is None:
         path = packaged_data_path("hofstede.csv")
-    table = CountryScores()
+    table = {}
     for row in read_table(path, HOFSTEDE_COLUMNS, HOFSTEDE_KEY, HOFSTEDE_RULES):
-        country = row["country"].strip().upper()
         dims = {dim: row[dim] for dim in HOFSTEDE_DIMENSIONS if row[dim] is not None}
         if dims:
-            table.scores[country] = dims
+            table[row["country"]] = dims
     return table
 
 
 def load_pair_covariates(path: str | Path) -> PairTable:
-    """Read country-pair covariates; pairs are stored unordered."""
+    """Read country-pair covariates, stored unordered; refuses rows that break PAIR_KEY or PAIR_RULES."""
     table = PairTable()
-    for row in read_table(path, PAIR_COLUMNS):
-        a = row["country_a"].strip().upper()
-        b = row["country_b"].strip().upper()
+    for row in read_table(path, PAIR_COLUMNS, PAIR_KEY, PAIR_RULES):
         values = {name: row[name] for name in PAIR_COVARIATES if row[name] is not None}
         if values:
-            table.values[PairTable.key(a, b)] = values
+            table.values[PairTable.key(row["country_a"], row["country_b"])] = values
     return table
 
 
-def load_country_languages(path: str | Path | None = None) -> dict[str, str]:
-    """Read the country -> primary language-subtag table."""
-    if path is None:
-        path = packaged_data_path("country_language.csv")
-    out: dict[str, str] = {}
-    for row in read_table(path, {"country": str, "language": str}):
-        out[row["country"].strip().upper()] = row["language"].strip().lower()
-    return out
+def load_country_languages() -> dict[str, str]:
+    """The bundled country -> primary language-subtag table."""
+    rows = read_table(packaged_data_path("country_language.csv"), {"country": str, "language": str})
+    return {row["country"]: row["language"] for row in rows}
 
 
 def hofstede_delta(
-    table: CountryScores,
+    table: dict[str, dict[str, float]],
     origin: str,
     destination: str,
     signed: bool = False,
@@ -145,7 +133,7 @@ def hofstede_delta(
 
 def join_covariates(
     scores: Sequence[AttachmentScore],
-    hofstede: CountryScores | None = None,
+    hofstede: dict[str, dict[str, float]] | None = None,
     pairs: PairTable | None = None,
     signed: bool = False,
 ) -> tuple[list[JoinedRow], int]:

@@ -47,7 +47,6 @@ class UserProfile:
     nationality: str | None = None
     is_migrant: bool | None = None
     lang_fractions: dict[str, float] = field(default_factory=dict)
-    days_per_country: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -208,7 +207,6 @@ def label_population(
             residence=pick_country(year_days.get(index, {}), year_posts.get(index, {})),
             nationality=_nationality(all_posts.get(index, {}), friends.friends_of(user_id), dominant),
             lang_fractions=_fractions(languages.get(index, {})),
-            days_per_country=year_days.get(index, {}),
         )
         profile.is_migrant = _is_migrant(profile.residence, profile.nationality)
         profiles[user_id] = profile

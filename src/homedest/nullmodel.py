@@ -9,14 +9,14 @@ derives from non-migrants, untouched by a migrant-only shuffle).
 A replicate is computed on arrays, without shuffling any post: each pooled
 slot's owner, the owner's home and destination codes and the assignment
 code of the slot's token are found once per call, and a replicate permutes
-the assignment codes, compares them with the owners' codes and counts the
-matches per scored migrant. The permutation is the one ``shuffle_hashtags``
-deals with the same seed, so the counts equal those of ``compute_scores`` on
-the shuffled posts.
+the assignment codes and counts them per scored migrant with
+``count_uses``, the rule ``compute_scores`` counts by. The permutation is
+the one ``shuffle_hashtags`` deals with the same seed, so the counts equal
+those of ``compute_scores`` on the shuffled posts.
 
 The scored migrants are the rows of a scores table, not a second volume
-filter. Before the first replicate the unshuffled slots are counted the
-same way, and a row whose counts they do not give is refused: the table
+filter. Before the first replicate the unshuffled slots are counted with
+the same rule, and a row whose counts they do not give is refused: the table
 does not fit the posts, atlas or year.
 """
 
@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .atlas import HashtagRecord
-from .attachment import AttachmentScore, assignment_codes, score_rows
+from .attachment import AttachmentScore, assignment_codes, count_uses, score_rows
 from .corpus import Corpus, Post
 
 DEFAULT_REPLICATES = 5
@@ -163,13 +163,7 @@ def null_distribution(
     home, dest = home[row], dest[row]
     codes = assignment_codes(corpus.tokens, atlas, countries)[corpus.tags[pool]]
 
-    def count(drawn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per score row, the owned slots whose drawn code is the owner's home, and its destination."""
-        is_home = drawn == home
-        is_dest = ~is_home & (drawn == dest)
-        return np.bincount(row[is_home], minlength=len(who)), np.bincount(row[is_dest], minlength=len(who))
-
-    observed = np.stack([np.bincount(row, minlength=len(who)), *count(codes[owned])])
+    observed = np.stack([np.bincount(row, minlength=len(who)), *count_uses(row, codes[owned], home, dest, len(who))])
     expected = np.array([n_hashtags, [s.n_home for s in scores], [s.n_dest for s in scores]], dtype=np.int64)
     unfit = np.flatnonzero((observed != expected).any(axis=0))
     if len(unfit):
@@ -184,7 +178,7 @@ def null_distribution(
         derived = seed + index
         # Pooled slot j receives the token of slot order[j], as _permuted deals them.
         order = np.random.default_rng(derived).permutation(len(pool))
-        n_home, n_dest = count(codes[order[owned]])
+        n_home, n_dest = count_uses(row, codes[order[owned]], home, dest, len(who))
         runs.append(ShuffleRun(derived, index, who, n_hashtags, n_home, n_dest))
     return runs
 

@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .atlas import HashtagRecord, entropy_histogram, unit_histogram
+from .atlas import HashtagRecord, unit_histogram
 from .attachment import AttachmentScore
 from .labeling import UserProfile
 
@@ -110,7 +110,7 @@ def attachment_histograms(
 ) -> dict[str, tuple[list[float], list[int]]]:
     """Histograms of ha and da over [0, 1] and, given null (HA0, DA0) values, of theirs.
 
-    Each series maps to its (edges, counts), binned as the entropy histogram is.
+    Each series maps to its (edges, counts), binned as the atlas entropies are.
     """
     series = {"ha": [s.ha for s in scores], "da": [s.da for s in scores]}
     if null is not None:
@@ -130,7 +130,7 @@ def report_rows(
     null: tuple[Sequence[float], Sequence[float]] | None = None,
 ) -> list[list[tuple]]:
     """Each report table's rows, in REPORT_COLUMNS order; the attachment histograms in series-name order."""
-    entropy_edges, entropy_counts = entropy_histogram(atlas.values())
+    entropy_edges, entropy_counts = unit_histogram([record.entropy for record in atlas.values()])
     histograms = attachment_histograms(scores, null)
     return [
         chord_edges(profiles),

@@ -19,7 +19,7 @@ byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -28,7 +28,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .attachment import (
-    ACC_CLASSES,
     ASSIMILATION,
     INTEGRATION,
     MARGINALISATION,
@@ -42,15 +41,25 @@ from .tables import read_table, write_table
 
 DEFAULT_COUNTRIES = ("BR", "DE", "ES", "FR", "GB", "IT", "JP", "MX", "NL", "US")
 
-# (home, destination) attachment targets per planted class. The leftover
-# probability mass goes to the shared international vocabulary.
-DEFAULT_CLASS_TARGETS: dict[str, tuple[float, float]] = {
+# (home, destination) attachment targets per planted class, each class drawn
+# with equal weight. The leftover probability mass goes to the shared
+# international vocabulary.
+CLASS_TARGETS: dict[str, tuple[float, float]] = {
     SEPARATION: (0.65, 0.05),
     ASSIMILATION: (0.05, 0.65),
     INTEGRATION: (0.40, 0.40),
     MARGINALISATION: (0.03, 0.03),
 }
 
+# Tokens per country and shared tokens; inclusive ranges of geotagged days
+# per user this year and the year before; friends per user and their home share.
+COUNTRY_VOCAB = 150
+INTL_VOCAB = 400
+GEO_DAYS = (5, 8)
+HISTORY_GEO_DAYS = (12, 20)
+FRIENDS_PER_USER = 10
+HOME_FRIEND_BIAS = 0.8
+USER_PREFIX = "u"
 _TAGS_PER_POST = 4
 
 TRUTH_COLUMNS = {
@@ -66,25 +75,12 @@ class PopulationSpec:
     n_users: int = 10_000
     migrant_fraction: float = 0.1
     countries: tuple[str, ...] = DEFAULT_COUNTRIES
-    acc_mix: dict[str, float] = field(
-        default_factory=lambda: {c: 0.25 for c in ACC_CLASSES}
-    )
     tags_per_user: tuple[int, int] = (20, 60)
     country_tag_specificity: float = 0.8
     seed: int = 42
     year: int = 2018
     noise: float = 0.0
-    country_vocab: int = 150
-    intl_vocab: int = 400
-    geo_days: tuple[int, int] = (5, 8)
-    history_geo_days: tuple[int, int] = (12, 20)
-    friends_per_user: int = 10
-    home_friend_bias: float = 0.8
     lang_alignment: bool = True
-    user_prefix: str = "u"
-    class_targets: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_CLASS_TARGETS)
-    )
 
     def validate(self) -> None:
         if self.n_users < 1:
@@ -101,15 +97,6 @@ class PopulationSpec:
             raise ValueError("noise must lie in [0, 1]")
         if self.tags_per_user[0] < 1 or self.tags_per_user[0] > self.tags_per_user[1]:
             raise ValueError("tags_per_user must be an increasing positive range")
-        for cls, (ha, da) in self.class_targets.items():
-            if ha < 0 or da < 0 or ha + da > 1.0:
-                raise ValueError(f"class {cls}: targets must satisfy ha, da >= 0, ha+da <= 1")
-        mix_total = sum(self.acc_mix.values())
-        if mix_total <= 0 or any(w < 0 for w in self.acc_mix.values()):
-            raise ValueError("acc_mix weights must be nonnegative with positive sum")
-        unknown = set(self.acc_mix) - set(self.class_targets)
-        if unknown:
-            raise ValueError(f"acc_mix references unknown classes: {sorted(unknown)}")
 
 
 def default_spec(**overrides) -> PopulationSpec:
@@ -138,7 +125,6 @@ class TruthRow:
 class Population:
     """In-memory result of one generation run."""
 
-    spec: PopulationSpec
     posts: list[Post]
     friend_rows: list[tuple[str, str]]
     truth: dict[str, TruthRow]
@@ -166,13 +152,12 @@ def generate_population(spec: PopulationSpec) -> Population:
     n_countries = len(countries)
     languages = _country_language(countries)
 
-    classes = sorted(c for c, w in spec.acc_mix.items() if w > 0)
-    weights = np.array([spec.acc_mix[c] for c in classes], dtype=float)
-    weights = weights / weights.sum()
+    classes = sorted(CLASS_TARGETS)
+    weights = np.full(len(classes), 1 / len(classes))
 
     n_migrants = int(round(spec.n_users * spec.migrant_fraction))
     width = max(5, len(str(spec.n_users)))
-    user_ids = [f"{spec.user_prefix}{i:0{width}d}" for i in range(spec.n_users)]
+    user_ids = [f"{USER_PREFIX}{i:0{width}d}" for i in range(spec.n_users)]
 
     # Phase 1: countries and classes for everyone.
     residences: list[str] = []
@@ -198,7 +183,7 @@ def generate_population(spec: PopulationSpec) -> Population:
 
     # Phase 2: friends. Home-country picks come straight from the home
     # non-migrant pool so friend evidence stays anchored on the origin.
-    n_home_friends = int(round(spec.friends_per_user * spec.home_friend_bias))
+    n_home_friends = int(round(FRIENDS_PER_USER * HOME_FRIEND_BIAS))
     friend_rows: list[tuple[str, str]] = []
     for i in range(spec.n_users):
         home_pool = pools[nationalities[i]]
@@ -206,7 +191,7 @@ def generate_population(spec: PopulationSpec) -> Population:
         if home_pool:
             idx = rng.integers(0, len(home_pool), size=n_home_friends)
             picks.extend(home_pool[j] for j in idx)
-        n_random = spec.friends_per_user - n_home_friends
+        n_random = FRIENDS_PER_USER - n_home_friends
         if n_random > 0:
             picks.extend(int(j) for j in rng.integers(0, spec.n_users, size=n_random))
         for j in picks:
@@ -216,7 +201,7 @@ def generate_population(spec: PopulationSpec) -> Population:
     # Phase 3: posts.
     posts: list[Post] = []
     truth: dict[str, TruthRow] = {}
-    vocab_digits = max(4, len(str(max(spec.country_vocab, spec.intl_vocab))))
+    vocab_digits = max(4, len(str(max(COUNTRY_VOCAB, INTL_VOCAB))))
 
     def country_token(country: str, index: int) -> str:
         return f"{country.lower()}_tag_{index:0{vocab_digits}d}"
@@ -247,8 +232,8 @@ def generate_population(spec: PopulationSpec) -> Population:
         # at the origin. The prior-year block is the larger one, so all-time
         # geo evidence points home while the reference year points to the
         # destination.
-        n_now = int(rng.integers(spec.geo_days[0], spec.geo_days[1] + 1))
-        n_past = int(rng.integers(spec.history_geo_days[0], spec.history_geo_days[1] + 1))
+        n_now = int(rng.integers(GEO_DAYS[0], GEO_DAYS[1] + 1))
+        n_past = int(rng.integers(HISTORY_GEO_DAYS[0], HISTORY_GEO_DAYS[1] + 1))
         now_days = rng.choice(365, size=n_now, replace=False)
         past_days = rng.choice(365, size=n_past, replace=False)
         for day in sorted(int(d) for d in now_days):
@@ -260,42 +245,42 @@ def generate_population(spec: PopulationSpec) -> Population:
         n_tags = int(rng.integers(spec.tags_per_user[0], spec.tags_per_user[1] + 1))
         draws = rng.random(n_tags)
         noise_draws = rng.random(n_tags) if spec.noise > 0 else None
-        vocab_idx = rng.integers(0, max(spec.country_vocab, spec.intl_vocab), size=n_tags)
+        vocab_idx = rng.integers(0, max(COUNTRY_VOCAB, INTL_VOCAB), size=n_tags)
         tokens: list[str] = []
         if migrant:
-            ha_t, da_t = spec.class_targets[acc_classes[i]]
+            ha_t, da_t = CLASS_TARGETS[acc_classes[i]]
         for k in range(n_tags):
             idx = int(vocab_idx[k])
             if noise_draws is not None and noise_draws[k] < spec.noise:
                 scrambled = countries[int(rng.integers(n_countries))]
-                tokens.append(country_token(scrambled, idx % spec.country_vocab))
+                tokens.append(country_token(scrambled, idx % COUNTRY_VOCAB))
                 continue
             u = float(draws[k])
             if migrant:
                 if u < ha_t:
-                    tokens.append(country_token(home, idx % spec.country_vocab))
+                    tokens.append(country_token(home, idx % COUNTRY_VOCAB))
                 elif u < ha_t + da_t:
-                    tokens.append(country_token(dest, idx % spec.country_vocab))
+                    tokens.append(country_token(dest, idx % COUNTRY_VOCAB))
                 else:
-                    tokens.append(intl_token(idx % spec.intl_vocab))
+                    tokens.append(intl_token(idx % INTL_VOCAB))
             else:
                 if u < spec.country_tag_specificity:
-                    tokens.append(country_token(home, idx % spec.country_vocab))
+                    tokens.append(country_token(home, idx % COUNTRY_VOCAB))
                 else:
-                    tokens.append(intl_token(idx % spec.intl_vocab))
+                    tokens.append(intl_token(idx % INTL_VOCAB))
         tag_days = rng.integers(0, 365, size=(n_tags + _TAGS_PER_POST - 1) // _TAGS_PER_POST)
         for chunk, day in zip(range(0, n_tags, _TAGS_PER_POST), tag_days):
             bundle = tuple(tokens[chunk : chunk + _TAGS_PER_POST])
             posts.append(Post(user, _noon(spec.year, int(day)), None, post_lang(), bundle))
 
         if migrant:
-            ha_t, da_t = spec.class_targets[acc_classes[i]]
+            ha_t, da_t = CLASS_TARGETS[acc_classes[i]]
             truth[user] = TruthRow(user, dest, home, acc_classes[i], ha_t, da_t, n_tags)
         else:
             truth[user] = TruthRow(user, home, home, None, None, None, n_tags)
 
     pair_rows = _pair_covariate_rows(rng, countries, languages)
-    return Population(spec, posts, friend_rows, truth, pair_rows)
+    return Population(posts, friend_rows, truth, pair_rows)
 
 
 def _pair_covariate_rows(
@@ -343,11 +328,6 @@ def write_population(population: Population, out_dir: str | Path) -> dict[str, P
     write_table(paths["ground_truth"], TRUTH_COLUMNS, map(attrgetter(*TRUTH_COLUMNS), truth))
     write_table(paths["pair_covariates"], PAIR_COLUMNS, map(itemgetter(*PAIR_COLUMNS), population.pair_rows))
     return paths
-
-
-def generate(spec: PopulationSpec, out_dir: str | Path) -> dict[str, Path]:
-    """Generate and write a population; returns the written paths."""
-    return write_population(generate_population(spec), out_dir)
 
 
 def read_ground_truth(path: str | Path) -> dict[str, TruthRow]:

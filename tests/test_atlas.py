@@ -12,9 +12,9 @@ from homedest.atlas import (
     INTERNATIONAL,
     build_atlas,
     build_distribution,
-    entropy_histogram,
     normalized_entropy,
     read_atlas,
+    unit_histogram,
     write_atlas,
 )
 from homedest.labeling import label_population
@@ -138,17 +138,13 @@ def test_build_distribution(micro_pipeline):
 
 
 def test_entropy_histogram_binning():
-    class R:
-        def __init__(self, entropy):
-            self.entropy = entropy
-
-    records = [R(0.0), R(0.01), R(0.5), R(0.999), R(1.0)]
-    edges, counts = entropy_histogram(records)
+    entropies = [0.0, 0.01, 0.5, 0.999, 1.0]
+    edges, counts = unit_histogram(entropies)
     assert len(edges) == 51 and edges[0] == 0.0 and edges[-1] == 1.0
     assert counts[0] == 2  # 0.0 and 0.01
     assert counts[25] == 1  # 0.5 lands in [0.5, 0.52)
     assert counts[49] == 2  # 0.999 and the exact 1.0 share the last bin
-    assert sum(counts) == len(records)
+    assert sum(counts) == len(entropies)
 
 
 def test_atlas_round_trip(tmp_path, micro_pipeline):

@@ -87,7 +87,6 @@ class TestParsePost:
         a = parse_post(self.good(ts="2018-06-01T10:00:00Z"))
         b = parse_post(self.good(ts="2018-06-01T12:00:00+02:00"))
         assert a.timestamp == b.timestamp
-        assert a.day == b.day
 
     def test_naive_timestamp_is_utc(self):
         post = parse_post(self.good(ts="2018-06-01T10:00:00"))

@@ -8,7 +8,6 @@ import pytest
 from homedest.attachment import AttachmentScore
 from homedest.covariates import (
     CORRELATION_COLUMNS,
-    CountryScores,
     PairTable,
     grouped_correlations,
     hofstede_delta,
@@ -20,7 +19,7 @@ from homedest.covariates import (
     packaged_data_path,
 )
 from homedest.stats import significance_stars
-from homedest.tables import write_table
+from homedest.tables import TableError, write_table
 
 
 def _score(user, nat, res, ha, da):
@@ -50,7 +49,7 @@ class TestBundledTables:
 
     def test_countries_sorted(self):
         table = load_hofstede()
-        countries = table.countries()
+        countries = sorted(table)
         assert countries == sorted(countries)
         assert len(countries) >= 50
 
@@ -64,6 +63,13 @@ class TestBundledTables:
         p = tmp_path / "h.csv"
         p.write_text("# generated\ncountry,pdi,idv,mas,uai,lto,ivr\nXX,10,20,30,40,50,60\n")
         assert load_hofstede(p).get("XX")["lto"] == 50.0
+
+    @pytest.mark.parametrize("codes", [("AR", "ar"), ("AR", " AR"), ("ar",), ("AR ",)])
+    def test_country_codes_are_read_as_written(self, tmp_path, codes):
+        p = tmp_path / "h.csv"
+        p.write_text("country,pdi,idv,mas,uai,lto,ivr\n" + "".join(f"{c},10,20,30,40,50,60\n" for c in codes))
+        with pytest.raises(TableError, match="country is upper case, without spaces"):
+            load_hofstede(p)
 
     def test_language_table(self):
         langs = load_country_languages()
@@ -94,6 +100,22 @@ class TestPairTable:
         table = load_pair_covariates(p)
         assert table.get("A", "B") == {"distcap": 5.0}
 
+    @pytest.mark.parametrize(
+        "pairs, broken",
+        [
+            (["DE,IT", "DE,IT"], "repeats line 2"),
+            (["de,IT"], "breaks the rule country_a is upper case, without spaces"),
+            (["DE,it"], "breaks the rule country_b is upper case, without spaces"),
+            (["DE, IT"], "breaks the rule country_b is upper case, without spaces"),
+        ],
+    )
+    def test_repeated_or_unnormalised_pair_refused(self, tmp_path, pairs, broken):
+        p = tmp_path / "pairs.csv"
+        rows = "".join(f"{pair},5.0,0,0,0.1,0.1\n" for pair in pairs)
+        p.write_text("country_a,country_b,distcap,contig,comlang_off,csl,cnl\n" + rows)
+        with pytest.raises(TableError, match=broken):
+            load_pair_covariates(p)
+
 
 class TestDelta:
     def test_absolute_by_default(self):
@@ -112,7 +134,7 @@ class TestDelta:
         assert hofstede_delta(table, "ZZ", "US") == {}
 
     def test_partial_dimensions_dropped(self):
-        table = CountryScores(scores={"AA": {"pdi": 10.0}, "BB": {"pdi": 30.0, "idv": 5.0}})
+        table = {"AA": {"pdi": 10.0}, "BB": {"pdi": 30.0, "idv": 5.0}}
         assert hofstede_delta(table, "AA", "BB") == {"hof_pdi": 20.0}
 
 

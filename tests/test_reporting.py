@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from homedest.atlas import entropy_histogram
+from homedest.atlas import unit_histogram
 from homedest.attachment import AttachmentScore
 from homedest.labeling import UserProfile
 from homedest.reporting import (
@@ -119,7 +119,7 @@ class TestHistograms:
         _, _, atlas = micro_pipeline
         values = [record.entropy for record in atlas.values()]
         scores = [_score(f"u{i}", ha=v) for i, v in enumerate(values)]
-        assert attachment_histograms(scores)["ha"] == entropy_histogram(atlas.values())
+        assert attachment_histograms(scores)["ha"] == unit_histogram(values)
 
 
 def test_scatter_rows():

@@ -14,11 +14,11 @@ from homedest.synth import (
     TruthRow,
     class_recovery,
     default_spec,
-    generate,
     generate_population,
     oracle_scores,
     read_ground_truth,
     token_country,
+    write_population,
 )
 
 from conftest import YEAR, graph_from_rows, make_post
@@ -45,9 +45,6 @@ class TestSpecValidation:
             {"noise": -0.1},
             {"tags_per_user": (0, 5)},
             {"tags_per_user": (10, 5)},
-            {"class_targets": {"separation": (0.7, 0.5)}},
-            {"acc_mix": {"separation": -1.0}},
-            {"acc_mix": {"not_a_class": 1.0}},
         ],
     )
     def test_rejects(self, overrides):
@@ -225,7 +222,7 @@ class TestEndToEndOnSynthetic:
 
 def test_write_and_read_round_trip(tmp_path):
     spec = small_spec(n_users=60)
-    paths = generate(spec, tmp_path)
+    paths = write_population(generate_population(spec), tmp_path)
     assert set(paths) == {"posts", "friends", "ground_truth", "pair_covariates"}
     for path in paths.values():
         assert path.exists()

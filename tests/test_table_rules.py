@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 from homedest.atlas import ATLAS_KEY, ATLAS_RULES
 from homedest.attachment import SCORE_KEY, SCORE_RULES
 from homedest.cli import COMMANDS, FILES, main
-from homedest.covariates import HOFSTEDE_DIMENSIONS, HOFSTEDE_KEY, HOFSTEDE_RULES, packaged_data_path
+from homedest.covariates import (
+    HOFSTEDE_DIMENSIONS,
+    HOFSTEDE_KEY,
+    HOFSTEDE_RULES,
+    PAIR_KEY,
+    PAIR_RULES,
+    packaged_data_path,
+)
 from homedest.labeling import LANG_KEY, LANG_RULES, PROFILE_KEY, PROFILE_RULES
 
 # Each table's declared key and rules, by the input name its commands give it.
@@ -32,6 +39,7 @@ CONTRACTS = {
     "atlas": (ATLAS_KEY, ATLAS_RULES),
     "scores": (SCORE_KEY, SCORE_RULES),
     "hofstede": (HOFSTEDE_KEY, HOFSTEDE_RULES),
+    "pair_covariates": (PAIR_KEY, PAIR_RULES),
 }
 KEY = "key"
 
@@ -48,6 +56,16 @@ def wrong_migrant_flag(draw, row):
     both = row["residence"] and row["nationality"]
     right = ("true" if row["residence"] != row["nationality"] else "false") if both else ""
     return {"is_migrant": draw(st.sampled_from([flag for flag in ("true", "false", "") if flag != right]))}
+
+
+def unnormalised_code(column):
+    """A breaker of ``column is upper case, without spaces``: the code lower-cased, or padded with a space."""
+
+    def breaker(draw, row):
+        code = row[column]
+        return {column: draw(st.sampled_from([code.lower(), f" {code}", f"{code} "]))}
+
+    return breaker
 
 
 def more_home_and_dest_than_uses(draw, row):
@@ -85,6 +103,11 @@ BREAKERS = {
     ("scores", "n_home + n_dest <= n_hashtags"): more_home_and_dest_than_uses,
     ("scores", "ha == n_home / n_hashtags"): not_the_quotient("ha", "n_home"),
     ("scores", "da == n_dest / n_hashtags"): not_the_quotient("da", "n_dest"),
+    ("hofstede", "country is upper case, without spaces"): unnormalised_code("country"),
+    **{
+        ("pair_covariates", f"{column} is upper case, without spaces"): unnormalised_code(column)
+        for column in PAIR_KEY
+    },
     **{
         ("hofstede", f"{dim} is empty or in [0, 120]"): lambda draw, row, dim=dim: {dim: repr(draw(outside(0.0, 120.0)))}
         for dim in HOFSTEDE_DIMENSIONS
