@@ -2,9 +2,10 @@
 non-migrant users, with a normalized-entropy filter for international tags.
 
 A token's distribution P counts distinct non-migrant users per nationality
-(one count per user regardless of repetition). Tokens whose normalized
-entropy exceeds the threshold are labeled "international"; an empty
-distribution yields "unassigned".
+(one count per user regardless of repetition); only tokens with at least
+one such user in the year enter the atlas. Tokens whose normalized entropy
+exceeds the threshold are labeled "international", the others their top
+nationality.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .labeling import UserProfile
 from .tables import read_table, write_table
 
 INTERNATIONAL = "international"
-UNASSIGNED = "unassigned"
 
 DEFAULT_ENTROPY_THRESHOLD = 0.5
 # Equal bins over [0, 1] of every histogram the report writes.
@@ -74,8 +74,6 @@ def normalized_entropy(p: Mapping[str, float]) -> float:
 def _make_record(token: str, counts: Mapping[str, int], threshold: float) -> HashtagRecord:
     counts = dict(counts)
     total = sum(counts.values())
-    if total == 0:
-        return HashtagRecord(token, {}, {}, 0.0, UNASSIGNED)
     p = {c: n / total for c, n in counts.items()}
     entropy = normalized_entropy(p)
     if entropy <= threshold:
@@ -110,10 +108,8 @@ def build_atlas(
         if profile is not None and profile.is_migrant is False:
             nationality[index] = nationalities.setdefault(profile.nationality, len(nationalities))
 
-    slot_post = corpus.slot_post()
-    user = corpus.user[slot_post]
-    keep = (corpus.tags >= 0) & (corpus.year == year)[slot_post] & (nationality[user] >= 0)
-    token_user = distinct(corpus.tags[keep].astype(np.int64) * n_users + user[keep])
+    slots, user = corpus.uses(year, nationality >= 0)
+    token_user = distinct(corpus.tags[slots].astype(np.int64) * n_users + user)
     token, user = np.divmod(token_user, n_users)
     counts = tally(token * len(nationalities) + nationality[user], tuple(nationalities))
     by_name = {corpus.tokens[t]: token_counts for t, token_counts in counts.items()}

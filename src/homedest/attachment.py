@@ -2,9 +2,15 @@
 
 For a migrant with nationality N and residence R, home attachment is the
 fraction of their hashtag uses assigned to N and destination attachment the
-fraction assigned to R. Uses of international or unassigned tokens stay in
-the denominator, so the two indices always sum to at most 1. Migrants with
-fewer than ``min_hashtags`` uses in the reference year are excluded.
+fraction assigned to R. Uses of international tokens, and of tokens absent
+from the atlas, stay in the denominator, so the two indices always sum to at
+most 1. Migrants with fewer than ``min_hashtags`` uses in the reference year
+are excluded.
+
+``coded_uses`` codes the uses once: each use's assignment, and its migrant's
+home and destination, as country codes. ``compute_scores`` and the shuffle
+null (``nullmodel.null_distribution``) both count from it with
+``count_uses``.
 """
 
 from __future__ import annotations
@@ -76,18 +82,6 @@ class CohortSplit:
     n_missing_language: int = 0
 
 
-def assignment_codes(
-    tokens: Sequence[str], atlas: Mapping[str, HashtagRecord], codes: Mapping[str, int]
-) -> np.ndarray:
-    """Each token's atlas assignment as its code in ``codes`` (country -> code).
-
-    A token absent from the atlas, or assigned to no country of ``codes``,
-    has -1.
-    """
-    records = (atlas.get(token) for token in tokens)
-    return np.array([-1 if r is None else codes.get(r.assignment, -1) for r in records], dtype=np.int64)
-
-
 def count_uses(
     row: np.ndarray, drawn: np.ndarray, home: np.ndarray, dest: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -117,6 +111,36 @@ def score_rows(
         yield user_id, nationality, residence, h, d, total, home, dest, None, None
 
 
+def coded_uses(
+    corpus: Corpus,
+    atlas: Mapping[str, HashtagRecord],
+    year: int,
+    who: Sequence[tuple[str, str, str]],
+    everyone: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The in-year hashtag uses of the migrants of ``who``, coded for ``count_uses``.
+
+    ``who`` gives each migrant's (user_id, nationality, residence). The pool
+    is the uses (``Corpus.uses``) of those migrants, or of every user when
+    ``everyone``. Returns, as arrays: each pooled use's assignment code (-1
+    for a token absent from the atlas or assigned to no country of ``who``);
+    the positions in the pool of the migrants' uses; each such use's row in
+    ``who``; and that row's home and destination codes.
+    """
+    countries: dict[str, int] = {}
+    home = np.array([countries.setdefault(nationality, len(countries)) for _, nationality, _ in who], dtype=np.int64)
+    dest = np.array([countries.setdefault(residence, len(countries)) for _, _, residence in who], dtype=np.int64)
+    row_of = {user_id: row for row, (user_id, _, _) in enumerate(who)}
+    user_row = np.array([row_of.get(user_id, -1) for user_id in corpus.users], dtype=np.int64)
+    slots, user = corpus.uses(year, None if everyone else user_row >= 0)
+    owner = user_row[user]
+    owned = np.flatnonzero(owner >= 0)
+    row = owner[owned]
+    records = (atlas.get(token) for token in corpus.tokens)
+    assignment = np.array([-1 if r is None else countries.get(r.assignment, -1) for r in records], dtype=np.int64)
+    return assignment[corpus.tags[slots]], owned, row, home[row], dest[row]
+
+
 def compute_scores(
     posts: Iterable[Post] | Corpus,
     profiles: Mapping[str, UserProfile],
@@ -130,30 +154,13 @@ def compute_scores(
     """
     if min_hashtags < 1:
         raise ValueError(f"min_hashtags must be >= 1, got {min_hashtags}")
-    corpus = Corpus.from_posts(posts)
-    n_users = len(corpus.users)
-    # Per corpus user, nationality and residence as country codes; -1 for a non-migrant.
-    codes: dict[str, int] = {}
-    home = np.full(n_users, -1, dtype=np.int64)
-    dest = np.full(n_users, -1, dtype=np.int64)
-    for index, user_id in enumerate(corpus.users):
-        profile = profiles.get(user_id)
-        if profile is not None and profile.is_migrant:
-            home[index] = codes.setdefault(profile.nationality, len(codes))
-            dest[index] = codes.setdefault(profile.residence, len(codes))
-    assignment = assignment_codes(corpus.tokens, atlas, codes)
-
-    in_year = (corpus.year == year) & (home[corpus.user] >= 0)
-    slot_post = corpus.slot_post()
-    keep = (corpus.tags >= 0) & in_year[slot_post]
-    user = corpus.user[slot_post[keep]].astype(np.int64)
-    n_total = np.bincount(user, minlength=n_users)
-    n_home, n_dest = count_uses(user, assignment[corpus.tags[keep]], home[user], dest[user], n_users)
-
-    rows = sorted(np.flatnonzero(n_total >= min_hashtags).tolist(), key=corpus.users.__getitem__)
-    user_ids = (corpus.users[r] for r in rows)
-    who = [(u, profiles[u].nationality, profiles[u].residence) for u in user_ids]
-    return [AttachmentScore(*row) for row in score_rows(who, n_total[rows], n_home[rows], n_dest[rows])]
+    who = sorted((user_id, p.nationality, p.residence) for user_id, p in profiles.items() if p.is_migrant)
+    codes, owned, row, home, dest = coded_uses(Corpus.from_posts(posts), atlas, year, who)
+    n_total = np.bincount(row, minlength=len(who))
+    n_home, n_dest = count_uses(row, codes[owned], home, dest, len(who))
+    kept = np.flatnonzero(n_total >= min_hashtags)
+    scored = [who[i] for i in kept.tolist()]
+    return [AttachmentScore(*r) for r in score_rows(scored, n_total[kept], n_home[kept], n_dest[kept])]
 
 
 def classify_acculturation(ha: float, da: float, ha_split: float, da_split: float) -> str:

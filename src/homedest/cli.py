@@ -251,7 +251,8 @@ def cmd_label(run) -> int:
     write_profiles(run.profiles, profiles, header)
     write_lang_fractions(run.lang_fractions, profiles, header)
     print(
-        f"labeled {summary.n_users} users: {summary.n_with_both} with both labels, "
+        f"labeled {summary.n_users} users: {summary.n_with_residence} with a residence, "
+        f"{summary.n_with_nationality} with a nationality, {summary.n_with_both} with both, "
         f"{summary.n_migrants} migrants"
     )
     return 0

@@ -403,6 +403,20 @@ class Corpus:
         """Index of the post owning each hashtag slot."""
         return np.repeat(np.arange(self.n_posts), np.diff(self.offsets))
 
+    def uses(self, year: int | None, users: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The hashtag uses that count, as ``(slots, user)``: slot indices, in slot order, and each slot's user.
+
+        A use is a slot holding a canonical token, in a post of ``year`` (None:
+        every year) by a user flagged in ``users`` (one bool per entry of
+        ``self.users``; None: every user).
+        """
+        post = np.ones(self.n_posts, dtype=bool) if year is None else self.year == year
+        if users is not None:
+            post &= users[self.user]
+        slot_post = self.slot_post()
+        slots = np.flatnonzero(post[slot_post] & (self.tags >= 0))
+        return slots, self.user[slot_post[slots]]
+
     @classmethod
     def from_posts(cls, posts: Iterable[Post] | Corpus) -> Corpus:
         """Intern posts into columns; a Corpus is returned unchanged.

@@ -39,8 +39,11 @@ HOFSTEDE_RULES = {
 PAIR_COLUMNS = {"country_a": str, "country_b": str, **dict.fromkeys(PAIR_COVARIATES, float | None)}
 PAIR_KEY = ("country_a", "country_b")
 PAIR_RULES = {
-    f"{code} is upper case, without spaces": lambda row, code=code: row[code] == row[code].strip().upper()
-    for code in PAIR_KEY
+    **{
+        f"{code} is upper case, without spaces": lambda row, code=code: row[code] == row[code].strip().upper()
+        for code in PAIR_KEY
+    },
+    "country_a < country_b": lambda row: row["country_a"] < row["country_b"],
 }
 CORRELATION_COLUMNS = {
     "target": str, "covariate": str, "method": str, "r": float, "p_value": float, "n": int, "stars": str,
@@ -92,12 +95,12 @@ def load_hofstede(path: str | Path | None = None) -> dict[str, dict[str, float]]
 
 
 def load_pair_covariates(path: str | Path) -> PairTable:
-    """Read country-pair covariates, stored unordered; refuses rows that break PAIR_KEY or PAIR_RULES."""
+    """Read country-pair covariates, one row per unordered pair; refuses rows that break PAIR_KEY or PAIR_RULES."""
     table = PairTable()
     for row in read_table(path, PAIR_COLUMNS, PAIR_KEY, PAIR_RULES):
         values = {name: row[name] for name in PAIR_COVARIATES if row[name] is not None}
         if values:
-            table.values[PairTable.key(row["country_a"], row["country_b"])] = values
+            table.values[row["country_a"], row["country_b"]] = values
     return table
 
 

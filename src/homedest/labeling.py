@@ -9,7 +9,6 @@ is pinned to zero.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -20,8 +19,6 @@ import numpy as np
 
 from .corpus import Corpus, FriendGraph, Post, distinct, tally
 from .tables import read_table, write_table
-
-logger = logging.getLogger(__name__)
 
 # Nationality blends the user's own geotag share and their friends' share equally.
 SELF_WEIGHT = 0.5
@@ -216,15 +213,6 @@ def label_population(
         if profile.is_migrant is not None:
             summary.n_with_both += 1
             summary.n_migrants += profile.is_migrant
-
-    logger.info(
-        "labeled %d users: %d residences, %d nationalities, %d with both, %d migrants",
-        summary.n_users,
-        summary.n_with_residence,
-        summary.n_with_nationality,
-        summary.n_with_both,
-        summary.n_migrants,
-    )
     return profiles, summary
 
 

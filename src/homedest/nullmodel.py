@@ -6,18 +6,17 @@ exactly their original number of uses. Attachment recomputed on the
 shuffled corpus gives the null indices; the atlas is not rebuilt (it
 derives from non-migrants, untouched by a migrant-only shuffle).
 
-A replicate is computed on arrays, without shuffling any post: each pooled
-slot's owner, the owner's home and destination codes and the assignment
-code of the slot's token are found once per call, and a replicate permutes
-the assignment codes and counts them per scored migrant with
-``count_uses``, the rule ``compute_scores`` counts by. The permutation is
-the one ``shuffle_hashtags`` deals with the same seed, so the counts equal
-those of ``compute_scores`` on the shuffled posts.
+A replicate is computed on arrays, without shuffling any post: the pool is
+coded once per call by ``attachment.coded_uses``, the function
+``compute_scores`` counts from, and a replicate permutes the pooled
+assignment codes and counts them per scored migrant with ``count_uses``.
+The permutation is the one ``shuffle_hashtags`` deals with the same seed,
+so the counts equal those of ``compute_scores`` on the shuffled posts.
 
 The scored migrants are the rows of a scores table, not a second volume
-filter. Before the first replicate the unshuffled slots are counted with
-the same rule, and a row whose counts they do not give is refused: the table
-does not fit the posts, atlas or year.
+filter. Before the first replicate the unshuffled uses are counted the same
+way, and a row whose counts they do not give is refused: the table does not
+fit the posts, atlas or year.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .atlas import HashtagRecord
-from .attachment import AttachmentScore, assignment_codes, count_uses, score_rows
+from .attachment import AttachmentScore, coded_uses, count_uses, score_rows
 from .corpus import Corpus, Post
 
 DEFAULT_REPLICATES = 5
@@ -64,28 +63,6 @@ class ShuffleRun:
         return [AttachmentScore(*row) for row in score_rows(self.who, self.n_hashtags, self.n_home, self.n_dest)]
 
 
-def _pool(corpus: Corpus, year: int | None, users: set[str] | None) -> np.ndarray:
-    """Hashtag slots that enter the shuffle, in post and tag order.
-
-    These are the slots holding a canonical token, in posts matching the
-    ``year`` and ``users`` filters.
-    """
-    selected = np.ones(corpus.n_posts, dtype=bool)
-    if year is not None:
-        selected &= corpus.year == year
-    if users is not None:
-        selected &= np.array([u in users for u in corpus.users], dtype=bool)[corpus.user]
-    return np.flatnonzero(selected[corpus.slot_post()] & (corpus.tags >= 0))
-
-
-def _permuted(corpus: Corpus, pool: np.ndarray, seed: int) -> np.ndarray:
-    """Token ids with those in ``pool`` permuted uniformly at random by ``seed``."""
-    order = np.random.default_rng(seed).permutation(len(pool))
-    tags = corpus.tags.copy()
-    tags[pool] = corpus.tags[pool[order]]
-    return tags
-
-
 def shuffle_hashtags(
     posts: Sequence[Post],
     seed: int,
@@ -101,8 +78,13 @@ def shuffle_hashtags(
     permutation as one ``null_distribution`` replicate with that seed.
     """
     corpus = Corpus.from_posts(posts)
-    pool = _pool(corpus, year, users)
-    tags = _permuted(corpus, pool, seed).tolist()
+    flagged = None if users is None else np.array([user_id in users for user_id in corpus.users], dtype=bool)
+    pool, _ = corpus.uses(year, flagged)
+    # Pooled slot j receives the token of slot order[j].
+    order = np.random.default_rng(seed).permutation(len(pool))
+    tags = corpus.tags.copy()
+    tags[pool] = corpus.tags[pool[order]]
+    tags = tags.tolist()
     pooled = np.zeros(len(tags), dtype=bool)
     pooled[pool] = True
     pooled = pooled.tolist()
@@ -144,24 +126,10 @@ def null_distribution(
         raise ValueError("replicates must be >= 1")
     if shuffle_population not in ("scored", "all"):
         raise ValueError(f"unknown shuffle population {shuffle_population!r}")
-    corpus = Corpus.from_posts(posts)
     who = [(s.user_id, s.nationality, s.residence) for s in scores]
     n_hashtags = np.array([s.n_hashtags for s in scores], dtype=np.int64)
-    row_of = {user_id: row for row, (user_id, _, _) in enumerate(who)}
-    pool = _pool(corpus, year, set(row_of) if shuffle_population == "scored" else None)
-
-    # Once per call: the score row owning each pooled slot, kept only where
-    # there is one, that row's home and destination codes, and the
-    # assignment code of every pooled slot's token.
-    countries: dict[str, int] = {}
-    home = np.array([countries.setdefault(s.nationality, len(countries)) for s in scores], dtype=np.int64)
-    dest = np.array([countries.setdefault(s.residence, len(countries)) for s in scores], dtype=np.int64)
-    user_row = np.array([row_of.get(user_id, -1) for user_id in corpus.users], dtype=np.int64)
-    owner_row = user_row[corpus.user[corpus.slot_post()[pool]]]
-    owned = np.flatnonzero(owner_row >= 0)
-    row = owner_row[owned]
-    home, dest = home[row], dest[row]
-    codes = assignment_codes(corpus.tokens, atlas, countries)[corpus.tags[pool]]
+    everyone = shuffle_population == "all"
+    codes, owned, row, home, dest = coded_uses(Corpus.from_posts(posts), atlas, year, who, everyone)
 
     observed = np.stack([np.bincount(row, minlength=len(who)), *count_uses(row, codes[owned], home, dest, len(who))])
     expected = np.array([n_hashtags, [s.n_home for s in scores], [s.n_dest for s in scores]], dtype=np.int64)
@@ -176,8 +144,8 @@ def null_distribution(
     runs = []
     for index in range(replicates):
         derived = seed + index
-        # Pooled slot j receives the token of slot order[j], as _permuted deals them.
-        order = np.random.default_rng(derived).permutation(len(pool))
+        # Pooled use j receives the code of use order[j], as shuffle_hashtags deals them.
+        order = np.random.default_rng(derived).permutation(len(codes))
         n_home, n_dest = count_uses(row, codes[order[owned]], home, dest, len(who))
         runs.append(ShuffleRun(derived, index, who, n_hashtags, n_home, n_dest))
     return runs

@@ -516,6 +516,25 @@ def labeled(tmp_path_factory):
     return out
 
 
+class TestLabelFunnel:
+    def test_printed_counts_are_those_of_profiles_csv(self, labeled, tmp_path, capsys):
+        ws = shutil.copytree(labeled, tmp_path / "ws")
+        with open(ws / FILES["posts"], "a", encoding="utf-8") as posts:  # one user without a geotag, one without 2018's
+            posts.write('{"user_id": "nogeo", "ts": "2018-03-01T12:00:00Z", "cc": null}\n')
+            posts.write('{"user_id": "gone", "ts": "2016-03-01T12:00:00Z", "cc": "IT"}\n')
+        capsys.readouterr()
+        assert run("label", "--out", ws) == 0
+        profiles = read_profiles(ws / FILES["profiles"]).values()
+        residence = sum(p.residence is not None for p in profiles)
+        nationality = sum(p.nationality is not None for p in profiles)
+        both = sum(p.residence is not None and p.nationality is not None for p in profiles)
+        migrants = sum(p.is_migrant is True for p in profiles)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"labeled {len(profiles)} users: {residence} with a residence, {nationality} with a nationality, "
+            f"{both} with both, {migrants} migrants"
+        )
+
+
 class TestNullScoresOracle:
     """The null rows written by `null` are those of scoring each replicate's shuffled posts."""
 

@@ -27,7 +27,7 @@ from homedest.corpus import (
     write_posts,
 )
 
-from conftest import make_post
+from conftest import YEAR, make_post
 
 
 class TestCanonicalize:
@@ -262,6 +262,47 @@ class TestCorpus:
         else:
             write_corpus(path, dataclasses.replace(corpus, user=np.int32(0)), "a" * 64)
         assert read_corpus(path, "a" * 64) is None
+
+
+class TestUses:
+    """``Corpus.uses`` against a per-post loop over the posts the corpus was built from."""
+
+    TAGS = ("#Roma", "roma", "Berlin", "x", "#", " ", "pizza")  # "x", "#" and " " canonicalize to nothing
+
+    @staticmethod
+    def naive(posts, year, flagged):
+        slots, owners = [], []
+        slot = 0
+        for post in posts:
+            for raw in post.hashtags:
+                in_year = year is None or post.year == year
+                by_flagged = flagged is None or post.user_id in flagged
+                if in_year and by_flagged and canonicalize_hashtag(raw) is not None:
+                    slots.append(slot)
+                    owners.append(post.user_id)
+                slot += 1
+        return slots, owners
+
+    def test_matches_a_per_post_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            posts = [
+                make_post(
+                    f"u{rng.integers(4)}",
+                    int(rng.integers(20)),
+                    year=YEAR - int(rng.integers(2)),
+                    tags=[self.TAGS[i] for i in rng.integers(len(self.TAGS), size=rng.integers(4))],
+                )
+                for _ in range(rng.integers(1, 10))
+            ]
+            corpus = Corpus.from_posts(posts)
+            flags = rng.random(len(corpus.users)) < 0.5
+            flagged = {user_id for user_id, flag in zip(corpus.users, flags) if flag}
+            for year in (None, YEAR, YEAR - 1):
+                for users, selected in ((None, None), (flags, flagged)):
+                    slots, user = corpus.uses(year, users)
+                    owners = [corpus.users[u] for u in user.tolist()]
+                    assert (slots.tolist(), owners) == self.naive(posts, year, selected)
 
 
 class TestSkipReasons:

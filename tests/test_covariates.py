@@ -87,7 +87,7 @@ class TestPairTable:
         p = tmp_path / "pairs.csv"
         p.write_text(
             "country_a,country_b,distcap,contig,comlang_off,csl,cnl\n"
-            "IT,DE,1181.0,1,0,0.03,0.01\n"
+            "DE,IT,1181.0,1,0,0.03,0.01\n"
         )
         table = load_pair_covariates(p)
         assert table.get("IT", "DE") == table.get("DE", "IT")
@@ -107,6 +107,9 @@ class TestPairTable:
             (["de,IT"], "breaks the rule country_a is upper case, without spaces"),
             (["DE,it"], "breaks the rule country_b is upper case, without spaces"),
             (["DE, IT"], "breaks the rule country_b is upper case, without spaces"),
+            (["IT,DE"], "breaks the rule country_a < country_b"),
+            (["DE,IT", "IT,DE"], "breaks the rule country_a < country_b"),
+            (["DE,DE"], "breaks the rule country_a < country_b"),
         ],
     )
     def test_repeated_or_unnormalised_pair_refused(self, tmp_path, pairs, broken):

@@ -11,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from homedest.atlas import ATLAS_KEY
+from homedest.attachment import SCORE_KEY
 from homedest.corpus import LoadStats, iter_posts
+from homedest.covariates import HOFSTEDE_KEY, PAIR_KEY
+from homedest.labeling import LANG_KEY, PROFILE_KEY
 from homedest.reporting import REPORT_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +47,20 @@ def test_readme_report_tables_match_their_declaration():
     section = README.split("## Report tables\n", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^- `([^`]+)` — `([^`]+)`", section, flags=re.M)
     assert listed == [(name, ",".join(columns)) for name, columns in REPORT_COLUMNS.items()]
+
+
+def test_readme_rules_table_keys_match_their_declaration():
+    section = README.split("## Input formats\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \|", section, flags=re.M)
+    listed = {table: tuple(re.findall(r"`([^`]+)`", key)) for table, key in rows}
+    assert listed == {
+        "profiles.csv": PROFILE_KEY,
+        "lang_fractions.csv": LANG_KEY,
+        "atlas.csv": ATLAS_KEY,
+        "scores.csv": SCORE_KEY,
+        "--hofstede": HOFSTEDE_KEY,
+        "pair_covariates.csv": PAIR_KEY,
+    }
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -68,6 +68,11 @@ def unnormalised_code(column):
     return breaker
 
 
+def swapped_pair(draw, row):
+    """A breaker of ``country_a < country_b``: the pair written in the other order."""
+    return {"country_a": row["country_b"], "country_b": row["country_a"]}
+
+
 def more_home_and_dest_than_uses(draw, row):
     excess = draw(st.integers(min_value=1, max_value=10**6))
     return {"n_home": str(int(row["n_hashtags"]) - int(row["n_dest"]) + excess)}
@@ -108,6 +113,7 @@ BREAKERS = {
         ("pair_covariates", f"{column} is upper case, without spaces"): unnormalised_code(column)
         for column in PAIR_KEY
     },
+    ("pair_covariates", "country_a < country_b"): swapped_pair,
     **{
         ("hofstede", f"{dim} is empty or in [0, 120]"): lambda draw, row, dim=dim: {dim: repr(draw(outside(0.0, 120.0)))}
         for dim in HOFSTEDE_DIMENSIONS
