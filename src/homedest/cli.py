@@ -400,7 +400,7 @@ COMMANDS = {
             Option("tags_max", int, 60, "most hashtag uses per user"),
             Option("specificity", float, 0.8, "own-country tag rate", 0.0, 1.0),
             Option("noise", float, 0.0, "scrambled-country tag rate", 0.0, 1.0),
-            Option("seed", int, 42, "generator seed"),
+            Option("seed", int, 42, "generator seed", low=0),
             YEAR,
         ),
     ),
@@ -430,7 +430,7 @@ COMMANDS = {
         options=(
             YEAR,
             Option("replicates", int, DEFAULT_REPLICATES, "shuffle replicates", low=1),
-            Option("seed", int, 0, "base shuffle seed"),
+            Option("seed", int, 0, "base shuffle seed", low=0),
             Option("shuffle_population", str, "scored", "whose hashtags get pooled", choices=("scored", "all")),
         ),
     ),

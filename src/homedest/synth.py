@@ -3,9 +3,12 @@
 Produces a posts file, a friends file, a ground-truth table and a synthetic
 country-pair covariate table for end-to-end exercises. Every migrant is
 planted with an acculturation class whose (home, destination) attachment
-targets drive their hashtag draws, so the pipeline's recovered scores can
-be checked against an oracle that reads the planted country straight out
-of each token.
+targets drive their hashtag draws; a native draws own-country tokens at
+``country_tag_specificity``, as a migrant draws home tokens at its HA target.
+The pipeline's recovered scores can then be checked against an oracle that
+reads the planted country straight out of each token. A migrant posts in
+the destination language at its class's ``DEST_LANG_SHARE`` (one half with
+``lang_alignment`` off).
 
 Token scheme: country tokens look like ``it_tag_0042`` (origin country code
 prefix), shared tokens look like ``intl_tag_0007``. Both survive hashtag
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import combinations
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -51,6 +55,15 @@ CLASS_TARGETS: dict[str, tuple[float, float]] = {
     MARGINALISATION: (0.03, 0.03),
 }
 
+# Share of a migrant's posts in the destination language per planted class,
+# with lang_alignment on; with it off, each language gets half.
+DEST_LANG_SHARE: dict[str, float] = {
+    ASSIMILATION: 0.97,
+    INTEGRATION: 0.95,
+    SEPARATION: 0.02,
+    MARGINALISATION: 0.05,
+}
+
 # Tokens per country and shared tokens; inclusive ranges of geotagged days
 # per user this year and the year before; friends per user and their home share.
 COUNTRY_VOCAB = 150
@@ -60,6 +73,7 @@ HISTORY_GEO_DAYS = (12, 20)
 FRIENDS_PER_USER = 10
 HOME_FRIEND_BIAS = 0.8
 USER_PREFIX = "u"
+VOCAB_DIGITS = max(4, len(str(max(COUNTRY_VOCAB, INTL_VOCAB))))
 _TAGS_PER_POST = 4
 
 TRUTH_COLUMNS = {
@@ -91,12 +105,18 @@ class PopulationSpec:
             raise ValueError("need at least two countries")
         if len(set(self.countries)) != len(self.countries):
             raise ValueError("countries must be distinct")
+        unknown = [c for c in self.countries if normalize_alpha2(c) != c]
+        if unknown:
+            raise ValueError(f"countries must be upper-case ISO alpha-2 codes, got {', '.join(unknown)}")
         if not 0.0 <= self.country_tag_specificity <= 1.0:
             raise ValueError("country_tag_specificity must lie in [0, 1]")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must lie in [0, 1]")
         if self.tags_per_user[0] < 1 or self.tags_per_user[0] > self.tags_per_user[1]:
             raise ValueError("tags_per_user must be an increasing positive range")
+        if not 1971 <= self.year <= 2099:
+            # Posts fall in year - 1 and year, and the parser reads [1970, 2100).
+            raise ValueError(f"year must lie in [1971, 2099], got {self.year}")
 
 
 def default_spec(**overrides) -> PopulationSpec:
@@ -131,26 +151,14 @@ class Population:
     pair_rows: list[dict[str, object]]
 
 
-def _noon(year: int, day: int) -> datetime:
-    return datetime(year, 1, 1, 12, 0, 0, tzinfo=timezone.utc) + timedelta(days=day)
-
-
-def _country_language(countries: Sequence[str]) -> dict[str, str]:
-    table = load_country_languages()
-    return {c: table.get(c, c.lower()) for c in countries}
-
-
-def _draw_class(rng: np.random.Generator, classes: list[str], weights: np.ndarray) -> str:
-    return classes[int(rng.choice(len(classes), p=weights))]
-
-
 def generate_population(spec: PopulationSpec) -> Population:
     """Draw a full population in memory. Equal specs give equal results."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     countries = list(spec.countries)
     n_countries = len(countries)
-    languages = _country_language(countries)
+    table = load_country_languages()
+    languages = {c: table.get(c, c.lower()) for c in countries}
 
     classes = sorted(CLASS_TARGETS)
     weights = np.full(len(classes), 1 / len(classes))
@@ -159,74 +167,53 @@ def generate_population(spec: PopulationSpec) -> Population:
     width = max(5, len(str(spec.n_users)))
     user_ids = [f"{USER_PREFIX}{i:0{width}d}" for i in range(spec.n_users)]
 
-    # Phase 1: countries and classes for everyone.
-    residences: list[str] = []
-    nationalities: list[str] = []
-    acc_classes: list[str | None] = []
+    # Phase 1: (home, residence, class) for everyone; a native lives at home.
+    people: list[tuple[str, str, str | None]] = []
     for i in range(spec.n_users):
+        h = int(rng.integers(n_countries))
+        home, dest, cls = countries[h], countries[h], None
         if i < n_migrants:
-            home = countries[int(rng.integers(n_countries))]
             shift = 1 + int(rng.integers(n_countries - 1))
-            dest = countries[(countries.index(home) + shift) % n_countries]
-            nationalities.append(home)
-            residences.append(dest)
-            acc_classes.append(_draw_class(rng, classes, weights))
-        else:
-            own = countries[int(rng.integers(n_countries))]
-            nationalities.append(own)
-            residences.append(own)
-            acc_classes.append(None)
+            dest = countries[(h + shift) % n_countries]
+            cls = classes[int(rng.choice(len(classes), p=weights))]
+        people.append((home, dest, cls))
 
     pools: dict[str, list[int]] = {c: [] for c in countries}
     for i in range(n_migrants, spec.n_users):
-        pools[residences[i]].append(i)
+        pools[people[i][0]].append(i)
 
     # Phase 2: friends. Home-country picks come straight from the home
     # non-migrant pool so friend evidence stays anchored on the origin.
     n_home_friends = int(round(FRIENDS_PER_USER * HOME_FRIEND_BIAS))
+    n_random = FRIENDS_PER_USER - n_home_friends
     friend_rows: list[tuple[str, str]] = []
-    for i in range(spec.n_users):
-        home_pool = pools[nationalities[i]]
+    for i, (home, _, _) in enumerate(people):
+        home_pool = pools[home]
         picks: list[int] = []
         if home_pool:
-            idx = rng.integers(0, len(home_pool), size=n_home_friends)
+            idx = rng.integers(0, len(home_pool), size=n_home_friends).tolist()
             picks.extend(home_pool[j] for j in idx)
-        n_random = FRIENDS_PER_USER - n_home_friends
-        if n_random > 0:
-            picks.extend(int(j) for j in rng.integers(0, spec.n_users, size=n_random))
+        picks.extend(rng.integers(0, spec.n_users, size=n_random).tolist())
         for j in picks:
             if j != i:
                 friend_rows.append((user_ids[i], user_ids[j]))
 
-    # Phase 3: posts.
+    # Phase 3: posts, each at noon UTC on a day counted from January 1.
+    new_year = {y: datetime(y, 1, 1, 12, tzinfo=timezone.utc) for y in (spec.year - 1, spec.year)}
     posts: list[Post] = []
     truth: dict[str, TruthRow] = {}
-    vocab_digits = max(4, len(str(max(COUNTRY_VOCAB, INTL_VOCAB))))
-
-    def country_token(country: str, index: int) -> str:
-        return f"{country.lower()}_tag_{index:0{vocab_digits}d}"
-
-    def intl_token(index: int) -> str:
-        return f"intl_tag_{index:0{vocab_digits}d}"
-
     for i in range(spec.n_users):
         user = user_ids[i]
-        home, dest = nationalities[i], residences[i]
+        home, dest, cls = people[i]
         migrant = i < n_migrants
-        if spec.lang_alignment and migrant:
-            cls = acc_classes[i]
-            dest_lang_p = {
-                ASSIMILATION: 0.97,
-                INTEGRATION: 0.95,
-                SEPARATION: 0.02,
-                MARGINALISATION: 0.05,
-            }.get(cls, 0.5)
-        else:
-            dest_lang_p = 1.0 if not migrant else 0.5
+        # A native's destination is its home: its da_t is 0 and both its languages are one.
+        ha_t, da_t = CLASS_TARGETS[cls] if migrant else (spec.country_tag_specificity, 0.0)
+        dest_share = DEST_LANG_SHARE[cls] if spec.lang_alignment and migrant else 0.5
         home_lang, dest_lang = languages[home], languages[dest]
 
-        def post_lang() -> str:
-            return dest_lang if rng.random() < dest_lang_p else home_lang
+        def post(year: int, day: int, country: str | None, tags: tuple[str, ...] = ()) -> None:
+            lang = dest_lang if rng.random() < dest_share else home_lang
+            posts.append(Post(user, new_year[year] + timedelta(days=day), country, lang, tags))
 
         # Geo evidence: current-year days at the residence, prior-year days
         # at the origin. The prior-year block is the larger one, so all-time
@@ -234,50 +221,36 @@ def generate_population(spec: PopulationSpec) -> Population:
         # destination.
         n_now = int(rng.integers(GEO_DAYS[0], GEO_DAYS[1] + 1))
         n_past = int(rng.integers(HISTORY_GEO_DAYS[0], HISTORY_GEO_DAYS[1] + 1))
-        now_days = rng.choice(365, size=n_now, replace=False)
-        past_days = rng.choice(365, size=n_past, replace=False)
-        for day in sorted(int(d) for d in now_days):
-            posts.append(Post(user, _noon(spec.year, day), dest, post_lang(), ()))
-        for day in sorted(int(d) for d in past_days):
-            posts.append(Post(user, _noon(spec.year - 1, day), home, post_lang(), ()))
+        now_days = rng.choice(365, size=n_now, replace=False).tolist()
+        past_days = rng.choice(365, size=n_past, replace=False).tolist()
+        for day in sorted(now_days):
+            post(spec.year, day, dest)
+        for day in sorted(past_days):
+            post(spec.year - 1, day, home)
 
-        # Hashtag uses, bundled into ungeotagged posts.
+        # Hashtag uses, bundled into ungeotagged posts: each is noise, home, destination or shared.
         n_tags = int(rng.integers(spec.tags_per_user[0], spec.tags_per_user[1] + 1))
-        draws = rng.random(n_tags)
-        noise_draws = rng.random(n_tags) if spec.noise > 0 else None
-        vocab_idx = rng.integers(0, max(COUNTRY_VOCAB, INTL_VOCAB), size=n_tags)
+        draws = rng.random(n_tags).tolist()
+        noise_draws = rng.random(n_tags).tolist() if spec.noise > 0 else None
+        vocab_idx = rng.integers(0, max(COUNTRY_VOCAB, INTL_VOCAB), size=n_tags).tolist()
         tokens: list[str] = []
-        if migrant:
-            ha_t, da_t = CLASS_TARGETS[acc_classes[i]]
-        for k in range(n_tags):
-            idx = int(vocab_idx[k])
+        for k, (u, idx) in enumerate(zip(draws, vocab_idx)):
             if noise_draws is not None and noise_draws[k] < spec.noise:
-                scrambled = countries[int(rng.integers(n_countries))]
-                tokens.append(country_token(scrambled, idx % COUNTRY_VOCAB))
-                continue
-            u = float(draws[k])
-            if migrant:
-                if u < ha_t:
-                    tokens.append(country_token(home, idx % COUNTRY_VOCAB))
-                elif u < ha_t + da_t:
-                    tokens.append(country_token(dest, idx % COUNTRY_VOCAB))
-                else:
-                    tokens.append(intl_token(idx % INTL_VOCAB))
+                country = countries[int(rng.integers(n_countries))]
+            elif u < ha_t:
+                country = home
+            elif u < ha_t + da_t:
+                country = dest
             else:
-                if u < spec.country_tag_specificity:
-                    tokens.append(country_token(home, idx % COUNTRY_VOCAB))
-                else:
-                    tokens.append(intl_token(idx % INTL_VOCAB))
-        tag_days = rng.integers(0, 365, size=(n_tags + _TAGS_PER_POST - 1) // _TAGS_PER_POST)
+                tokens.append(f"intl_tag_{idx % INTL_VOCAB:0{VOCAB_DIGITS}d}")
+                continue
+            tokens.append(f"{country.lower()}_tag_{idx % COUNTRY_VOCAB:0{VOCAB_DIGITS}d}")
+        tag_days = rng.integers(0, 365, size=(n_tags + _TAGS_PER_POST - 1) // _TAGS_PER_POST).tolist()
         for chunk, day in zip(range(0, n_tags, _TAGS_PER_POST), tag_days):
-            bundle = tuple(tokens[chunk : chunk + _TAGS_PER_POST])
-            posts.append(Post(user, _noon(spec.year, int(day)), None, post_lang(), bundle))
+            post(spec.year, day, None, tuple(tokens[chunk : chunk + _TAGS_PER_POST]))
 
-        if migrant:
-            ha_t, da_t = CLASS_TARGETS[acc_classes[i]]
-            truth[user] = TruthRow(user, dest, home, acc_classes[i], ha_t, da_t, n_tags)
-        else:
-            truth[user] = TruthRow(user, home, home, None, None, None, n_tags)
+        planted = (ha_t, da_t) if migrant else (None, None)
+        truth[user] = TruthRow(user, dest, home, cls, *planted, n_tags)
 
     pair_rows = _pair_covariate_rows(rng, countries, languages)
     return Population(posts, friend_rows, truth, pair_rows)
@@ -288,27 +261,26 @@ def _pair_covariate_rows(
 ) -> list[dict[str, object]]:
     """Synthetic gravity covariates for every unordered country pair."""
     rows: list[dict[str, object]] = []
-    for a_idx in range(len(countries)):
-        for b_idx in range(a_idx + 1, len(countries)):
-            a, b = sorted((countries[a_idx], countries[b_idx]))
-            same_lang = int(languages[a] == languages[b])
-            if same_lang:
-                csl = 0.5 + 0.45 * float(rng.random())
-                cnl = 0.4 + 0.5 * float(rng.random())
-            else:
-                csl = 0.2 * float(rng.random())
-                cnl = 0.15 * float(rng.random())
-            rows.append(
-                {
-                    "country_a": a,
-                    "country_b": b,
-                    "distcap": round(400.0 + 14_600.0 * float(rng.random()), 1),
-                    "contig": int(rng.random() < 0.15),
-                    "comlang_off": same_lang,
-                    "csl": round(csl, 4),
-                    "cnl": round(cnl, 4),
-                }
-            )
+    for pair in combinations(countries, 2):
+        a, b = sorted(pair)
+        same_lang = int(languages[a] == languages[b])
+        if same_lang:
+            csl = 0.5 + 0.45 * float(rng.random())
+            cnl = 0.4 + 0.5 * float(rng.random())
+        else:
+            csl = 0.2 * float(rng.random())
+            cnl = 0.15 * float(rng.random())
+        rows.append(
+            {
+                "country_a": a,
+                "country_b": b,
+                "distcap": round(400.0 + 14_600.0 * float(rng.random()), 1),
+                "contig": int(rng.random() < 0.15),
+                "comlang_off": same_lang,
+                "csl": round(csl, 4),
+                "cnl": round(cnl, 4),
+            }
+        )
     return rows
 
 

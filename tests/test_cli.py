@@ -222,6 +222,14 @@ class TestBadInput:
         err = self.exit_2_stderr(capsys, "null", "--out", tmp_path, "--replicates", 0)
         assert err.startswith("error: --replicates must be at least 1, got 0")
 
+    def test_negative_null_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -3}))
+        err = self.exit_2_stderr(capsys, "null", "--out", tmp_path, "--config", cfg)
+        assert err.startswith("error: --seed must be at least 0, got -3")
+        err = self.exit_2_stderr(capsys, "null", "--out", tmp_path, "--seed", -3)
+        assert err.startswith("error: --seed must be at least 0, got -3")
+
     @pytest.mark.parametrize("command", ["score"])
     def test_min_hashtags_below_one(self, tmp_path, capsys, command):
         for value in (0, -3):
@@ -239,6 +247,11 @@ class TestBadInput:
             (["--noise", 2], "--noise must lie in [0, 1], got 2.0"),
             (["--tags-min", 50, "--tags-max", 10], "tags_per_user must be an increasing positive range"),
             (["--countries", "de,DE"], "countries must be distinct"),
+            (["--countries", "IT,DE,ZZ"], "countries must be upper-case ISO alpha-2 codes, got ZZ"),
+            (["--seed", -1], "--seed must be at least 0, got -1"),
+            (["--year", 1970], "year must lie in [1971, 2099], got 1970"),
+            (["--year", 2100], "year must lie in [1971, 2099], got 2100"),
+            (["--year", 0], "year must lie in [1971, 2099], got 0"),
         ],
     )
     def test_bad_synth_spec(self, tmp_path, capsys, argv, message):
