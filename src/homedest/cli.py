@@ -262,8 +262,10 @@ def cmd_atlas(run) -> int:
     posts, _ = _load_corpus(run.posts, run.out)
     profiles = read_profiles(run.profiles)
     atlas = build_atlas(posts, profiles, run.year, threshold=run.entropy_threshold)
-    write_atlas(run.atlas, atlas, run.header(), run.atlas_distributions)
     n_intl = sum(1 for r in atlas.values() if r.assignment == "international")
+    if n_intl == len(atlas):
+        _fail(f"no hashtag of {run.year} is assigned to a country: {len(atlas)} hashtags, {n_intl} international")
+    write_atlas(run.atlas, atlas, run.header(), run.atlas_distributions)
     print(f"atlas: {len(atlas)} hashtags, {n_intl} international")
     return 0
 
@@ -276,6 +278,8 @@ def cmd_score(run) -> int:
     n_migrants = sum(profile.is_migrant is True for profile in profiles.values())
     if not scores:
         _fail(f"none of {n_migrants} labelled migrants passed the hashtag volume filter (--min-hashtags {run.min_hashtags})")
+    if not any(s.n_home or s.n_dest for s in scores):
+        _fail(f"{run.atlas}: no hashtag use of the {len(scores)} scored migrants is assigned to their home or destination")
     ha_split, da_split = apply_acculturation(scores)
     cohorts = language_cohorts(scores, profiles, load_country_languages())
     write_scores(run.scores, scores, run.header(ha_split=ha_split, da_split=da_split))
@@ -347,20 +351,21 @@ def cmd_correlate(run) -> int:
     hofstede = load_hofstede(run.hofstede)
     pairs = load_pair_covariates(run.pair_covariates) if run.pair_covariates else None
 
-    rows, dropped = join_covariates(scores, hofstede, pairs, signed=run.signed_deltas)
-    if len(rows) < 3:
-        _fail("fewer than 3 users joined to any covariate")
-    individual = individual_correlations(rows)
+    joined, dropped = join_covariates(scores, hofstede, pairs, signed=run.signed_deltas)
+    try:
+        individual = individual_correlations(joined)
+    except ValueError as exc:  # fewer than 3 users joined
+        _fail(f"{exc}, {dropped} dropped")
     header = run.header()
     write_table(run.correlations_individual, CORRELATION_COLUMNS, individual, header)
     try:
-        grouped = grouped_correlations(rows, min_group_size=run.min_group_size)
+        grouped = grouped_correlations(joined, min_group_size=run.min_group_size)
     except ValueError as exc:
         print(f"grouped correlations skipped: {exc}", file=sys.stderr)
         grouped = []
     write_table(run.correlations_grouped, CORRELATION_COLUMNS, grouped, header)
     print(
-        f"correlated {len(rows)} users ({dropped} dropped): "
+        f"correlated {len(joined)} users ({dropped} dropped): "
         f"{len(individual)} individual rows, {len(grouped)} grouped rows"
     )
     return 0
@@ -443,7 +448,7 @@ COMMANDS = {
         inputs=("scores", "hofstede"), optional=("pair_covariates",),
         outputs=("correlations_individual", "correlations_grouped"),
         options=(
-            Option("min_group_size", int, DEFAULT_MIN_GROUP_SIZE, "smallest group correlated"),
+            Option("min_group_size", int, DEFAULT_MIN_GROUP_SIZE, "smallest group correlated", low=1),
             Option("signed_deltas", bool, False, "keep the sign of cultural deltas (default absolute)"),
         ),
     ),

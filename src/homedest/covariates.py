@@ -5,10 +5,13 @@ Two covariate families are supported: per-country cultural dimension scores
 and per-country-pair gravity covariates (capital distance, contiguity,
 shared official language, common spoken/native language fractions).
 
-Correlations come in two flavours: individual (one observation per user)
-and grouped (one observation per origin group for home scores, per
-destination group for destination scores), mirroring the level at which
-the covariates actually vary.
+Every covariate belongs to the (nationality, residence) pair, so the join
+is one table row per pair present, indexed by each user.
+
+Correlations come in two flavours: individual (one observation per user
+that has the covariate) and grouped (one observation per origin group for
+home scores, per destination group for destination scores), mirroring the
+level at which the covariates actually vary.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .attachment import AttachmentScore
 from .stats import pearson, spearman
 from .tables import read_table
@@ -27,6 +32,8 @@ logger = logging.getLogger(__name__)
 
 HOFSTEDE_DIMENSIONS = ("pdi", "idv", "mas", "uai", "lto", "ivr")
 PAIR_COVARIATES = ("distcap", "contig", "comlang_off", "csl", "cnl")
+# The pair table's columns and the row order of both correlation files.
+COVARIATES = tuple(sorted((*PAIR_COVARIATES, *(f"hof_{d}" for d in HOFSTEDE_DIMENSIONS))))
 HOFSTEDE_COLUMNS = {"country": str, **dict.fromkeys(HOFSTEDE_DIMENSIONS, float | None)}
 HOFSTEDE_KEY = ("country",)
 HOFSTEDE_RULES = {
@@ -71,15 +78,25 @@ class PairTable:
 
 
 @dataclass(frozen=True)
-class JoinedRow:
-    """One user's scores with every covariate that could be resolved."""
+class Joined:
+    """Scored users, in score order: user i has pair row ``pair[i]`` and scores ``ha[i]``, ``da[i]``.
 
-    user_id: str
-    nationality: str
-    residence: str
-    ha: float
-    da: float
-    covariates: dict[str, float]
+    ``values[k, j]`` is covariate ``COVARIATES[j]`` of pair ``pairs[k]``, NaN when missing.
+    """
+
+    pairs: list[tuple[str, str]]
+    values: np.ndarray
+    pair: np.ndarray
+    ha: np.ndarray
+    da: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pair)
+
+    def columns(self) -> list[tuple[str, np.ndarray]]:
+        """(name, one value per user, NaN where missing) of each covariate that some user has."""
+        cells = self.values[self.pair]
+        return [(name, cells[:, j]) for j, name in enumerate(COVARIATES) if not np.isnan(cells[:, j]).all()]
 
 
 def load_hofstede(path: str | Path | None = None) -> dict[str, dict[str, float]]:
@@ -139,38 +156,29 @@ def join_covariates(
     hofstede: dict[str, dict[str, float]] | None = None,
     pairs: PairTable | None = None,
     signed: bool = False,
-) -> tuple[list[JoinedRow], int]:
-    """Attach covariates to each scored user; returns (rows, n_dropped).
+) -> tuple[Joined, int]:
+    """Join each scored user to its pair's covariates; returns (joined, n_dropped).
 
+    Each distinct pair's row is looked up once, in order of first appearance.
     A user is dropped (and counted) when no covariate at all resolves for
-    their origin/destination pair.
+    their pair, whose row then stays all NaN.
     """
-    rows: list[JoinedRow] = []
-    dropped = 0
-    for score in scores:
-        values: dict[str, float] = {}
-        if hofstede is not None:
-            values.update(hofstede_delta(hofstede, score.nationality, score.residence, signed))
+    index: dict[tuple[str, str], int] = {}
+    codes = [index.setdefault((s.nationality, s.residence), len(index)) for s in scores]
+    values = np.full((len(index), len(COVARIATES)), np.nan)
+    for k, (origin, destination) in enumerate(index):
+        cells = hofstede_delta(hofstede, origin, destination, signed) if hofstede is not None else {}
         if pairs is not None:
-            pair = pairs.get(score.nationality, score.residence)
-            if pair:
-                values.update(pair)
-        if not values:
-            dropped += 1
-            continue
-        rows.append(
-            JoinedRow(
-                user_id=score.user_id,
-                nationality=score.nationality,
-                residence=score.residence,
-                ha=score.ha,
-                da=score.da,
-                covariates=values,
-            )
-        )
+            cells.update(pairs.get(origin, destination) or {})
+        values[k] = [cells.get(name, np.nan) for name in COVARIATES]
+    pair = np.array(codes, dtype=np.intp)
+    kept = ~np.isnan(values[pair]).all(axis=1)
+    dropped = len(pair) - int(kept.sum())
     if dropped:
         logger.info("dropped %d users with no covariate coverage", dropped)
-    return rows, dropped
+    ha = np.array([s.ha for s in scores], dtype=float)[kept]
+    da = np.array([s.da for s in scores], dtype=float)[kept]
+    return Joined(list(index), values, pair[kept], ha, da), dropped
 
 
 class CorrelationRow(NamedTuple):
@@ -186,7 +194,7 @@ class CorrelationRow(NamedTuple):
 
 
 def _correlate_pairs(
-    target: str, covariate: str, xs: list[float], ys: list[float]
+    target: str, covariate: str, xs: Sequence[float], ys: Sequence[float]
 ) -> list[CorrelationRow]:
     """Pearson and Spearman rows of ``ys`` against ``xs``; none for fewer than 3 pairs or a constant sample."""
     try:
@@ -197,63 +205,54 @@ def _correlate_pairs(
     return [CorrelationRow(target, covariate, t.method, t.statistic, t.p_value, t.n1, t.stars) for t in tests]
 
 
-def _covariate_names(rows: Sequence[JoinedRow]) -> list[str]:
-    names: set[str] = set()
-    for row in rows:
-        names.update(row.covariates)
-    return sorted(names)
-
-
-def individual_correlations(rows: Sequence[JoinedRow]) -> list[CorrelationRow]:
-    """Per-user correlations of ha and da against every covariate.
+def individual_correlations(joined: Joined) -> list[CorrelationRow]:
+    """Per-user correlations of ha and da against every covariate, each over the users that have it.
 
     Also reports the ha-vs-da correlation. A pair with fewer than three
-    complete values or a constant side is skipped; fewer than three rows
-    overall is an error.
+    complete values or a constant side is skipped; fewer than three joined
+    users is an error.
     """
-    if len(rows) < 3:
-        raise ValueError("need at least 3 joined users")
-    out: list[CorrelationRow] = []
-    out.extend(_correlate_pairs("ha", "da", [r.ha for r in rows], [r.da for r in rows]))
-    for name in _covariate_names(rows):
+    if len(joined) < 3:
+        raise ValueError(f"fewer than 3 users joined to any covariate: {len(joined)} joined")
+    out = _correlate_pairs("ha", "da", joined.ha, joined.da)
+    for name, column in joined.columns():
+        has = ~np.isnan(column)
         for target in ("ha", "da"):
-            paired = [row for row in rows if name in row.covariates]
-            xs = [row.covariates[name] for row in paired]
-            ys = [getattr(row, target) for row in paired]
-            out.extend(_correlate_pairs(target, name, xs, ys))
+            out.extend(_correlate_pairs(target, name, column[has], getattr(joined, target)[has]))
     return out
 
 
 def grouped_correlations(
-    rows: Sequence[JoinedRow],
+    joined: Joined,
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE,
 ) -> list[CorrelationRow]:
     """Group-mean correlations: ha grouped by origin, da by destination.
 
-    Each group contributes one observation: the mean attachment score and the
-    mean of each covariate over group members. Groups below min_group_size
-    are excluded; fewer than three surviving groups is an error.
+    Each group contributes one observation: the mean attachment score over
+    its members and the mean of the covariate over the members that have it
+    (none: the group is left out). Groups below min_group_size are excluded;
+    fewer than three surviving groups is an error.
     """
     out: list[CorrelationRow] = []
-    for target, key in (("ha", "nationality"), ("da", "residence")):
-        groups: dict[str, list[JoinedRow]] = {}
-        for row in rows:
-            groups.setdefault(getattr(row, key), []).append(row)
-        kept = {c: members for c, members in groups.items() if len(members) >= min_group_size}
-        if len(kept) < 3:
+    for target, side in (("ha", 0), ("da", 1)):
+        groups: dict[str, list[int]] = {}
+        for i, k in enumerate(joined.pair.tolist()):
+            groups.setdefault(joined.pairs[k][side], []).append(i)
+        members = [groups[c] for c in sorted(groups) if len(groups[c]) >= min_group_size]
+        if len(members) < 3:
             raise ValueError(
-                f"need at least 3 groups of {min_group_size}+ users for {target}, got {len(kept)}"
+                f"need at least 3 groups of {min_group_size}+ users for {target}, got {len(members)}"
             )
-        for name in _covariate_names(rows):
+        # Each mean is a Python sum in score order: a pairwise numpy sum can move the last bits of r.
+        scores = getattr(joined, target).tolist()
+        means = [sum(scores[i] for i in group) / len(group) for group in members]
+        for name, column in joined.columns():
             xs: list[float] = []
             ys: list[float] = []
-            for country in sorted(kept):
-                members = kept[country]
-                with_cov = [r.covariates[name] for r in members if name in r.covariates]
-                if not with_cov:
-                    continue
-                xs.append(sum(with_cov) / len(with_cov))
-                values = [r.ha if target == "ha" else r.da for r in members]
-                ys.append(sum(values) / len(values))
+            for mean, group in zip(means, members):
+                have = column[group][~np.isnan(column[group])].tolist()
+                if have:
+                    xs.append(sum(have) / len(have))
+                    ys.append(mean)
             out.extend(_correlate_pairs(target, name, xs, ys))
     return out

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
+from numbers import Integral
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -97,6 +98,8 @@ class PopulationSpec:
     lang_alignment: bool = True
 
     def validate(self) -> None:
+        if not all(isinstance(n, Integral) for n in (self.n_users, *self.tags_per_user)):
+            raise ValueError(f"n_users and tags_per_user must be integers, got {self.n_users} and {self.tags_per_user}")
         if self.n_users < 1:
             raise ValueError("n_users must be positive")
         if not 0.0 <= self.migrant_fraction <= 1.0:
@@ -114,6 +117,8 @@ class PopulationSpec:
             raise ValueError("noise must lie in [0, 1]")
         if self.tags_per_user[0] < 1 or self.tags_per_user[0] > self.tags_per_user[1]:
             raise ValueError("tags_per_user must be an increasing positive range")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if not 1971 <= self.year <= 2099:
             # Posts fall in year - 1 and year, and the parser reads [1970, 2100).
             raise ValueError(f"year must lie in [1971, 2099], got {self.year}")

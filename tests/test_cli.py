@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from homedest.corpus import file_sha256, iter_posts, read_corpus
 from homedest.labeling import read_profiles
 from homedest.nullmodel import shuffle_hashtags
 from homedest.reporting import REPORT_COLUMNS
-from homedest.covariates import packaged_data_path
+from homedest.covariates import CORRELATION_COLUMNS, packaged_data_path
 from homedest.synth import read_ground_truth
 from homedest.tables import read_table, write_table
 
@@ -134,6 +135,76 @@ class TestChain:
         assert run("report", "--out", chain_dir) == 0
 
 
+def holed(source, target, drop, blank):
+    """CSV ``source`` written to ``target`` without the row that starts with ``drop``, each (row start, column) of ``blank`` emptied."""
+    lines = source.read_text().splitlines()
+    names = lines[0].split(",")
+    kept = []
+    for line in lines:
+        if line.startswith(drop + ","):
+            continue
+        cells = line.split(",")
+        for start, column in blank:
+            if line.startswith(start + ","):
+                cells[names.index(column)] = ""
+        kept.append(",".join(cells))
+    assert len(kept) == len(lines) - 1
+    target.write_text("\n".join(kept) + "\n")
+    return target
+
+
+class TestCorrelationBytes:
+    # sha256 of the data lines of correlations_individual.csv and correlations_grouped.csv
+    # for the chain's scores, the # header dropped so that a version bump does not move
+    # them. A refactor of the join or of the group means must keep every r and p to the bit.
+    PINNED = {
+        "default": (
+            "7d4ac55da383cc2ddc02f76347a020cee3ce528da9058054685feb179f8503c3",
+            "6748ee0d5a32d7b7eb21090458494e6edb7198d6f216910d89556c88862d3fa8",
+        ),
+        "signed": (
+            "2f5ac301da4259c04baf5e878b165b1b480c7b4600ce200922bea234774ef51f",
+            "5a3780ab2ecc8dbd1b6aab0c5f1bd09c80180c2447a7186efdc8dfbab5e414d1",
+        ),
+        "holed": (
+            "3f72d847bde5bf2dbe3128f573ad0476d13b66c7080a0182b18649a6930dc29f",
+            "71e452d924d76db47bd98e71c2d34add914d5a5d007df4c198735eb4b46c2e9d",
+        ),
+    }
+
+    @pytest.mark.parametrize("setting", PINNED)
+    def test_correlation_bytes_are_pinned(self, chain_dir, tmp_path, capsys, setting):
+        hofstede = packaged_data_path("hofstede.csv")
+        pairs = chain_dir / FILES["pair_covariates"]
+        if setting == "holed":
+            hofstede = holed(hofstede, tmp_path / "hofstede.csv", "ES", [("IT", "ivr"), ("US", "pdi")])
+            pairs = holed(pairs, tmp_path / "pairs.csv", "DE,ES", [("ES,US", "distcap"), ("IT,US", "cnl")])
+        argv = ["--hofstede", hofstede, "--pair-covariates", pairs, "--min-group-size", 2]
+        argv += ["--signed-deltas"] if setting == "signed" else []
+        assert run("correlate", "--out", tmp_path, "--scores", chain_dir / FILES["scores"], *argv) == 0
+        digests = tuple(
+            hashlib.sha256(
+                "".join(
+                    line
+                    for line in (tmp_path / FILES[key]).read_text(encoding="utf-8").splitlines(keepends=True)
+                    if not line.startswith("#")
+                ).encode()
+            ).hexdigest()
+            for key in ("correlations_individual", "correlations_grouped")
+        )
+        assert digests == self.PINNED[setting], (
+            "the correlation files changed for fixed scores and covariates: an r, a p-value or a row moved. "
+            "A change of summation order does this; never re-pin these digests without comparing the files "
+            "with those the unchanged code writes"
+        )
+        if setting == "holed":  # the NaN paths are taken: a user dropped, a covariate some joined users lack
+            printed = re.match(r"correlated (\d+) users \((\d+) dropped\)", capsys.readouterr().out)
+            joined, dropped = map(int, printed.groups())
+            assert dropped >= 1
+            rows = read_table(tmp_path / FILES["correlations_individual"], CORRELATION_COLUMNS)
+            assert any(row["n"] < joined for row in rows)
+
+
 class TestMissingPrerequisites:
     def test_label_without_posts(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -239,6 +310,43 @@ class TestBadInput:
         cfg.write_text(json.dumps({"min_hashtags": 0}))
         err = self.exit_2_stderr(capsys, command, "--out", tmp_path, "--config", cfg)
         assert err.startswith("error: --min-hashtags must be at least 1, got 0")
+
+    def test_min_group_size_below_one(self, tmp_path, capsys):
+        for value in (0, -5):
+            err = self.exit_2_stderr(capsys, "correlate", "--out", tmp_path, "--min-group-size", value)
+            assert err.startswith(f"error: --min-group-size must be at least 1, got {value}")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_group_size": 0}))
+        err = self.exit_2_stderr(capsys, "correlate", "--out", tmp_path, "--config", cfg)
+        assert err.startswith("error: --min-group-size must be at least 1, got 0")
+
+    def test_atlas_without_a_country_tag(self, chain_dir, tmp_path, capsys):
+        inputs = ["--posts", chain_dir / FILES["posts"], "--profiles", chain_dir / FILES["profiles"]]
+        err = self.exit_2_stderr(capsys, "atlas", "--out", tmp_path, *inputs, "--year", 2017)
+        assert err == "error: no hashtag of 2017 is assigned to a country: 0 hashtags, 0 international\n"
+        assert not (tmp_path / FILES["atlas"]).exists()
+
+    @pytest.mark.parametrize("international", [False, True], ids=["header-only", "all-international"])
+    def test_score_without_a_home_or_destination_use(self, chain_dir, tmp_path, capsys, international):
+        for key in ("profiles", "lang_fractions"):
+            shutil.copy(chain_dir / FILES[key], tmp_path / FILES[key])
+        lines = (chain_dir / FILES["atlas"]).read_text().splitlines()
+        rows = [line.split(",") for line in lines[2:]] if international else []
+        atlas = tmp_path / FILES["atlas"]
+        atlas.write_text("\n".join(lines[:2] + [",".join([r[0], "international", *r[2:]]) for r in rows]) + "\n")
+        err = self.exit_2_stderr(capsys, "score", "--out", tmp_path, "--posts", chain_dir / FILES["posts"])
+        assert err.startswith(f"error: {atlas}: no hashtag use of the ") and err.count("\n") == 1
+        assert "assigned to their home or destination" in err
+        assert not (tmp_path / FILES["scores"]).exists()
+
+    def test_correlate_without_a_covered_pair(self, chain_dir, tmp_path, capsys):
+        shutil.copy(chain_dir / FILES["scores"], tmp_path / FILES["scores"])
+        n_scores = len(read_scores(tmp_path / FILES["scores"]))
+        hofstede = tmp_path / "hofstede.csv"
+        hofstede.write_text("country,pdi,idv,mas,uai,lto,ivr\nXX,10,20,30,40,50,60\n")
+        err = self.exit_2_stderr(capsys, "correlate", "--out", tmp_path, "--hofstede", hofstede)
+        assert err == f"error: fewer than 3 users joined to any covariate: 0 joined, {n_scores} dropped\n"
+        assert not (tmp_path / FILES["correlations_individual"]).exists()
 
     @pytest.mark.parametrize(
         "argv, message",

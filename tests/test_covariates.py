@@ -8,6 +8,7 @@ import pytest
 from homedest.attachment import AttachmentScore
 from homedest.covariates import (
     CORRELATION_COLUMNS,
+    COVARIATES,
     PairTable,
     grouped_correlations,
     hofstede_delta,
@@ -147,44 +148,49 @@ class TestJoin:
             _score("u1", "IT", "DE", 0.3, 0.2),
             _score("u2", "ZZ", "QQ", 0.1, 0.1),  # nothing resolves
         ]
-        rows, dropped = join_covariates(scores, hofstede=load_hofstede())
+        joined, dropped = join_covariates(scores, hofstede=load_hofstede())
         assert dropped == 1
-        assert len(rows) == 1
-        assert rows[0].user_id == "u1"
-        assert rows[0].covariates["hof_idv"] == pytest.approx(abs(76.0 - 67.0))
+        assert len(joined) == 1
+        assert joined.pairs[joined.pair[0]] == ("IT", "DE")
+        assert joined.ha.tolist() == [0.3]
+        idv = joined.values[joined.pair[0], COVARIATES.index("hof_idv")]
+        assert idv == pytest.approx(abs(76.0 - 67.0))
 
     def test_pair_values_merge_with_deltas(self, tmp_path):
         p = tmp_path / "pairs.csv"
         p.write_text(
             "country_a,country_b,distcap,contig,comlang_off,csl,cnl\nDE,IT,1181.0,1,0,0,0\n"
         )
-        rows, dropped = join_covariates(
+        joined, dropped = join_covariates(
             [_score("u1", "IT", "DE", 0.3, 0.2)],
             hofstede=load_hofstede(),
             pairs=load_pair_covariates(p),
         )
         assert dropped == 0
-        assert rows[0].covariates["distcap"] == 1181.0
-        assert "hof_pdi" in rows[0].covariates
+        covariates = dict(zip(COVARIATES, joined.values[joined.pair[0]].tolist()))
+        assert covariates["distcap"] == 1181.0
+        assert not np.isnan(covariates["hof_pdi"])
+
+
+def _population(n=40, seed=5):
+    """Synthetic scores over 4 origin and 3 destination countries."""
+    rng = np.random.default_rng(seed)
+    return [
+        _score(
+            f"u{i:03d}",
+            ("IT", "FR", "ES", "PL")[i % 4],
+            ("DE", "GB", "NL")[i % 3],
+            float(rng.uniform(0, 0.6)),
+            float(rng.uniform(0, 0.4)),
+        )
+        for i in range(n)
+    ]
 
 
 def _joined_population(n=40, seed=5):
-    """Synthetic joined rows over 4 origin and 3 destination countries."""
-    rng = np.random.default_rng(seed)
-    rows, _ = join_covariates(
-        [
-            _score(
-                f"u{i:03d}",
-                ("IT", "FR", "ES", "PL")[i % 4],
-                ("DE", "GB", "NL")[i % 3],
-                float(rng.uniform(0, 0.6)),
-                float(rng.uniform(0, 0.4)),
-            )
-            for i in range(n)
-        ],
-        hofstede=load_hofstede(),
-    )
-    return rows
+    """The scores of _population joined to the bundled cultural table."""
+    joined, _ = join_covariates(_population(n, seed), hofstede=load_hofstede())
+    return joined
 
 
 class TestIndividualCorrelations:
@@ -217,23 +223,26 @@ class TestIndividualCorrelations:
 
 class TestGroupedCorrelations:
     def test_group_means_are_used(self):
-        rows = _joined_population(n=80)
-        out = grouped_correlations(rows, min_group_size=2)
+        scores = _population(n=80)
+        hofstede = load_hofstede()
+        joined, _ = join_covariates(scores, hofstede=hofstede)
+        out = grouped_correlations(joined, min_group_size=2)
         by_kind = {(r.target, r.covariate, r.method): r for r in out}
         test = by_kind[("ha", "hof_idv", "pearson")]
         assert test.n == 4  # one observation per origin country
 
-        # Independent recomputation of the group means.
+        # Independent recomputation of the group means, from the scores themselves.
         from homedest.stats import pearson as ref_pearson
 
-        groups: dict[str, list] = {}
-        for row in rows:
-            groups.setdefault(row.nationality, []).append(row)
+        groups: dict[str, list[AttachmentScore]] = {}
+        for score in scores:
+            groups.setdefault(score.nationality, []).append(score)
         xs, ys = [], []
         for country in sorted(groups):
             members = groups[country]
-            xs.append(sum(r.covariates["hof_idv"] for r in members) / len(members))
-            ys.append(sum(r.ha for r in members) / len(members))
+            deltas = [hofstede_delta(hofstede, s.nationality, s.residence)["hof_idv"] for s in members]
+            xs.append(sum(deltas) / len(deltas))
+            ys.append(sum(s.ha for s in members) / len(members))
         ref = ref_pearson(xs, ys)
         assert test.r == pytest.approx(ref.statistic, abs=1e-15)
         assert test.p_value == pytest.approx(ref.p_value, abs=1e-15)

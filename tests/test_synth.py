@@ -52,6 +52,10 @@ class TestSpecValidation:
             {"year": 0},
             {"countries": ("IT", "DE", "ZZ")},
             {"countries": ("it", "de")},
+            {"seed": -1},
+            {"n_users": 5.5},
+            {"tags_per_user": (1, 2.5)},
+            {"tags_per_user": (1.0, 3)},
         ],
     )
     def test_rejects(self, overrides):
