@@ -47,10 +47,7 @@ posts.append(post("marco", 131, lang="de", tags=["berlin", "berlin"]))
 posts.append(post("marco", 132, lang="de", tags=["pizza", "pizza", "pizza", "pizza"]))
 posts.append(post("marco", 133, lang="de", tags=["xyzq"]))
 
-graph = FriendGraph()
-for a, b in [("marco", "ida"), ("marco", "ivo"), ("marco", "ines"), ("marco", "dora")]:
-    graph.adjacency.setdefault(a, set()).add(b)
-    graph.n_edges += 1
+graph = FriendGraph.from_pairs([("marco", "ida"), ("marco", "ivo"), ("marco", "ines"), ("marco", "dora")])
 
 # Step 1: labels. Residence is where you spent the most distinct days this
 # year; nationality blends all-time geotags with your friends' countries.

@@ -9,6 +9,7 @@ indices don't beat the shuffled ones, the signal was never there.
 
 from homedest.atlas import build_atlas
 from homedest.attachment import compute_scores
+from homedest.corpus import FriendGraph
 from homedest.labeling import label_population
 from homedest.nullmodel import null_distribution, pooled
 from homedest.stats import wilcoxon_rank_sum
@@ -17,13 +18,7 @@ from homedest.synth import default_spec, generate_population
 spec = default_spec(n_users=1500, seed=3)
 pop = generate_population(spec)
 
-graph_rows = {}
-for a, b in pop.friend_rows:
-    graph_rows.setdefault(a, set()).add(b)
-
-from homedest.corpus import FriendGraph
-
-graph = FriendGraph(adjacency=graph_rows, n_edges=len(pop.friend_rows))
+graph = FriendGraph.from_pairs(pop.friend_rows)
 
 profiles, _ = label_population(pop.posts, graph, spec.year)
 atlas = build_atlas(pop.posts, profiles, spec.year)

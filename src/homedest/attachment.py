@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .atlas import HashtagRecord
+from .atlas import INTERNATIONAL, HashtagRecord
 from .corpus import Corpus, Post
 from .labeling import UserProfile
 from .tables import read_table, write_table
@@ -123,7 +123,8 @@ def coded_uses(
     ``who`` gives each migrant's (user_id, nationality, residence). The pool
     is the uses (``Corpus.uses``) of those migrants, or of every user when
     ``everyone``. Returns, as arrays: each pooled use's assignment code (-1
-    for a token absent from the atlas or assigned to no country of ``who``);
+    for a token assigned to no country of ``who``, -2 for an international
+    one and -3 for one absent from the atlas);
     the positions in the pool of the migrants' uses; each such use's row in
     ``who``; and that row's home and destination codes.
     """
@@ -137,7 +138,10 @@ def coded_uses(
     owned = np.flatnonzero(owner >= 0)
     row = owner[owned]
     records = (atlas.get(token) for token in corpus.tokens)
-    assignment = np.array([-1 if r is None else countries.get(r.assignment, -1) for r in records], dtype=np.int64)
+    other = {INTERNATIONAL: -2}
+    assignment = np.array(
+        [-3 if r is None else countries.get(r.assignment, other.get(r.assignment, -1)) for r in records], dtype=np.int64
+    )
     return assignment[corpus.tags[slots]], owned, row, home[row], dest[row]
 
 
@@ -161,6 +165,32 @@ def compute_scores(
     kept = np.flatnonzero(n_total >= min_hashtags)
     scored = [who[i] for i in kept.tolist()]
     return [AttachmentScore(*r) for r in score_rows(scored, n_total[kept], n_home[kept], n_dest[kept])]
+
+
+def atlas_coverage(
+    posts: Iterable[Post] | Corpus,
+    scores: Sequence[AttachmentScore],
+    atlas: Mapping[str, HashtagRecord],
+    year: int,
+) -> dict[str, int]:
+    """How the in-year hashtag uses of the migrants of ``scores`` fall in the atlas.
+
+    Each use counts once, under the first that applies: its token is
+    assigned to the migrant's home, to their destination, to another
+    country, international, or not in the atlas. The counts sum to the uses.
+    """
+    who = [(s.user_id, s.nationality, s.residence) for s in scores]
+    codes, owned, row, home, dest = coded_uses(Corpus.from_posts(posts), atlas, year, who)
+    drawn = codes[owned]
+    n_home, n_dest = (int(n.sum()) for n in count_uses(row, drawn, home, dest, len(who)))
+    n_international, n_absent = int((drawn == -2).sum()), int((drawn == -3).sum())
+    return {
+        "home": n_home,
+        "destination": n_dest,
+        "other country": len(drawn) - n_home - n_dest - n_international - n_absent,
+        "international": n_international,
+        "not in the atlas": n_absent,
+    }
 
 
 def classify_acculturation(ha: float, da: float, ha_split: float, da_split: float) -> str:

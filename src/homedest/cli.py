@@ -27,6 +27,7 @@ from .attachment import (
     DEFAULT_MIN_HASHTAGS,
     NULL_SCORE_COLUMNS,
     apply_acculturation,
+    atlas_coverage,
     compute_scores,
     language_cohorts,
     read_indices,
@@ -247,6 +248,10 @@ def cmd_label(run) -> int:
         f"and {friends.n_empty} rows with an empty id dropped"
     )
     profiles, summary = label_population(posts, friends, run.year)
+    print(
+        f"friend edges: {summary.n_edges_without_posts} of {friends.n_edges} have an end with no posts "
+        "and carry no evidence"
+    )
     header = run.header()
     write_profiles(run.profiles, profiles, header)
     write_lang_fractions(run.lang_fractions, profiles, header)
@@ -286,6 +291,11 @@ def cmd_score(run) -> int:
     print(
         f"scored {len(scores)} migrants of {n_migrants} labelled, {n_migrants - len(scores)} below "
         f"--min-hashtags {run.min_hashtags} (median splits ha={ha_split:.4f}, da={da_split:.4f})"
+    )
+    coverage = atlas_coverage(posts, scores, atlas, run.year)
+    print(
+        f"atlas coverage of their {sum(coverage.values())} uses in {run.year}: "
+        + ", ".join(f"{count} {kind}" for kind, count in coverage.items())
     )
     print(
         f"language cohorts: {len(cohorts.speakers)} speakers, {len(cohorts.non_speakers)} non-speakers, "

@@ -42,8 +42,10 @@ import os
 import re
 import zipfile
 from array import array
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -135,18 +137,43 @@ class LoadStats:
 FRIEND_COLUMNS = {"user_id": str, "friend_id": str}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FriendGraph:
-    """Directed follower -> followed adjacency with dedup bookkeeping."""
+    """Directed follower -> followed edges over an id vocabulary, with dedup bookkeeping.
 
-    adjacency: dict[str, set[str]] = field(default_factory=dict)
-    n_edges: int = 0
+    Edge ``i`` runs from ``ids[source[i]]`` to ``ids[target[i]]``. Edges are
+    distinct, without self-loops, and sorted by (source, target); ids are in
+    order of first appearance.
+    """
+
+    ids: tuple[str, ...]
+    source: np.ndarray  # int32 per edge
+    target: np.ndarray  # int32 per edge
     n_duplicates: int = 0
     n_self_loops: int = 0
-    n_empty: int = 0  # rows with an empty user_id or friend_id
+    n_empty: int = 0  # rows with an empty user_id or friend_id, counted by load_friends
 
-    def friends_of(self, user_id: str) -> set[str]:
-        return self.adjacency.get(user_id, set())
+    @property
+    def n_edges(self) -> int:
+        return len(self.source)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> FriendGraph:
+        """The graph of ``(user_id, friend_id)`` edges; self-loops and repeated edges are dropped and counted."""
+        ids: defaultdict[str, int] = defaultdict()
+        ids.default_factory = ids.__len__  # an id not seen before gets the next number
+        ends = array("i", map(ids.__getitem__, chain.from_iterable(pairs)))  # user, friend, user, friend, ...
+        n = max(len(ids), 1)
+        source, target = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+        loop = source == target
+        edges = distinct(source[~loop] * n + target[~loop])  # one key per edge, sorted by (source, target)
+        return cls(
+            ids=tuple(ids),
+            source=(edges // n).astype(np.int32),
+            target=(edges % n).astype(np.int32),
+            n_duplicates=len(source) - int(loop.sum()) - len(edges),
+            n_self_loops=int(loop.sum()),
+        )
 
 
 def canonicalize_hashtag(raw: str) -> str | None:
@@ -593,24 +620,20 @@ def load_posts(path: str | Path) -> tuple[Corpus, LoadStats]:
 
 
 def load_friends(path: str | Path) -> FriendGraph:
-    """Load a friends CSV into a deduplicated directed adjacency."""
-    graph = FriendGraph()
-    for row in read_table(path, FRIEND_COLUMNS):
-        user = row["user_id"].strip()
-        friend = row["friend_id"].strip()
-        if not user or not friend:
-            graph.n_empty += 1
-            continue
-        if user == friend:
-            graph.n_self_loops += 1
-            continue
-        bucket = graph.adjacency.setdefault(user, set())
-        if friend in bucket:
-            graph.n_duplicates += 1
-        else:
-            bucket.add(friend)
-            graph.n_edges += 1
-    return graph
+    """Load a friends CSV into a FriendGraph; a row with an id empty once stripped is dropped and counted."""
+    empty = 0
+
+    def pairs() -> Iterator[tuple[str, str]]:
+        nonlocal empty
+        for row in read_table(path, FRIEND_COLUMNS):
+            user, friend = row["user_id"].strip(), row["friend_id"].strip()
+            if user and friend:
+                yield user, friend
+            else:
+                empty += 1
+
+    graph = FriendGraph.from_pairs(pairs())
+    return replace(graph, n_empty=empty)
 
 
 def write_posts(path: str | Path, posts: Iterable[Post]) -> int:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FriendGraph, Post, distinct, tally
+from .corpus import Corpus, FriendGraph, Post, distinct
 from .tables import read_table, write_table
 
 # Nationality blends the user's own geotag share and their friends' share equally.
@@ -55,6 +55,7 @@ class LabelSummary:
     n_with_nationality: int = 0
     n_with_both: int = 0
     n_migrants: int = 0
+    n_edges_without_posts: int = 0  # friend edges with an end that has no posts, so carry no evidence
 
 
 def pick_country(
@@ -78,28 +79,30 @@ def _is_migrant(residence: str | None, nationality: str | None) -> bool | None:
     return None if residence is None or nationality is None else residence != nationality
 
 
-def _geo_evidence(corpus: Corpus, group: np.ndarray, year: int | None):
-    """Per group: distinct-day and post counts per country over geo-tagged posts.
+def _geo_evidence(corpus: Corpus, group: np.ndarray, year: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Geo evidence rows ``(key, days, posts)``: distinct-day and post counts per ``group * C + country`` key.
 
-    With ``year`` set, only posts from that year count; with None, all-time.
-    Groups without such posts are absent.
+    C is ``len(corpus.countries)`` (at least 1). With ``year`` set, only posts
+    from that year count; with None, all-time. Keys are sorted, and a key
+    without such posts is absent.
     """
     keep = corpus.country >= 0
     if year is not None:
         keep &= corpus.year == year
-    pairs = group[keep].astype(np.int64) * len(corpus.countries) + corpus.country[keep]
+    pairs = group[keep].astype(np.int64) * max(len(corpus.countries), 1) + corpus.country[keep]
     # One int64 key per distinct (pair, day): days shifted to start at 0 fit below span.
     day = corpus.day[keep] - corpus.day.min(initial=0)
     span = int(day.max(initial=0)) + 1
-    days = distinct(pairs * span + day) // span
-    return tally(days, corpus.countries), tally(pairs, corpus.countries)
+    keys, posts = np.unique(pairs, return_counts=True)
+    return keys, np.unique(distinct(pairs * span + day) // span, return_counts=True)[1], posts
 
 
 def _pooled_evidence(posts: Iterable[Post], year: int | None):
-    """Geo evidence of all ``posts`` taken together."""
+    """Geo evidence of all ``posts`` taken together, as {country: days} and {country: posts}."""
     corpus = Corpus.from_posts(posts)
-    days, n_posts = _geo_evidence(corpus, np.zeros(corpus.n_posts, np.int64), year)
-    return days.get(0, {}), n_posts.get(0, {})
+    keys, days, n_posts = _geo_evidence(corpus, np.zeros(corpus.n_posts, np.int64), year)
+    countries = [corpus.countries[k] for k in keys.tolist()]
+    return dict(zip(countries, days.tolist())), dict(zip(countries, n_posts.tolist()))
 
 
 def assign_residence(posts: Iterable[Post], year: int) -> str | None:
@@ -159,15 +162,32 @@ def _fractions(counts: Mapping[str, int]) -> dict[str, float]:
     return {lang: n / total for lang, n in counts.items()}
 
 
-def _language_counts(corpus: Corpus, group: np.ndarray) -> dict[int, dict[str, int]]:
+def _language_counts(corpus: Corpus, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``(key, count)``: language-tagged posts per ``group * L + language`` key, L = ``len(corpus.languages)``."""
     keep = corpus.language >= 0
-    return tally(group[keep].astype(np.int64) * len(corpus.languages) + corpus.language[keep], corpus.languages)
+    keys = group[keep].astype(np.int64) * max(len(corpus.languages), 1) + corpus.language[keep]
+    return np.unique(keys, return_counts=True)
 
 
 def language_fractions(posts: Iterable[Post]) -> dict[str, float]:
     """Fraction of the user's posts per language, over language-tagged posts."""
     corpus = Corpus.from_posts(posts)
-    return _fractions(_language_counts(corpus, np.zeros(corpus.n_posts, np.int64)).get(0, {}))
+    keys, counts = _language_counts(corpus, np.zeros(corpus.n_posts, np.int64))
+    return _fractions({corpus.languages[k]: n for k, n in zip(keys.tolist(), counts.tolist())})
+
+
+def _pick(n_users: int, user: np.ndarray, country: np.ndarray, rank: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Per user, the country of its first row in the order of (``keys``, country code); -1 for a user without rows.
+
+    ``rank`` gives each country id's place in the sorted country codes.
+    """
+    order = np.lexsort((rank[country], *reversed(keys), user))
+    user, country = user[order], country[order]
+    first = np.ones(len(user), dtype=bool)
+    first[1:] = user[1:] != user[:-1]
+    picked = np.full(n_users, -1, dtype=np.int64)
+    picked[user[first]] = country[first]
+    return picked
 
 
 def label_population(
@@ -177,42 +197,67 @@ def label_population(
 ) -> tuple[dict[str, UserProfile], LabelSummary]:
     """Label every user that has at least one post.
 
-    Two passes: first dominant countries for everyone (friend evidence),
-    then per-user residence and nationality. Deterministic under input
-    reordering: users are processed in sorted order and all evidence is
-    aggregated before any decision.
+    Each decision is ``pick_country`` or ``assign_nationality``'s rule, made
+    for all users at once over sparse ``(user, country)`` evidence rows:
+    dominant countries for everyone first (friend evidence), then residence
+    and nationality. A friend edge counts when both its ends have posts.
+    Deterministic under input reordering: all evidence is aggregated before
+    any decision, and ties break on the country code.
     """
     corpus = Corpus.from_posts(posts)
-    n_users = len(corpus.users)
-    all_days, all_posts = _geo_evidence(corpus, corpus.user, None)
-    year_days, year_posts = _geo_evidence(corpus, corpus.user, year)
-    languages = _language_counts(corpus, corpus.user)
-    order = sorted(range(n_users), key=corpus.users.__getitem__)
+    n_users, n_countries = len(corpus.users), max(len(corpus.countries), 1)
+    rank = np.argsort(np.argsort(np.array(corpus.countries, dtype=str)))
 
-    dominant: dict[str, str] = {}
-    for index in order:
-        country = pick_country(all_days.get(index, {}), all_posts.get(index, {}))
-        if country is not None:
-            dominant[corpus.users[index]] = country
+    def pick(keys, *order):
+        return _pick(n_users, keys // n_countries, keys % n_countries, rank, *order)
 
+    self_keys, days, self_counts = _geo_evidence(corpus, corpus.user, None)
+    dominant = pick(self_keys, -days, -self_counts)
+    keys, days, counts = _geo_evidence(corpus, corpus.user, year)
+    residence = pick(keys, -days, -counts)
+
+    # Nationality: SELF_WEIGHT * count / n_geo over the user's own geotagged
+    # posts plus FRIEND_WEIGHT * count / n_friends over the dominant countries
+    # of the friends that have one, a missing term adding 0.0.
+    index = {user_id: i for i, user_id in enumerate(corpus.users)}
+    ends = np.array([index.get(i, -1) for i in friends.ids], dtype=np.int64)
+    source, target = ends[friends.source], ends[friends.target]
+    posted = (source >= 0) & (target >= 0)
+    source, country = source[posted], dominant[target[posted]]
+    source, country = source[country >= 0], country[country >= 0]
+    friend_keys, friend_counts = np.unique(source * n_countries + country, return_counts=True)
+    n_friends = np.bincount(source, minlength=n_users)
+    n_geo = np.bincount(self_keys // n_countries, weights=self_counts, minlength=n_users)
+    keys = distinct(np.concatenate((self_keys, friend_keys)))
+    own, theirs = np.zeros(len(keys)), np.zeros(len(keys))
+    own[np.searchsorted(keys, self_keys)] = SELF_WEIGHT * self_counts / n_geo[self_keys // n_countries]
+    theirs[np.searchsorted(keys, friend_keys)] = FRIEND_WEIGHT * friend_counts / n_friends[friend_keys // n_countries]
+    nationality = pick(keys, -(own + theirs))
+
+    language_keys, language_counts = _language_counts(corpus, corpus.user)
+    n_languages = max(len(corpus.languages), 1)
+    fractions: list[dict[str, float]] = [{} for _ in range(n_users)]
+    speaker = language_keys // n_languages
+    shares = language_counts / np.bincount(speaker, weights=language_counts, minlength=n_users)[speaker]
+    for user, language, share in zip(speaker.tolist(), (language_keys % n_languages).tolist(), shares.tolist()):
+        fractions[user][corpus.languages[language]] = share
+
+    codes = (*corpus.countries, None)  # id -1 is None
     profiles: dict[str, UserProfile] = {}
-    summary = LabelSummary(n_users=n_users)
-    for index in order:
-        user_id = corpus.users[index]
-        profile = UserProfile(
-            user_id=user_id,
-            residence=pick_country(year_days.get(index, {}), year_posts.get(index, {})),
-            nationality=_nationality(all_posts.get(index, {}), friends.friends_of(user_id), dominant),
-            lang_fractions=_fractions(languages.get(index, {})),
-        )
+    resident, national = residence.tolist(), nationality.tolist()
+    for i in sorted(range(n_users), key=corpus.users.__getitem__):
+        profile = UserProfile(corpus.users[i], codes[resident[i]], codes[national[i]], lang_fractions=fractions[i])
         profile.is_migrant = _is_migrant(profile.residence, profile.nationality)
-        profiles[user_id] = profile
-
-        summary.n_with_residence += profile.residence is not None
-        summary.n_with_nationality += profile.nationality is not None
-        if profile.is_migrant is not None:
-            summary.n_with_both += 1
-            summary.n_migrants += profile.is_migrant
+        profiles[profile.user_id] = profile
+    both = (residence >= 0) & (nationality >= 0)
+    summary = LabelSummary(
+        n_users=n_users,
+        n_with_residence=int((residence >= 0).sum()),
+        n_with_nationality=int((nationality >= 0).sum()),
+        n_with_both=int(both.sum()),
+        n_migrants=int((both & (residence != nationality)).sum()),
+        n_edges_without_posts=int((~posted).sum()),
+    )
     return profiles, summary
 
 

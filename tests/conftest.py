@@ -22,14 +22,6 @@ def make_post(user, day, cc=None, lang=None, tags=(), year=YEAR):
     return Post(user_id=user, timestamp=ts, country=cc, language=lang, hashtags=tuple(tags))
 
 
-def graph_from_rows(rows):
-    graph = FriendGraph()
-    for a, b in rows:
-        graph.adjacency.setdefault(a, set()).add(b)
-        graph.n_edges += 1
-    return graph
-
-
 @pytest.fixture
 def micro_corpus():
     """One IT->DE migrant among IT/DE/FR non-migrants with a tiny vocabulary.
@@ -81,7 +73,7 @@ def micro_corpus():
         ("n_de1", "n_de2"),
         ("n_de2", "n_de1"),
     ]
-    return posts, graph_from_rows(friend_rows)
+    return posts, FriendGraph.from_pairs(friend_rows)
 
 
 @pytest.fixture
@@ -99,7 +91,7 @@ class DefaultRun:
         start = time.perf_counter()
         self.spec = default_spec()
         self.population = generate_population(self.spec)
-        graph = graph_from_rows(self.population.friend_rows)
+        graph = FriendGraph.from_pairs(self.population.friend_rows)
         self.profiles, self.summary = label_population(
             self.population.posts, graph, self.spec.year
         )

@@ -28,14 +28,14 @@ from homedest.covariates import (
     join_covariates,
     load_country_languages,
 )
-from homedest.corpus import Post
+from homedest.corpus import FriendGraph, Post
 from homedest.labeling import UserProfile, label_population
 from homedest.nullmodel import pooled
 from homedest.reporting import REPORT_COLUMNS
 from homedest.stats import spearman, wilcoxon_rank_sum, _ks_statistic
 from homedest.synth import class_recovery, default_spec, generate_population, oracle_scores
 
-from conftest import YEAR, graph_from_rows, make_post
+from conftest import YEAR, make_post
 
 # --------------------------------------------------------------- shared data
 
@@ -284,7 +284,7 @@ def test_c6_planted_truth_recovered(default_run):
     # planted-token oracle to the last bit.
     spec = default_spec(n_users=2_000, seed=7, country_tag_specificity=1.0, noise=0.0)
     pop = generate_population(spec)
-    profiles, _ = label_population(pop.posts, graph_from_rows(pop.friend_rows), spec.year)
+    profiles, _ = label_population(pop.posts, FriendGraph.from_pairs(pop.friend_rows), spec.year)
     atlas = build_atlas(pop.posts, profiles, spec.year)
     pipeline = compute_scores(pop.posts, profiles, atlas, spec.year)
     oracle = oracle_scores(pop.truth, pop.posts, spec.year)

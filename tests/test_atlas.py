@@ -17,6 +17,7 @@ from homedest.atlas import (
     unit_histogram,
     write_atlas,
 )
+from homedest.corpus import FriendGraph
 from homedest.labeling import label_population
 
 from conftest import YEAR, make_post
@@ -117,17 +118,11 @@ class TestBuildAtlas:
         ):
             posts.append(make_post(user, 10 + i, cc=cc))
             posts.append(make_post(user, 100 + i, tags=["shared"]))
-        profiles, _ = label_population(posts, _empty_graph(), YEAR)
+        profiles, _ = label_population(posts, FriendGraph.from_pairs(()), YEAR)
         atlas = build_atlas(posts, profiles, YEAR)
         assert atlas["shared"].assignment == INTERNATIONAL
         atlas = build_atlas(posts, profiles, YEAR, threshold=1.0)
         assert atlas["shared"].assignment == "DE"
-
-
-def _empty_graph():
-    from homedest.corpus import FriendGraph
-
-    return FriendGraph()
 
 
 def test_build_distribution(micro_pipeline):

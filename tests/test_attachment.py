@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from homedest.attachment import (
     SEPARATION,
     AttachmentScore,
     apply_acculturation,
+    atlas_coverage,
     classify_acculturation,
     compute_scores,
     language_cohorts,
@@ -55,6 +57,22 @@ class TestComputeScores:
     def test_year_filter(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
         assert compute_scores(posts, profiles, atlas, YEAR - 1, min_hashtags=1) == []
+
+
+class TestAtlasCoverage:
+    def test_micro_corpus(self, micro_pipeline):
+        # m1: roma x3 (home IT), berlin x2 (destination DE), pizza x4 (international), xyzq x1 (not in the atlas).
+        posts, profiles, atlas = micro_pipeline
+        scores = compute_scores(posts, profiles, atlas, YEAR)
+        assert list(atlas_coverage(posts, scores, atlas, YEAR).values()) == [3, 2, 0, 4, 1]
+
+    def test_other_country(self, micro_pipeline):
+        posts, profiles, atlas = micro_pipeline
+        scores = compute_scores(posts, profiles, atlas, YEAR)
+        atlas = {**atlas, "pizza": dataclasses.replace(atlas["pizza"], assignment="FR")}
+        assert atlas_coverage(posts, scores, atlas, YEAR) == {
+            "home": 3, "destination": 2, "other country": 4, "international": 0, "not in the atlas": 1,
+        }
 
 
 class TestQuadrants:

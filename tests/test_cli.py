@@ -153,6 +153,29 @@ def holed(source, target, drop, blank):
     return target
 
 
+def data_sha256(path):
+    """sha256 of a table's data lines: the ``#`` header dropped, so that a version bump does not move it."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return hashlib.sha256("".join(line for line in lines if not line.startswith("#")).encode()).hexdigest()
+
+
+class TestLabelBytes:
+    # sha256 of the data lines of profiles.csv and lang_fractions.csv for the chain's posts
+    # and friends. A change to how labels are decided must keep every residence, nationality
+    # and fraction, and every tie, where it falls.
+    PINNED = (
+        "6fda4db05cbad3f892e5aef8fef253254f4b18bd0930db0e89d42cfd54708bcd",
+        "d428e1ce51cb12fec4006db2fad6533c398154e407e8ef5a7fbca36d680471c7",
+    )
+
+    def test_label_bytes_are_pinned(self, chain_dir):
+        digests = tuple(data_sha256(chain_dir / FILES[key]) for key in ("profiles", "lang_fractions"))
+        assert digests == self.PINNED, (
+            "profiles.csv or lang_fractions.csv changed for fixed posts and friends: a label or a fraction moved. "
+            "Never re-pin these digests without comparing the files with those the unchanged code writes"
+        )
+
+
 class TestCorrelationBytes:
     # sha256 of the data lines of correlations_individual.csv and correlations_grouped.csv
     # for the chain's scores, the # header dropped so that a version bump does not move
@@ -182,16 +205,7 @@ class TestCorrelationBytes:
         argv = ["--hofstede", hofstede, "--pair-covariates", pairs, "--min-group-size", 2]
         argv += ["--signed-deltas"] if setting == "signed" else []
         assert run("correlate", "--out", tmp_path, "--scores", chain_dir / FILES["scores"], *argv) == 0
-        digests = tuple(
-            hashlib.sha256(
-                "".join(
-                    line
-                    for line in (tmp_path / FILES[key]).read_text(encoding="utf-8").splitlines(keepends=True)
-                    if not line.startswith("#")
-                ).encode()
-            ).hexdigest()
-            for key in ("correlations_individual", "correlations_grouped")
-        )
+        digests = tuple(data_sha256(tmp_path / FILES[key]) for key in ("correlations_individual", "correlations_grouped"))
         assert digests == self.PINNED[setting], (
             "the correlation files changed for fixed scores and covariates: an r, a p-value or a row moved. "
             "A change of summation order does this; never re-pin these digests without comparing the files "
@@ -576,7 +590,7 @@ class TestBadInput:
             assert run(step, "--out", tmp_path) == 0
         capsys.readouterr()
         assert run("score", "--out", tmp_path) == 0
-        scored, cohorts = capsys.readouterr().out.splitlines()
+        scored, _, cohorts = capsys.readouterr().out.splitlines()  # the middle line is the atlas coverage
         scores = read_scores(tmp_path / FILES["scores"])
         speakers = sum(s.speaks_dest_lang is True for s in scores)
         non_speakers = sum(s.speaks_dest_lang is False for s in scores)
@@ -625,8 +639,9 @@ class TestBadInput:
         (tmp_path / FILES["friends"]).write_text("user_id,friend_id\n" + "\n".join(rows) + "\n")
         capsys.readouterr()
         assert run("label", "--out", tmp_path) == 0
-        funnel = capsys.readouterr().out.splitlines()[1]
-        assert funnel == "friends: 3 edges, 2 duplicates, 1 self-loops and 3 rows with an empty id dropped"
+        funnel = capsys.readouterr().out.splitlines()[1:3]
+        assert funnel[0] == "friends: 3 edges, 2 duplicates, 1 self-loops and 3 rows with an empty id dropped"
+        assert funnel[1] == "friend edges: 3 of 3 have an end with no posts and carry no evidence"  # a, b and c post nothing
 
 @pytest.fixture(scope="module")
 def labeled(tmp_path_factory):
@@ -654,6 +669,23 @@ class TestLabelFunnel:
             f"labeled {len(profiles)} users: {residence} with a residence, {nationality} with a nationality, "
             f"{both} with both, {migrants} migrants"
         )
+
+
+def test_score_prints_the_atlas_coverage(labeled, tmp_path, capsys):
+    ws = shutil.copytree(labeled, tmp_path / "ws")
+    assert run("atlas", "--out", ws) == 0
+    capsys.readouterr()
+    assert run("score", "--out", ws) == 0
+    printed = capsys.readouterr().out.splitlines()[1]
+    match = re.fullmatch(
+        r"atlas coverage of their (\d+) uses in 2018: (\d+) home, (\d+) destination, (\d+) other country, "
+        r"(\d+) international, (\d+) not in the atlas",
+        printed,
+    )
+    total, home, dest, *rest = map(int, match.groups())
+    scores = read_scores(ws / FILES["scores"])
+    assert total == home + dest + sum(rest) == sum(s.n_hashtags for s in scores)
+    assert (home, dest) == (sum(s.n_home for s in scores), sum(s.n_dest for s in scores))
 
 
 class TestNullScoresOracle:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from homedest.corpus import (
     BadPost,
     Corpus,
+    FriendGraph,
     LoadStats,
     canonicalize_hashtag,
     iter_posts,
@@ -154,14 +155,29 @@ class TestFiles:
     def test_load_friends_dedup_and_self_loops(self, tmp_path):
         path = tmp_path / "friends.csv"
         path.write_text(
-            "user_id,friend_id\na,b\na,b\na,a\nb,a\na,c\n", encoding="utf-8"
+            "user_id,friend_id\na,b\na,b\na,a\nb,a\na,c\n c , a\n,a\n", encoding="utf-8"
         )
         graph = load_friends(path)
-        assert graph.friends_of("a") == {"b", "c"}
-        assert graph.friends_of("b") == {"a"}
-        assert graph.n_duplicates == 1
-        assert graph.n_self_loops == 1
-        assert graph.friends_of("zzz") == set()
+        assert edges(graph) == [("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")]
+        assert (graph.n_edges, graph.n_duplicates, graph.n_self_loops, graph.n_empty) == (4, 1, 1, 1)
+
+
+def edges(graph: FriendGraph) -> list[tuple[str, str]]:
+    return [(graph.ids[s], graph.ids[t]) for s, t in zip(graph.source.tolist(), graph.target.tolist())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")), max_size=30))
+def test_from_pairs_dedup_and_self_loop_counts(pairs):
+    graph = FriendGraph.from_pairs(pairs)
+    loops = [p for p in pairs if p[0] == p[1]]
+    kept = {p for p in pairs if p[0] != p[1]}
+    assert set(edges(graph)) == kept
+    assert graph.n_edges == len(kept) == len(edges(graph))  # no edge twice
+    assert graph.n_self_loops == len(loops)
+    assert graph.n_duplicates == len(pairs) - len(loops) - len(kept)
+    assert graph.ids == tuple(dict.fromkeys(end for p in pairs for end in p))  # in order of first appearance
+    assert sorted(zip(graph.source.tolist(), graph.target.tolist())) == list(zip(graph.source.tolist(), graph.target.tolist()))
 
 
 def _same_corpus(a: Corpus, b: Corpus) -> bool:

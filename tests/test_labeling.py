@@ -6,7 +6,10 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from homedest.corpus import FriendGraph
 from homedest.labeling import (
     assign_nationality,
     assign_residence,
@@ -20,7 +23,7 @@ from homedest.labeling import (
 )
 from homedest.tables import TableError
 
-from conftest import YEAR, graph_from_rows, make_post
+from conftest import YEAR, make_post
 
 
 class TestPickCountry:
@@ -135,7 +138,7 @@ def test_distinct_days_far_from_the_epoch():
     posts += [make_post("u", d, cc="IT", year=2200) for d in (0, 0, 0)]
     posts += [make_post("u", d, cc="FR", year=2200) for d in (1, 2)]
     assert dominant_country(posts) == "DE"
-    profiles, _ = label_population(posts, graph_from_rows([]), 2200)
+    profiles, _ = label_population(posts, FriendGraph.from_pairs(()), 2200)
     assert profiles["u"].residence == "FR"  # two days beat three posts on one day
 
 
@@ -169,3 +172,67 @@ def test_read_profiles_refuses_a_repeated_user(tmp_path):
     path.write_text("user_id,residence,nationality,is_migrant\nu1,MX,BR,true\nu2,BR,BR,false\nu1,DE,BR,true\n")
     with pytest.raises(TableError, match=f"^{re.escape(str(path))}: line 4: user_id u1 repeats line 2$"):
         read_profiles(path)
+
+
+# Micro-corpora for the oracle: posts as (user, day, cc, lang, year), friend edges as (user, friend).
+USERS = ("a", "b", "c", "d", "e", "f")
+POST = st.tuples(
+    st.sampled_from(USERS),
+    st.integers(0, 3),
+    st.sampled_from((None, "DE", "FR", "IT")),
+    st.sampled_from((None, "de", "it")),
+    st.sampled_from((YEAR, YEAR - 1)),
+)
+EDGE = st.tuples(st.sampled_from(USERS + ("ghost",)), st.sampled_from(USERS + ("ghost",)))
+PLANTED = (
+    [
+        ("a", 1, "DE", None, YEAR), ("a", 1, "DE", None, YEAR), ("a", 2, "IT", None, YEAR), ("a", 2, "IT", None, YEAR),
+        ("b", 1, "DE", "de", YEAR), ("b", 2, "IT", "it", YEAR), ("b", 2, "IT", "it", YEAR),
+        ("c", 1, "IT", "it", YEAR),
+        ("d", 1, "DE", "de", YEAR),
+        ("e", 1, None, "it", YEAR), ("e", 2, None, "de", YEAR), ("e", 3, None, "de", YEAR),
+        ("f", 1, "FR", None, YEAR - 1),
+    ],
+    [("c", "d"), ("c", "ghost"), ("c", "e"), ("a", "b"), ("a", "a"), ("a", "b"), ("ghost", "f")],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(POST, max_size=25), st.lists(EDGE, max_size=15))
+# a: days and posts tie (DE by code); b: days tie, posts pick IT; c: IT 0.5 against friend d's DE 0.5, and
+# friends with no posts (ghost) and no geotag (e); e: no geotag; f: no in-year geotag and no friends.
+@example(*PLANTED)
+def test_label_population_equals_the_adapters(rows, pairs):
+    posts = [make_post(user, day, cc=cc, lang=lang, year=year) for user, day, cc, lang, year in rows]
+    profiles, summary = label_population(posts, FriendGraph.from_pairs(pairs), YEAR)
+    own = {user: [p for p in posts if p.user_id == user] for user in dict.fromkeys(p.user_id for p in posts)}
+    dominant = {user: c for user, mine in own.items() if (c := dominant_country(mine)) is not None}
+    assert list(profiles) == sorted(own)
+    for user, mine in own.items():
+        profile = profiles[user]
+        assert profile.residence == assign_residence(mine, YEAR)
+        friends = {friend for source, friend in pairs if source == user and friend != user}
+        assert profile.nationality == assign_nationality(mine, friends, dominant)
+        assert profile.lang_fractions == language_fractions(mine)
+    edges = {(u, f) for u, f in pairs if u != f}
+    assert summary.n_edges_without_posts == sum(u not in own or f not in own for u, f in edges)
+    labelled = profiles.values()
+    assert (summary.n_with_residence, summary.n_with_nationality, summary.n_with_both, summary.n_migrants) == (
+        sum(p.residence is not None for p in labelled),
+        sum(p.nationality is not None for p in labelled),
+        sum(p.is_migrant is not None for p in labelled),
+        sum(p.is_migrant is True for p in labelled),
+    )
+
+
+def test_planted_ties_fall_on_the_code():
+    profiles, summary = label_population(
+        [make_post(user, day, cc=cc, lang=lang, year=year) for user, day, cc, lang, year in PLANTED[0]],
+        FriendGraph.from_pairs(PLANTED[1]),
+        YEAR,
+    )
+    labels = {user: (p.residence, p.nationality) for user, p in profiles.items()}
+    assert labels == {
+        "a": ("DE", "IT"), "b": ("IT", "IT"), "c": ("IT", "DE"), "d": ("DE", "DE"), "e": (None, None), "f": (None, "FR"),
+    }
+    assert summary.n_edges_without_posts == 2  # c -> ghost and ghost -> f

@@ -8,7 +8,7 @@ import pytest
 
 from homedest.atlas import build_atlas
 from homedest.attachment import AttachmentScore, compute_scores
-from homedest.corpus import Post
+from homedest.corpus import FriendGraph, Post
 from homedest.labeling import label_population
 from homedest.synth import (
     DEFAULT_COUNTRIES,
@@ -23,7 +23,7 @@ from homedest.synth import (
     write_population,
 )
 
-from conftest import YEAR, graph_from_rows, make_post
+from conftest import YEAR, make_post
 
 
 def small_spec(**overrides):
@@ -157,7 +157,7 @@ class TestGeneration:
 class TestLabelRecovery:
     def test_pipeline_labels_match_planted_truth(self):
         pop = generate_population(small_spec())
-        graph = graph_from_rows(pop.friend_rows)
+        graph = FriendGraph.from_pairs(pop.friend_rows)
         profiles, summary = label_population(pop.posts, graph, YEAR)
         for user_id, row in pop.truth.items():
             profile = profiles[user_id]
@@ -247,7 +247,7 @@ class TestEndToEndOnSynthetic:
     def test_pure_specificity_matches_oracle_exactly(self):
         spec = small_spec(country_tag_specificity=1.0, noise=0.0)
         pop = generate_population(spec)
-        graph = graph_from_rows(pop.friend_rows)
+        graph = FriendGraph.from_pairs(pop.friend_rows)
         profiles, _ = label_population(pop.posts, graph, spec.year)
         atlas = build_atlas(pop.posts, profiles, spec.year)
         pipeline = compute_scores(pop.posts, profiles, atlas, spec.year)
