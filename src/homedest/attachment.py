@@ -15,7 +15,6 @@ null (``nullmodel.null_distribution``) both count from it with
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -38,7 +37,6 @@ ASSIMILATION = "assimilation"
 INTEGRATION = "integration"
 MARGINALISATION = "marginalisation"
 SEPARATION = "separation"
-ACC_CLASSES = (ASSIMILATION, INTEGRATION, MARGINALISATION, SEPARATION)
 
 SCORE_COLUMNS = {
     "user_id": str, "nationality": str, "residence": str, "ha": float, "da": float,
@@ -52,8 +50,6 @@ SCORE_RULES = {
     "ha == n_home / n_hashtags": lambda row: row["ha"] == row["n_home"] / row["n_hashtags"],
     "da == n_dest / n_hashtags": lambda row: row["da"] == row["n_dest"] / row["n_hashtags"],
 }
-# A null-model scores table: one block of rows per shuffle replicate.
-NULL_SCORE_COLUMNS = {**SCORE_COLUMNS, "replicate": int}
 
 
 @dataclass
@@ -262,15 +258,3 @@ def read_scores(path: str | Path) -> list[AttachmentScore]:
     """Load a scores CSV, one row per migrant; a row that breaks SCORE_KEY or SCORE_RULES is a TableError."""
     return [AttachmentScore(**row) for row in read_table(path, SCORE_COLUMNS, SCORE_KEY, SCORE_RULES)]
 
-
-def read_indices(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """The ``ha`` and ``da`` columns of a scores CSV, as float arrays; no other cell is read.
-
-    A null-model table holds R rows per scored migrant, so its two index
-    columns are kept as arrays, not as one object per row.
-    """
-    ha, da = array("d"), array("d")
-    for row in read_table(path, {"ha": float, "da": float}):
-        ha.append(row["ha"])
-        da.append(row["da"])
-    return np.frombuffer(ha), np.frombuffer(da)

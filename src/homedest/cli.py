@@ -16,21 +16,18 @@ import hashlib
 import json
 import logging
 import sys
-from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
 
 from . import __version__
-from .atlas import DEFAULT_ENTROPY_THRESHOLD, build_atlas, read_atlas, write_atlas
+from .atlas import DEFAULT_ENTROPY_THRESHOLD, INTERNATIONAL, build_atlas, read_atlas, write_atlas
 from .attachment import (
     DEFAULT_MIN_HASHTAGS,
-    NULL_SCORE_COLUMNS,
     apply_acculturation,
     atlas_coverage,
     compute_scores,
     language_cohorts,
-    read_indices,
     read_scores,
     write_scores,
 )
@@ -47,19 +44,16 @@ from .covariates import (
     packaged_data_path,
 )
 from .labeling import label_population, read_profiles, write_lang_fractions, write_profiles
-from .nullmodel import DEFAULT_REPLICATES, null_distribution
+from .nullmodel import DEFAULT_REPLICATES, null_distribution, read_null_indices, write_null_scores
 from .reporting import REPORT_COLUMNS, report_rows
-from .stats import ks_two_sample, pearson, spearman, wilcoxon_rank_sum
-from .synth import PopulationSpec, generate_population, write_population
+from .stats import TEST_RESULT_COLUMNS, ks_two_sample, pearson, spearman, wilcoxon_rank_sum
+from .synth import POPULATION_FILES, PopulationSpec, generate_population, write_population
 from .tables import TableError, write_table
 
 logger = logging.getLogger(__name__)
 
 FILES = {
-    "posts": "posts.jsonl",
-    "friends": "friends.csv",
-    "ground_truth": "ground_truth.csv",
-    "pair_covariates": "pair_covariates.csv",
+    **POPULATION_FILES,
     "corpus": "corpus.npz",
     "profiles": "profiles.csv",
     "lang_fractions": "lang_fractions.csv",
@@ -252,14 +246,17 @@ def cmd_label(run) -> int:
         f"friend edges: {summary.n_edges_without_posts} of {friends.n_edges} have an end with no posts "
         "and carry no evidence"
     )
-    header = run.header()
-    write_profiles(run.profiles, profiles, header)
-    write_lang_fractions(run.lang_fractions, profiles, header)
-    print(
-        f"labeled {summary.n_users} users: {summary.n_with_residence} with a residence, "
+    funnel = (
+        f"{summary.n_users} users: {summary.n_with_residence} with a residence, "
         f"{summary.n_with_nationality} with a nationality, {summary.n_with_both} with both, "
         f"{summary.n_migrants} migrants"
     )
+    if not summary.n_with_both:
+        _fail(f"no user has both a residence in {run.year} and a nationality: {funnel}")
+    header = run.header()
+    write_profiles(run.profiles, profiles, header)
+    write_lang_fractions(run.lang_fractions, profiles, header)
+    print(f"labeled {funnel}")
     return 0
 
 
@@ -267,7 +264,7 @@ def cmd_atlas(run) -> int:
     posts, _ = _load_corpus(run.posts, run.out)
     profiles = read_profiles(run.profiles)
     atlas = build_atlas(posts, profiles, run.year, threshold=run.entropy_threshold)
-    n_intl = sum(1 for r in atlas.values() if r.assignment == "international")
+    n_intl = sum(1 for r in atlas.values() if r.assignment == INTERNATIONAL)
     if n_intl == len(atlas):
         _fail(f"no hashtag of {run.year} is assigned to a country: {len(atlas)} hashtags, {n_intl} international")
     write_atlas(run.atlas, atlas, run.header(), run.atlas_distributions)
@@ -283,8 +280,15 @@ def cmd_score(run) -> int:
     n_migrants = sum(profile.is_migrant is True for profile in profiles.values())
     if not scores:
         _fail(f"none of {n_migrants} labelled migrants passed the hashtag volume filter (--min-hashtags {run.min_hashtags})")
-    if not any(s.n_home or s.n_dest for s in scores):
-        _fail(f"{run.atlas}: no hashtag use of the {len(scores)} scored migrants is assigned to their home or destination")
+    coverage = atlas_coverage(posts, scores, atlas, run.year)
+    covered = f"atlas coverage of their {sum(coverage.values())} uses in {run.year}: " + ", ".join(
+        f"{count} {kind}" for kind, count in coverage.items()
+    )
+    if not coverage["home"] + coverage["destination"]:
+        _fail(
+            f"{run.atlas}: no hashtag use of the {len(scores)} scored migrants is assigned to their home or "
+            f"destination; {covered}"
+        )
     ha_split, da_split = apply_acculturation(scores)
     cohorts = language_cohorts(scores, profiles, load_country_languages())
     write_scores(run.scores, scores, run.header(ha_split=ha_split, da_split=da_split))
@@ -292,11 +296,7 @@ def cmd_score(run) -> int:
         f"scored {len(scores)} migrants of {n_migrants} labelled, {n_migrants - len(scores)} below "
         f"--min-hashtags {run.min_hashtags} (median splits ha={ha_split:.4f}, da={da_split:.4f})"
     )
-    coverage = atlas_coverage(posts, scores, atlas, run.year)
-    print(
-        f"atlas coverage of their {sum(coverage.values())} uses in {run.year}: "
-        + ", ".join(f"{count} {kind}" for kind, count in coverage.items())
-    )
+    print(covered)
     print(
         f"language cohorts: {len(cohorts.speakers)} speakers, {len(cohorts.non_speakers)} non-speakers, "
         f"{len(cohorts.unclassified)} unclassified, of which {cohorts.n_missing_language} "
@@ -316,8 +316,7 @@ def cmd_null(run) -> int:
         runs = null_distribution(posts, scores, atlas, **run.options)
     except ValueError as exc:  # a scores row that the posts, atlas and year do not give
         _fail(f"{run.scores}: {exc}")
-    # Each replicate's rows are formatted as the writer takes them, not kept.
-    write_table(run.null_scores, NULL_SCORE_COLUMNS, chain.from_iterable(r.rows() for r in runs), run.header())
+    write_null_scores(run.null_scores, runs, run.header())
     print(f"null model: {len(runs)} replicates, {len(runs) * len(runs[0].who)} score rows")
     return 0
 
@@ -326,7 +325,7 @@ def cmd_stats(run) -> int:
     scores = read_scores(run.scores)
     ha = [s.ha for s in scores]
     da = [s.da for s in scores]
-    ha0, da0 = read_indices(run.null_scores)
+    ha0, da0 = read_null_indices(run.null_scores)
 
     rows = []
     for comparison, x, y, tests in (
@@ -341,11 +340,8 @@ def cmd_stats(run) -> int:
 
     write_table(
         run.test_results,
-        {"comparison": str, "method": str, "statistic": float, "p_value": float, "n1": int, "n2": int, "stars": str},
-        (
-            (comparison, t.method, t.statistic, t.p_value, t.n1, t.n2, t.stars)
-            for comparison, t in rows
-        ),
+        TEST_RESULT_COLUMNS,
+        ((comparison, t.method, t.statistic, t.p_value, t.n1, t.n2, t.stars) for comparison, t in rows),
         run.header(),
     )
     for comparison, test in rows:
@@ -387,7 +383,7 @@ def cmd_report(run) -> int:
     scores = read_scores(run.scores)
     if not scores:
         _fail(f"{run.scores}: no scores to report")
-    null = read_indices(run.null_scores) if run.null_scores else None
+    null = read_null_indices(run.null_scores) if run.null_scores else None
 
     report_dir = run.out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)

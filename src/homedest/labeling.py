@@ -98,11 +98,18 @@ def _geo_evidence(corpus: Corpus, group: np.ndarray, year: int | None) -> tuple[
 
 
 def _pooled_evidence(posts: Iterable[Post], year: int | None):
-    """Geo evidence of all ``posts`` taken together, as {country: days} and {country: posts}."""
-    corpus = Corpus.from_posts(posts)
-    keys, days, n_posts = _geo_evidence(corpus, np.zeros(corpus.n_posts, np.int64), year)
-    countries = [corpus.countries[k] for k in keys.tolist()]
-    return dict(zip(countries, days.tolist())), dict(zip(countries, n_posts.tolist()))
+    """Geo evidence of all ``posts`` taken together, as {country: distinct calendar days} and {country: posts}.
+
+    Counted post by post, apart from ``_geo_evidence``, so that the adapters
+    below are an oracle for ``label_population``.
+    """
+    days: dict[str, set] = defaultdict(set)
+    n_posts: Counter[str] = Counter()
+    for post in posts:
+        if post.country is not None and (year is None or post.year == year):
+            days[post.country].add(post.timestamp.date())
+            n_posts[post.country] += 1
+    return {country: len(dates) for country, dates in days.items()}, dict(n_posts)
 
 
 def assign_residence(posts: Iterable[Post], year: int) -> str | None:
@@ -157,23 +164,11 @@ def assign_nationality(
     return _nationality(geo_counts, friend_ids, friend_countries)
 
 
-def _fractions(counts: Mapping[str, int]) -> dict[str, float]:
-    total = sum(counts.values())
-    return {lang: n / total for lang, n in counts.items()}
-
-
-def _language_counts(corpus: Corpus, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``(key, count)``: language-tagged posts per ``group * L + language`` key, L = ``len(corpus.languages)``."""
-    keep = corpus.language >= 0
-    keys = group[keep].astype(np.int64) * max(len(corpus.languages), 1) + corpus.language[keep]
-    return np.unique(keys, return_counts=True)
-
-
 def language_fractions(posts: Iterable[Post]) -> dict[str, float]:
-    """Fraction of the user's posts per language, over language-tagged posts."""
-    corpus = Corpus.from_posts(posts)
-    keys, counts = _language_counts(corpus, np.zeros(corpus.n_posts, np.int64))
-    return _fractions({corpus.languages[k]: n for k, n in zip(keys.tolist(), counts.tolist())})
+    """Fraction of the user's posts per language, over language-tagged posts, counted post by post."""
+    counts = Counter(post.language for post in posts if post.language is not None)
+    total = sum(counts.values())
+    return {language: n / total for language, n in counts.items()}
 
 
 def _pick(n_users: int, user: np.ndarray, country: np.ndarray, rank: np.ndarray, *keys: np.ndarray) -> np.ndarray:
@@ -234,8 +229,12 @@ def label_population(
     theirs[np.searchsorted(keys, friend_keys)] = FRIEND_WEIGHT * friend_counts / n_friends[friend_keys // n_countries]
     nationality = pick(keys, -(own + theirs))
 
-    language_keys, language_counts = _language_counts(corpus, corpus.user)
+    # Language-tagged posts per user * L + language key.
     n_languages = max(len(corpus.languages), 1)
+    tagged = corpus.language >= 0
+    language_keys, language_counts = np.unique(
+        corpus.user[tagged].astype(np.int64) * n_languages + corpus.language[tagged], return_counts=True
+    )
     fractions: list[dict[str, float]] = [{} for _ in range(n_users)]
     speaker = language_keys // n_languages
     shares = language_counts / np.bincount(speaker, weights=language_counts, minlength=n_users)[speaker]

@@ -24,15 +24,25 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .atlas import HashtagRecord
-from .attachment import AttachmentScore, coded_uses, count_uses, score_rows
+from .attachment import SCORE_COLUMNS, AttachmentScore, coded_uses, count_uses, score_rows
 from .corpus import Corpus, Post
+from .tables import read_table, write_table
 
 DEFAULT_REPLICATES = 5
+
+# One block of rows per replicate; only ``ha`` and ``da`` are read back.
+NULL_SCORE_COLUMNS = {**SCORE_COLUMNS, "replicate": int}
+NULL_SCORE_RULES = {
+    "0 <= ha <= 1": lambda row: 0 <= row["ha"] <= 1,
+    "0 <= da <= 1": lambda row: 0 <= row["da"] <= 1,
+    "ha + da <= 1": lambda row: row["ha"] + row["da"] <= 1,
+}
 
 
 @dataclass(eq=False)
@@ -51,11 +61,6 @@ class ShuffleRun:
     n_hashtags: np.ndarray
     n_home: np.ndarray
     n_dest: np.ndarray
-
-    def rows(self) -> Iterator[tuple]:
-        """The replicate's rows of a null scores table (NULL_SCORE_COLUMNS), without score objects."""
-        for row in score_rows(self.who, self.n_hashtags, self.n_home, self.n_dest):
-            yield (*row, self.replicate_index)
 
     @cached_property
     def scores0(self) -> list[AttachmentScore]:
@@ -159,3 +164,21 @@ def pooled(runs: Iterable[ShuffleRun], index: str) -> list[float]:
     for run in runs:
         values.extend(((run.n_home if index == "ha" else run.n_dest) / run.n_hashtags).tolist())
     return values
+
+
+def write_null_scores(path: str | Path, runs: Iterable[ShuffleRun], header: Sequence[str] = ()) -> None:
+    """Write the replicates' rows as a null scores table, each formatted as it is written, not kept."""
+    rows = (
+        (*row, run.replicate_index) for run in runs for row in score_rows(run.who, run.n_hashtags, run.n_home, run.n_dest)
+    )
+    write_table(path, NULL_SCORE_COLUMNS, rows, header)
+
+
+def read_null_indices(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``ha`` and ``da`` columns of a null scores table, as float arrays; no other cell is read.
+
+    R rows per migrant are kept as arrays, not row objects. A row that breaks NULL_SCORE_RULES is a TableError.
+    """
+    rows = read_table(path, {"ha": float, "da": float}, rules=NULL_SCORE_RULES)
+    values = np.fromiter(((row["ha"], row["da"]) for row in rows), dtype=[("ha", float), ("da", float)])
+    return values["ha"], values["da"]

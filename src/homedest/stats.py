@@ -34,6 +34,11 @@ KS_TWO_SAMPLE = "ks_two_sample"
 PEARSON = "pearson"
 SPEARMAN = "spearman"
 
+# The columns of a test results table: one row per test, named by the comparison it tests.
+TEST_RESULT_COLUMNS = {
+    "comparison": str, "method": str, "statistic": float, "p_value": float, "n1": int, "n2": int, "stars": str,
+}
+
 
 @dataclass
 class TestResult:

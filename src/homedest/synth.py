@@ -34,6 +34,7 @@ import numpy as np
 
 from .attachment import (
     ASSIMILATION,
+    DEFAULT_MIN_HASHTAGS,
     INTEGRATION,
     MARGINALISATION,
     SEPARATION,
@@ -77,6 +78,13 @@ USER_PREFIX = "u"
 VOCAB_DIGITS = max(4, len(str(max(COUNTRY_VOCAB, INTL_VOCAB))))
 _TAGS_PER_POST = 4
 
+# The four files a population is written as, by the input name the commands give each.
+POPULATION_FILES = {
+    "posts": "posts.jsonl",
+    "friends": "friends.csv",
+    "ground_truth": "ground_truth.csv",
+    "pair_covariates": "pair_covariates.csv",
+}
 TRUTH_COLUMNS = {
     "user_id": str, "residence": str, "nationality": str, "acc_class": str | None,
     "planted_ha": float | None, "planted_da": float | None, "n_tags": int,
@@ -290,15 +298,10 @@ def _pair_covariate_rows(
 
 
 def write_population(population: Population, out_dir: str | Path) -> dict[str, Path]:
-    """Write posts.jsonl, friends.csv, ground_truth.csv, pair_covariates.csv."""
+    """Write the population's POPULATION_FILES into ``out_dir``; their paths by input name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "posts": out / "posts.jsonl",
-        "friends": out / "friends.csv",
-        "ground_truth": out / "ground_truth.csv",
-        "pair_covariates": out / "pair_covariates.csv",
-    }
+    paths = {key: out / name for key, name in POPULATION_FILES.items()}
     write_posts(paths["posts"], population.posts)
     write_table(paths["friends"], FRIEND_COLUMNS, population.friend_rows)
     truth = (population.truth[user_id] for user_id in sorted(population.truth))
@@ -323,7 +326,7 @@ def oracle_scores(
     truth: dict[str, TruthRow],
     posts: Iterable[Post],
     year: int,
-    min_hashtags: int = 10,
+    min_hashtags: int = DEFAULT_MIN_HASHTAGS,
 ) -> list[AttachmentScore]:
     """Attachment scores computed from planted token countries alone.
 

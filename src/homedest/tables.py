@@ -146,9 +146,9 @@ def read_table(
             key_of = itemgetter(*key) if key else None
             first_line = {}  # each key's first line, as the reader counts them
 
-            def refused(record, what):  # the message is built only for a row that fails
+            def refused(record, what):  # the message is built only for a row that fails; a keyless row names no cells
                 named = ", ".join(f"{name} {record[name]}" for name in key)
-                return TableError(f"{path}: line {comments + reader.line_num}: {named} {what}")
+                return TableError(f"{path}: line {comments + reader.line_num}: {f'{named} {what}' if key else what}")
             for row in reader:
                 if not row:
                     continue

@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 
 from homedest.atlas import read_atlas
-from homedest.attachment import NULL_SCORE_COLUMNS, SCORE_COLUMNS, compute_scores, read_scores
+from homedest.attachment import SCORE_COLUMNS, compute_scores, read_scores
 from homedest.cli import COMMANDS, FILES, main
 from homedest.corpus import file_sha256, iter_posts, read_corpus
 from homedest.labeling import read_profiles
-from homedest.nullmodel import shuffle_hashtags
+from homedest.nullmodel import NULL_SCORE_COLUMNS, shuffle_hashtags
 from homedest.reporting import REPORT_COLUMNS
 from homedest.covariates import CORRELATION_COLUMNS, packaged_data_path
 from homedest.synth import read_ground_truth
@@ -292,6 +292,25 @@ class TestBadInput:
         assert "posts.jsonl: 3 lines, 3 skipped" in err
 
 
+    def test_label_without_a_user_to_score(self, tmp_path, capsys):
+        posts = [
+            {"user_id": "u1", "ts": "2018-03-01T12:00:00Z", "cc": "IT"},
+            {"user_id": "u1", "ts": "2018-03-02T12:00:00Z", "cc": "DE"},
+            {"user_id": "u2", "ts": "2017-05-01T12:00:00Z", "cc": "FR"},
+            {"user_id": "u3", "ts": "2018-05-01T12:00:00Z", "tags": ["roma"]},
+        ]
+        (tmp_path / FILES["posts"]).write_text("".join(json.dumps(post) + "\n" for post in posts))
+        (tmp_path / FILES["friends"]).write_text("user_id,friend_id\nu3,u2\n")
+        assert run("label", "--out", tmp_path) == 0  # u1 has both countries in 2018
+        for output in ("profiles", "lang_fractions"):
+            (tmp_path / FILES[output]).unlink()
+        err = self.exit_2_stderr(capsys, "label", "--out", tmp_path, "--year", 1990)
+        assert err == (
+            "error: no user has both a residence in 1990 and a nationality: "
+            "3 users: 0 with a residence, 3 with a nationality, 0 with both, 0 migrants\n"
+        )
+        assert not any((tmp_path / FILES[output]).exists() for output in ("profiles", "lang_fractions"))
+
     def test_entropy_threshold_out_of_range(self, tmp_path, capsys):
         assert run("synth", "--out", tmp_path, "--users", 40) == 0
         assert run("label", "--out", tmp_path) == 0
@@ -350,7 +369,8 @@ class TestBadInput:
         atlas.write_text("\n".join(lines[:2] + [",".join([r[0], "international", *r[2:]]) for r in rows]) + "\n")
         err = self.exit_2_stderr(capsys, "score", "--out", tmp_path, "--posts", chain_dir / FILES["posts"])
         assert err.startswith(f"error: {atlas}: no hashtag use of the ") and err.count("\n") == 1
-        assert "assigned to their home or destination" in err
+        assert "assigned to their home or destination; atlas coverage of their " in err
+        assert re.search(r" uses in 2018: 0 home, 0 destination, 0 other country, \d+ international, \d+ not in the atlas$", err)
         assert not (tmp_path / FILES["scores"]).exists()
 
     def test_correlate_without_a_covered_pair(self, chain_dir, tmp_path, capsys):
@@ -407,6 +427,23 @@ class TestBadInput:
         err = self.exit_2_stderr(capsys, command, "--out", tmp_path)
         assert err == f"error: {tmp_path / FILES['scores']}: line {line}: column ha holds 'nan', expected a number\n"
         assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("command", ["stats", "report"])
+    @pytest.mark.parametrize(
+        "cells, rule",
+        [({"ha": "1.5"}, "0 <= ha <= 1"), ({"da": "-0.1"}, "0 <= da <= 1"), ({"ha": "0.75", "da": "0.5"}, "ha + da <= 1")],
+    )
+    def test_null_row_outside_the_rules(self, chain_dir, tmp_path, capsys, command, cells, rule):
+        copy_chain(chain_dir, tmp_path)
+        null = tmp_path / FILES["null_scores"]
+        lines = null.read_text().splitlines()
+        names, row = lines[1].split(","), lines[-1].split(",")
+        for name, text in cells.items():
+            row[names.index(name)] = text
+        null.write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
+        err = self.exit_2_stderr(capsys, command, "--out", tmp_path)
+        assert err == f"error: {null}: line {len(lines)}: breaks the rule {rule}\n"
+        assert not (tmp_path / FILES["test_results"]).exists() and not (tmp_path / "report").exists()
 
     def test_report_on_header_only_scores(self, chain_dir, tmp_path, capsys):
         copy_chain(chain_dir, tmp_path, n_rows=0)

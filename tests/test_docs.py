@@ -60,6 +60,7 @@ def test_readme_rules_table_keys_match_their_declaration():
         "scores.csv": SCORE_KEY,
         "--hofstede": HOFSTEDE_KEY,
         "pair_covariates.csv": PAIR_KEY,
+        "null_scores.csv": (),  # no key yet
     }
 
 

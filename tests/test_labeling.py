@@ -202,6 +202,8 @@ PLANTED = (
 # a: days and posts tie (DE by code); b: days tie, posts pick IT; c: IT 0.5 against friend d's DE 0.5, and
 # friends with no posts (ghost) and no geotag (e); e: no geotag; f: no in-year geotag and no friends.
 @example(*PLANTED)
+# g: three posts on one DE day against two IT days, so days and posts pick different countries.
+@example([("g", 1, "DE", None, YEAR)] * 3 + [("g", 1, "IT", None, YEAR), ("g", 2, "IT", None, YEAR)], [])
 def test_label_population_equals_the_adapters(rows, pairs):
     posts = [make_post(user, day, cc=cc, lang=lang, year=year) for user, day, cc, lang, year in rows]
     profiles, summary = label_population(posts, FriendGraph.from_pairs(pairs), YEAR)

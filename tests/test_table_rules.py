@@ -3,7 +3,8 @@
 One small workspace is built per module. Each example breaks one key or rule
 in one row of one table, then runs, in process, each command that reads that
 table: the command must exit 2 with one stderr line naming the file, the line,
-the row's key cells and the broken rule, and must write none of its outputs.
+the row's key cells (if the table has a key) and the broken rule, and must
+write none of its outputs.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from homedest.covariates import (
     packaged_data_path,
 )
 from homedest.labeling import LANG_KEY, LANG_RULES, PROFILE_KEY, PROFILE_RULES
+from homedest.nullmodel import NULL_SCORE_RULES
 
 # Each table's declared key and rules, by the input name its commands give it.
 CONTRACTS = {
@@ -40,6 +42,7 @@ CONTRACTS = {
     "scores": (SCORE_KEY, SCORE_RULES),
     "hofstede": (HOFSTEDE_KEY, HOFSTEDE_RULES),
     "pair_covariates": (PAIR_KEY, PAIR_RULES),
+    "null_scores": ((), NULL_SCORE_RULES),
 }
 KEY = "key"
 
@@ -88,6 +91,13 @@ def not_the_quotient(index, count):
     return breaker
 
 
+def indices_over_one(draw, row):
+    """A breaker of ``ha + da <= 1``: each index in [0, 1], their sum above 1."""
+    unit = st.floats(0.0, 1.0)
+    ha, da = draw(st.tuples(unit, unit).filter(lambda pair: pair[0] + pair[1] > 1))
+    return {"ha": repr(ha), "da": repr(da)}
+
+
 # For each (table, rule), new cells that make one row break the rule, given the
 # row and hypothesis's `draw`. Where they break more rules than one, this one is
 # the first in declared order, which is the one read_table names.
@@ -114,16 +124,20 @@ BREAKERS = {
         for column in PAIR_KEY
     },
     ("pair_covariates", "country_a < country_b"): swapped_pair,
+    ("null_scores", "0 <= ha <= 1"): lambda draw, row: {"ha": repr(draw(outside(0.0, 1.0)))},
+    ("null_scores", "0 <= da <= 1"): lambda draw, row: {"da": repr(draw(outside(0.0, 1.0)))},
+    ("null_scores", "ha + da <= 1"): indices_over_one,
     **{
         ("hofstede", f"{dim} is empty or in [0, 120]"): lambda draw, row, dim=dim: {dim: repr(draw(outside(0.0, 120.0)))}
         for dim in HOFSTEDE_DIMENSIONS
     },
-    **{(table, KEY): None for table in CONTRACTS},  # a key is broken by a copy of a row
+    **{(table, KEY): None for table, (key, _) in CONTRACTS.items() if key},  # a key is broken by a copy of a row
 }
 
 
 def test_every_declared_key_and_rule_has_a_breaker():
-    declared = {(table, rule) for table, (_, rules) in CONTRACTS.items() for rule in (KEY, *rules)}
+    keys = {(table, KEY) for table, (key, _) in CONTRACTS.items() if key}
+    declared = keys | {(table, rule) for table, (_, rules) in CONTRACTS.items() for rule in rules}
     assert set(BREAKERS) == declared
 
 
@@ -182,6 +196,7 @@ def test_a_row_that_breaks_a_declared_key_or_rule_is_refused_by_every_reader(wor
         line, broken = first_data_line + i, f"breaks the rule {rule}"
     cells = dict(zip(names, rows[line - first_data_line]))
     named = ", ".join(f"{name} {cells[name]}" for name in key)
+    message = f"{named} {broken}" if key else broken
 
     readers = [name for name, command in COMMANDS.items() if table in command.inputs + command.optional]
     assert readers
@@ -195,7 +210,7 @@ def test_a_row_that_breaks_a_declared_key_or_rule_is_refused_by_every_reader(wor
             outputs = [out / FILES[name] for name in COMMANDS[command].outputs] + [out / "report"]
             for output in outputs:
                 output.unlink(missing_ok=True)
-            assert run_refused(out, command) == f"error: {path}: line {line}: {named} {broken}\n", command
+            assert run_refused(out, command) == f"error: {path}: line {line}: {message}\n", command
             assert not any(output.exists() for output in outputs), command
             for output in outputs:  # a later reader may need it as an input
                 if (workspace / output.name).is_file():
