@@ -11,8 +11,8 @@ import numpy as np
 
 from homedest.attachment import AttachmentScore
 from homedest.covariates import (
+    HOFSTEDE_DIMENSIONS,
     grouped_correlations,
-    hofstede_delta,
     individual_correlations,
     join_covariates,
     load_hofstede,
@@ -20,7 +20,15 @@ from homedest.covariates import (
 
 hofstede = load_hofstede()
 print(f"bundled cultural table: {len(hofstede)} countries")
-print("IT -> DE deltas:", hofstede_delta(hofstede, "IT", "DE"))
+
+
+def deltas(origin, destination):
+    """|destination - origin| of each dimension both countries have."""
+    home, dest = hofstede[origin], hofstede[destination]
+    return {f"hof_{dim}": abs(dest[dim] - home[dim]) for dim in HOFSTEDE_DIMENSIONS if dim in home and dim in dest}
+
+
+print("IT -> DE deltas:", deltas("IT", "DE"))
 
 # Cook up migrants whose home attachment *increases* with cultural
 # distance from Germany, plus per-user noise that drowns the signal.
@@ -29,7 +37,7 @@ origins = ("AT", "DK", "FR", "ES", "PL", "GR", "JP", "MX")
 scores = []
 for i in range(400):
     origin = origins[i % len(origins)]
-    distance = sum(hofstede_delta(hofstede, origin, "DE").values())
+    distance = sum(deltas(origin, "DE").values())
     ha = float(np.clip(0.001 * distance + rng.normal(0, 0.08), 0.0, 0.8))
     da = float(np.clip(0.15 + rng.normal(0, 0.05), 0.0, 0.2))
     scores.append(AttachmentScore(f"u{i:03d}", origin, "DE", ha, da, 30, int(30 * ha), int(30 * da)))

@@ -76,6 +76,7 @@ class CohortSplit:
     non_speakers: list[AttachmentScore]
     unclassified: list[AttachmentScore]
     n_missing_language: int = 0
+    n_untagged: int = 0
 
 
 def count_uses(
@@ -227,8 +228,9 @@ def language_cohorts(
 
     Speakers post at least SPEAKER_SHARE of their language-tagged posts in
     the official language of the residence country; non-speakers at most
-    NON_SPEAKER_SHARE. Everyone else, and users whose residence is missing
-    from the language table, stays unclassified.
+    NON_SPEAKER_SHARE. Everyone else stays unclassified, as do users whose
+    residence is missing from the language table (``n_missing_language``)
+    and users without a language-tagged post (``n_untagged``).
     """
     split = CohortSplit(speakers=[], non_speakers=[], unclassified=[])
     for score in scores:
@@ -237,7 +239,12 @@ def language_cohorts(
             split.n_missing_language += 1
             split.unclassified.append(score)
             continue
-        fraction = profiles[score.user_id].lang_fractions.get(dest_lang, 0.0)
+        fractions = profiles[score.user_id].lang_fractions
+        if not fractions:
+            split.n_untagged += 1
+            split.unclassified.append(score)
+            continue
+        fraction = fractions.get(dest_lang, 0.0)
         if fraction >= SPEAKER_SHARE:
             score.speaks_dest_lang = True
             split.speakers.append(score)

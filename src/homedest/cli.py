@@ -300,7 +300,7 @@ def cmd_score(run) -> int:
     print(
         f"language cohorts: {len(cohorts.speakers)} speakers, {len(cohorts.non_speakers)} non-speakers, "
         f"{len(cohorts.unclassified)} unclassified, of which {cohorts.n_missing_language} "
-        f"with a residence missing from the language table"
+        f"with a residence missing from the language table and {cohorts.n_untagged} with no language-tagged post"
     )
     return 0
 
@@ -384,6 +384,8 @@ def cmd_report(run) -> int:
     if not scores:
         _fail(f"{run.scores}: no scores to report")
     null = read_null_indices(run.null_scores) if run.null_scores else None
+    if null is not None and not null[0].size:
+        _fail(f"{run.null_scores}: no null scores to report")
 
     report_dir = run.out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ level at which the covariates actually vary.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -55,26 +55,14 @@ PAIR_RULES = {
 CORRELATION_COLUMNS = {
     "target": str, "covariate": str, "method": str, "r": float, "p_value": float, "n": int, "stars": str,
 }
+# One correlation (target "ha" or "da"), a row of either correlation file.
+CorrelationRow = NamedTuple("CorrelationRow", CORRELATION_COLUMNS.items())
 DEFAULT_MIN_GROUP_SIZE = 10
 
 
 def packaged_data_path(name: str) -> Path:
     """Path to a bundled reference table (hofstede.csv, country_language.csv)."""
     return Path(str(resources.files("homedest") / "data" / name))
-
-
-@dataclass
-class PairTable:
-    """Symmetric country-pair covariates keyed by unordered pair."""
-
-    values: dict[tuple[str, str], dict[str, float]] = field(default_factory=dict)
-
-    @staticmethod
-    def key(a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def get(self, a: str, b: str) -> dict[str, float] | None:
-        return self.values.get(self.key(a, b))
 
 
 @dataclass(frozen=True)
@@ -111,14 +99,12 @@ def load_hofstede(path: str | Path | None = None) -> dict[str, dict[str, float]]
     return table
 
 
-def load_pair_covariates(path: str | Path) -> PairTable:
-    """Read country-pair covariates, one row per unordered pair; refuses rows that break PAIR_KEY or PAIR_RULES."""
-    table = PairTable()
-    for row in read_table(path, PAIR_COLUMNS, PAIR_KEY, PAIR_RULES):
-        values = {name: row[name] for name in PAIR_COVARIATES if row[name] is not None}
-        if values:
-            table.values[row["country_a"], row["country_b"]] = values
-    return table
+def load_pair_covariates(path: str | Path) -> dict[tuple[str, str], dict[str, float | None]]:
+    """Country-pair covariates by (country_a, country_b), empty cells None; refuses rows breaking PAIR_KEY or PAIR_RULES."""
+    return {
+        (row["country_a"], row["country_b"]): {name: row[name] for name in PAIR_COVARIATES}
+        for row in read_table(path, PAIR_COLUMNS, PAIR_KEY, PAIR_RULES)
+    }
 
 
 def load_country_languages() -> dict[str, str]:
@@ -127,50 +113,32 @@ def load_country_languages() -> dict[str, str]:
     return {row["country"]: row["language"] for row in rows}
 
 
-def hofstede_delta(
-    table: dict[str, dict[str, float]],
-    origin: str,
-    destination: str,
-    signed: bool = False,
-) -> dict[str, float]:
-    """Per-dimension origin/destination distance.
-
-    Absolute differences by default; signed=True keeps destination - origin.
-    Dimensions missing for either country are omitted. An unknown country
-    yields an empty dict.
-    """
-    a = table.get(origin)
-    b = table.get(destination)
-    if a is None or b is None:
-        return {}
-    out: dict[str, float] = {}
-    for dim in HOFSTEDE_DIMENSIONS:
-        if dim in a and dim in b:
-            diff = b[dim] - a[dim]
-            out[f"hof_{dim}"] = diff if signed else abs(diff)
-    return out
-
-
 def join_covariates(
     scores: Sequence[AttachmentScore],
     hofstede: dict[str, dict[str, float]] | None = None,
-    pairs: PairTable | None = None,
+    pairs: dict[tuple[str, str], dict[str, float | None]] | None = None,
     signed: bool = False,
 ) -> tuple[Joined, int]:
     """Join each scored user to its pair's covariates; returns (joined, n_dropped).
 
-    Each distinct pair's row is looked up once, in order of first appearance.
-    A user is dropped (and counted) when no covariate at all resolves for
-    their pair, whose row then stays all NaN.
+    Each distinct pair's row is filled once, in order of first appearance: the
+    pair covariates of its two countries in either order, and the cultural
+    delta, destination minus origin (absolute unless ``signed``), of each
+    dimension both countries have. A user is dropped (and counted) when no
+    covariate at all resolves for their pair, whose row then stays all NaN.
     """
+    hofstede = hofstede or {}
+    pairs = pairs or {}
     index: dict[tuple[str, str], int] = {}
     codes = [index.setdefault((s.nationality, s.residence), len(index)) for s in scores]
     values = np.full((len(index), len(COVARIATES)), np.nan)
     for k, (origin, destination) in enumerate(index):
-        cells = hofstede_delta(hofstede, origin, destination, signed) if hofstede is not None else {}
-        if pairs is not None:
-            cells.update(pairs.get(origin, destination) or {})
-        values[k] = [cells.get(name, np.nan) for name in COVARIATES]
+        cells = dict(pairs.get((min(origin, destination), max(origin, destination)), {}))
+        home, dest = hofstede.get(origin, {}), hofstede.get(destination, {})
+        for dim in home.keys() & dest.keys():
+            delta = dest[dim] - home[dim]
+            cells[f"hof_{dim}"] = delta if signed else abs(delta)
+        values[k] = [cells.get(name) for name in COVARIATES]  # numpy stores None as NaN
     pair = np.array(codes, dtype=np.intp)
     kept = ~np.isnan(values[pair]).all(axis=1)
     dropped = len(pair) - int(kept.sum())
@@ -179,18 +147,6 @@ def join_covariates(
     ha = np.array([s.ha for s in scores], dtype=float)[kept]
     da = np.array([s.da for s in scores], dtype=float)[kept]
     return Joined(list(index), values, pair[kept], ha, da), dropped
-
-
-class CorrelationRow(NamedTuple):
-    """One correlation, a row of CORRELATION_COLUMNS."""
-
-    target: str  # "ha" or "da"
-    covariate: str
-    method: str
-    r: float
-    p_value: float
-    n: int
-    stars: str
 
 
 def _correlate_pairs(

@@ -30,14 +30,9 @@ REPORT_COLUMNS = {
         **dict.fromkeys(("min", "q1", "median", "q3", "max", "mean"), float),
     },
 }
-
-
-class FlowEdge(NamedTuple):
-    """One migration flow, a ``chord_edges.csv`` row."""
-
-    origin: str
-    destination: str
-    n_users: int
+# A migration flow, and the five-number summary (plus mean) of one score within one group.
+FlowEdge = NamedTuple("FlowEdge", REPORT_COLUMNS["chord_edges.csv"].items())
+BoxRow = NamedTuple("BoxRow", REPORT_COLUMNS["group_boxplots.csv"].items())
 
 
 def chord_edges(profiles: dict[str, UserProfile]) -> list[FlowEdge]:
@@ -56,36 +51,10 @@ def chord_edges(profiles: dict[str, UserProfile]) -> list[FlowEdge]:
     ]
 
 
-class BoxRow(NamedTuple):
-    """Five-number summary (plus mean) of one score within one group, a ``group_boxplots.csv`` row."""
-
-    group_by: str  # "residence" or "nationality"
-    group: str
-    score: str  # "ha" or "da"
-    n: int
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    mean: float
-
-
 def _summarise(group_by: str, group: str, score: str, values: Sequence[float]) -> BoxRow:
     arr = np.asarray(values, dtype=float)
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-    return BoxRow(
-        group_by=group_by,
-        group=group,
-        score=score,
-        n=len(values),
-        minimum=float(arr.min()),
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
-        maximum=float(arr.max()),
-        mean=float(arr.mean()),
-    )
+    summary = (arr.min(), *np.percentile(arr, [25.0, 50.0, 75.0]), arr.max(), arr.mean())
+    return BoxRow(group_by, group, score, len(values), *map(float, summary))
 
 
 def group_boxplots(scores: Sequence[AttachmentScore]) -> list[BoxRow]:

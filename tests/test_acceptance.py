@@ -22,7 +22,6 @@ from homedest.atlas import HashtagRecord, build_atlas, normalized_entropy
 from homedest.attachment import apply_acculturation, compute_scores, language_cohorts
 from homedest.cli import FILES, main as cli_main
 from homedest.covariates import (
-    PairTable,
     grouped_correlations,
     individual_correlations,
     join_covariates,
@@ -329,12 +328,11 @@ def test_c8_grouping_amplifies_the_planted_covariate_correlation():
     destinations = ("DE", "GB", "NL")
     base = {origin: 500.0 + 400.0 * i for i, origin in enumerate(origins)}
 
-    pair_table = PairTable()
-    for origin in origins:
-        for destination in destinations:
-            pair_table.values[PairTable.key(origin, destination)] = {
-                "distcap": base[origin]
-            }
+    pair_table = {
+        (min(origin, destination), max(origin, destination)): {"distcap": base[origin]}
+        for origin in origins
+        for destination in destinations
+    }
 
     from homedest.attachment import AttachmentScore
 

@@ -155,6 +155,15 @@ class TestLanguageCohorts:
         assert split.n_missing_language == 1
         assert split.unclassified == scores
 
+    def test_a_migrant_without_a_language_tagged_post_is_unclassified(self):
+        scores = [_score("untagged", 0.3, 0.3), _score("lo", 0.3, 0.3)]
+        profiles = {"untagged": _profile("untagged", {}), "lo": _profile("lo", {"it": 1.0})}
+        split = language_cohorts(scores, profiles, {"DE": "de"})
+        assert [s.user_id for s in split.unclassified] == ["untagged"]
+        assert [s.user_id for s in split.non_speakers] == ["lo"]
+        assert (split.n_untagged, split.n_missing_language) == (1, 0)
+        assert scores[0].speaks_dest_lang is None
+
 
 def test_scores_round_trip(tmp_path):
     scores = [

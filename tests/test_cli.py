@@ -451,6 +451,15 @@ class TestBadInput:
         assert err == f"error: {tmp_path / FILES['scores']}: no scores to report\n"
         assert not (tmp_path / "report").exists()
 
+    def test_report_on_header_only_null_scores(self, chain_dir, tmp_path, capsys):
+        copy_chain(chain_dir, tmp_path)
+        null = tmp_path / FILES["null_scores"]
+        lines = null.read_text().splitlines(keepends=True)
+        null.write_text("".join(line for line in lines if line.startswith(("#", "user_id,"))))
+        err = self.exit_2_stderr(capsys, "report", "--out", tmp_path)
+        assert err == f"error: {null}: no null scores to report\n"
+        assert not (tmp_path / "report").exists()
+
     def test_null_on_header_only_scores(self, chain_dir, tmp_path, capsys):
         copy_chain(chain_dir, tmp_path, n_rows=0)
         (tmp_path / FILES["null_scores"]).unlink()
@@ -637,7 +646,24 @@ class TestBadInput:
         assert cohorts == (
             f"language cohorts: {speakers} speakers, {non_speakers} non-speakers, "
             f"{len(scores) - speakers - non_speakers} unclassified, of which {missing} "
-            "with a residence missing from the language table"
+            "with a residence missing from the language table and 0 with no language-tagged post"
+        )
+
+    def test_score_leaves_migrants_without_language_tags_unclassified(self, tmp_path, capsys):
+        # The input format lets a post omit lang; a migrant with no language-tagged post has no share to test.
+        assert run("synth", "--out", tmp_path, "--users", 400, "--seed", 3) == 0
+        posts = tmp_path / FILES["posts"]
+        records = [json.loads(line) for line in posts.read_text().splitlines()]
+        posts.write_text("".join(json.dumps({k: v for k, v in r.items() if k != "lang"}) + "\n" for r in records))
+        for step in ("label", "atlas"):
+            assert run(step, "--out", tmp_path) == 0
+        capsys.readouterr()
+        assert run("score", "--out", tmp_path) == 0
+        scores = read_scores(tmp_path / FILES["scores"])
+        assert scores and all(s.speaks_dest_lang is None for s in scores)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"language cohorts: 0 speakers, 0 non-speakers, {len(scores)} unclassified, of which 0 "
+            f"with a residence missing from the language table and {len(scores)} with no language-tagged post"
         )
 
     def test_score_prints_the_volume_filter_funnel(self, tmp_path, capsys):

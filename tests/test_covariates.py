@@ -9,9 +9,7 @@ from homedest.attachment import AttachmentScore
 from homedest.covariates import (
     CORRELATION_COLUMNS,
     COVARIATES,
-    PairTable,
     grouped_correlations,
-    hofstede_delta,
     individual_correlations,
     join_covariates,
     load_country_languages,
@@ -83,24 +81,7 @@ class TestBundledTables:
         assert packaged_data_path("country_language.csv").exists()
 
 
-class TestPairTable:
-    def test_symmetric_lookup(self, tmp_path):
-        p = tmp_path / "pairs.csv"
-        p.write_text(
-            "country_a,country_b,distcap,contig,comlang_off,csl,cnl\n"
-            "DE,IT,1181.0,1,0,0.03,0.01\n"
-        )
-        table = load_pair_covariates(p)
-        assert table.get("IT", "DE") == table.get("DE", "IT")
-        assert table.get("DE", "IT")["distcap"] == 1181.0
-        assert table.get("IT", "FR") is None
-
-    def test_blank_cells_omitted(self, tmp_path):
-        p = tmp_path / "pairs.csv"
-        p.write_text("country_a,country_b,distcap,contig,comlang_off,csl,cnl\nA,B,5.0,,,,\n")
-        table = load_pair_covariates(p)
-        assert table.get("A", "B") == {"distcap": 5.0}
-
+class TestPairCovariates:
     @pytest.mark.parametrize(
         "pairs, broken",
         [
@@ -121,25 +102,9 @@ class TestPairTable:
             load_pair_covariates(p)
 
 
-class TestDelta:
-    def test_absolute_by_default(self):
-        table = load_hofstede()
-        delta = hofstede_delta(table, "IT", "US")
-        assert delta["hof_idv"] == 15.0  # |91 - 76|
-        assert all(v >= 0 for v in delta.values())
-
-    def test_signed_keeps_direction(self):
-        table = load_hofstede()
-        assert hofstede_delta(table, "IT", "US", signed=True)["hof_idv"] == 15.0
-        assert hofstede_delta(table, "US", "IT", signed=True)["hof_idv"] == -15.0
-
-    def test_unknown_country_empty(self):
-        table = load_hofstede()
-        assert hofstede_delta(table, "ZZ", "US") == {}
-
-    def test_partial_dimensions_dropped(self):
-        table = {"AA": {"pdi": 10.0}, "BB": {"pdi": 30.0, "idv": 5.0}}
-        assert hofstede_delta(table, "AA", "BB") == {"hof_pdi": 20.0}
+def _covariates(joined, user):
+    """Covariate name -> value (NaN when missing) of joined user ``user``'s pair."""
+    return dict(zip(COVARIATES, joined.values[joined.pair[user]].tolist()))
 
 
 class TestJoin:
@@ -167,9 +132,50 @@ class TestJoin:
             pairs=load_pair_covariates(p),
         )
         assert dropped == 0
-        covariates = dict(zip(COVARIATES, joined.values[joined.pair[0]].tolist()))
+        covariates = _covariates(joined, 0)
         assert covariates["distcap"] == 1181.0
         assert not np.isnan(covariates["hof_pdi"])
+
+    def test_a_pair_is_found_in_either_order(self, tmp_path):
+        p = tmp_path / "pairs.csv"
+        p.write_text("country_a,country_b,distcap,contig,comlang_off,csl,cnl\nDE,IT,1181.0,1,0,0.03,0.01\n")
+        scores = [_score("u1", "IT", "DE", 0.3, 0.2), _score("u2", "DE", "IT", 0.1, 0.4), _score("u3", "IT", "FR", 0.2, 0.2)]
+        joined, dropped = join_covariates(scores, pairs=load_pair_covariates(p))
+        assert dropped == 1  # IT -> FR has no row
+        assert joined.pairs[:2] == [("IT", "DE"), ("DE", "IT")]
+        assert np.array_equal(*joined.values[joined.pair], equal_nan=True)
+        assert _covariates(joined, 0)["distcap"] == 1181.0
+
+    def test_blank_pair_cells_read_as_missing(self, tmp_path):
+        p = tmp_path / "pairs.csv"
+        p.write_text("country_a,country_b,distcap,contig,comlang_off,csl,cnl\nAA,BB,5.0,,,,\nAA,CC,,,,,\n")
+        joined, dropped = join_covariates(
+            [_score("u1", "AA", "BB", 0.3, 0.2), _score("u2", "CC", "AA", 0.3, 0.2)], pairs=load_pair_covariates(p)
+        )
+        assert dropped == 1  # a row of blank cells resolves nothing
+        covariates = _covariates(joined, 0)
+        assert covariates["distcap"] == 5.0
+        assert all(np.isnan(value) for name, value in covariates.items() if name != "distcap")
+
+    def test_absolute_deltas_by_default_signed_on_request(self):
+        scores = [_score("u1", "IT", "US", 0.3, 0.2), _score("u2", "US", "IT", 0.3, 0.2)]
+        absolute, _ = join_covariates(scores, hofstede=load_hofstede())
+        signed, _ = join_covariates(scores, hofstede=load_hofstede(), signed=True)
+        assert [_covariates(absolute, i)["hof_idv"] for i in (0, 1)] == [15.0, 15.0]  # |91 - 76|
+        assert [_covariates(signed, i)["hof_idv"] for i in (0, 1)] == [15.0, -15.0]
+        assert np.nanmin(absolute.values) >= 0
+
+    def test_unknown_country_resolves_no_delta(self):
+        joined, dropped = join_covariates([_score("u1", "ZZ", "US", 0.3, 0.2)], hofstede=load_hofstede())
+        assert (dropped, len(joined)) == (1, 0)
+        assert np.isnan(joined.values).all()
+
+    def test_a_dimension_one_side_lacks_stays_missing(self):
+        hofstede = {"AA": {"pdi": 10.0}, "BB": {"pdi": 30.0, "idv": 5.0}}
+        joined, _ = join_covariates([_score("u1", "AA", "BB", 0.3, 0.2)], hofstede=hofstede)
+        covariates = _covariates(joined, 0)
+        assert covariates.pop("hof_pdi") == 20.0
+        assert all(np.isnan(value) for value in covariates.values())
 
 
 def _population(n=40, seed=5):
@@ -240,7 +246,7 @@ class TestGroupedCorrelations:
         xs, ys = [], []
         for country in sorted(groups):
             members = groups[country]
-            deltas = [hofstede_delta(hofstede, s.nationality, s.residence)["hof_idv"] for s in members]
+            deltas = [abs(hofstede[s.residence]["idv"] - hofstede[s.nationality]["idv"]) for s in members]
             xs.append(sum(deltas) / len(deltas))
             ys.append(sum(s.ha for s in members) / len(members))
         ref = ref_pearson(xs, ys)

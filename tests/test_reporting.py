@@ -81,8 +81,8 @@ class TestBoxplots:
         assert ha_row.q1 == q1
         assert ha_row.median == med
         assert ha_row.q3 == q3
-        assert ha_row.minimum == values.min()
-        assert ha_row.maximum == values.max()
+        assert ha_row.min == values.min()
+        assert ha_row.max == values.max()
         assert ha_row.mean == values.mean()
 
     def test_both_slices_present(self):
