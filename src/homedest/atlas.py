@@ -11,13 +11,14 @@ nationality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Post, distinct, tally
+from .corpus import Corpus, Post, distinct
 from .labeling import UserProfile
 from .tables import read_table, write_table
 
@@ -34,19 +35,11 @@ ATLAS_RULES = {
     "0 < top_country_fraction <= 1": lambda row: 0 < row["top_country_fraction"] <= 1,
     "n_users >= 1": lambda row: row["n_users"] >= 1,
 }
+# One token's nationality shares, one row per country with a user of it.
+DISTRIBUTION_COLUMNS = {"token": str, "country": str, "fraction": float}
 
-
-@dataclass
-class HashtagRecord:
-    """Nationality distribution and assignment for one canonical token."""
-
-    token: str
-    counts: dict[str, int]
-    p: dict[str, float]
-    entropy: float
-    assignment: str
-    n_users: int = 0
-    top_fraction: float = 0.0
+# An atlas.csv row, plus ``p``: the token's share of users per nationality.
+HashtagRecord = NamedTuple("HashtagRecord", [*ATLAS_COLUMNS.items(), ("p", dict)])
 
 
 def normalized_entropy(p: Mapping[str, float]) -> float:
@@ -69,19 +62,6 @@ def normalized_entropy(p: Mapping[str, float]) -> float:
     # Summation in sorted order keeps the result independent of dict order.
     h = -sum(v * math.log(v) for v in values)
     return min(max(h / math.log(len(p)), 0.0), 1.0)
-
-
-def _make_record(token: str, counts: Mapping[str, int], threshold: float) -> HashtagRecord:
-    counts = dict(counts)
-    total = sum(counts.values())
-    p = {c: n / total for c, n in counts.items()}
-    entropy = normalized_entropy(p)
-    if entropy <= threshold:
-        best = max(counts.values())
-        assignment = min(c for c, n in counts.items() if n == best)
-    else:
-        assignment = INTERNATIONAL
-    return HashtagRecord(token, counts, p, entropy, assignment, total, max(p.values()))
 
 
 def build_atlas(
@@ -111,9 +91,21 @@ def build_atlas(
     slots, user = corpus.uses(year, nationality >= 0)
     token_user = distinct(corpus.tags[slots].astype(np.int64) * n_users + user)
     token, user = np.divmod(token_user, n_users)
-    counts = tally(token * len(nationalities) + nationality[user], tuple(nationalities))
-    by_name = {corpus.tokens[t]: token_counts for t, token_counts in counts.items()}
-    return {name: _make_record(name, by_name[name], threshold) for name in sorted(by_name)}
+    names = tuple(nationalities)
+    keys, n = np.unique(token * len(names) + nationality[user], return_counts=True)
+    token, country = np.divmod(keys, len(names))
+    records = []
+    for t, group in groupby(zip(token.tolist(), country.tolist(), n.tolist()), key=itemgetter(0)):
+        counts = {names[c]: count for _, c, count in group}
+        total = sum(counts.values())
+        best = max(counts.values())
+        p = {c: count / total for c, count in counts.items()}
+        entropy = normalized_entropy(p)
+        assignment = INTERNATIONAL
+        if entropy <= threshold:
+            assignment = min(c for c, count in counts.items() if count == best)
+        records.append(HashtagRecord(corpus.tokens[t], assignment, entropy, total, best / total, p))
+    return {record.token: record for record in sorted(records)}
 
 
 def build_distribution(
@@ -151,20 +143,15 @@ def write_atlas(
 ) -> None:
     """Persist the atlas as CSV, and each token's distribution in a long-format file."""
     records = [atlas[token] for token in sorted(atlas)]
-    rows = ((r.token, r.assignment, r.entropy, r.n_users, r.top_fraction) for r in records)
-    write_table(path, ATLAS_COLUMNS, rows, header)
+    write_table(path, ATLAS_COLUMNS, (record[: len(ATLAS_COLUMNS)] for record in records), header)
     rows = ((r.token, c, f) for r in records for c, f in sorted(r.p.items()))
-    write_table(distributions_path, {"token": str, "country": str, "fraction": float}, rows, header)
+    write_table(distributions_path, DISTRIBUTION_COLUMNS, rows, header)
 
 
 def read_atlas(path: str | Path) -> dict[str, HashtagRecord]:
     """Load an atlas CSV back into records; a row that breaks ATLAS_KEY or ATLAS_RULES is a TableError.
 
     The full per-country distribution lives in the companion file and is not
-    reloaded here; downstream scoring only needs the assignment column.
+    reloaded here (``p`` is empty); downstream scoring only needs the assignment column.
     """
-    atlas = {}
-    for row in read_table(path, ATLAS_COLUMNS, ATLAS_KEY, ATLAS_RULES):
-        top_fraction = row.pop("top_country_fraction")
-        atlas[row["token"]] = HashtagRecord(counts={}, p={}, top_fraction=top_fraction, **row)
-    return atlas
+    return {row["token"]: HashtagRecord(**row, p={}) for row in read_table(path, ATLAS_COLUMNS, ATLAS_KEY, ATLAS_RULES)}

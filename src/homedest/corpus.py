@@ -12,8 +12,8 @@ Input contracts:
   [1970, 2100). ``cc`` is matched case-insensitively; ``lang`` keeps its
   primary subtag and is treated as missing when that is not 2-8 letters.
   Blank lines and lines starting with ``#`` are ignored, and so are unknown
-  fields. Any other line that breaks the contract is skipped, logged and
-  counted under the first reason that applies, in this order (the
+  fields. Any other line that breaks the contract is skipped, logged at
+  DEBUG and counted under the first reason that applies, in this order (the
   SKIP_REASONS keys): not a UTF-8 JSON object (``json``), no ``user_id`` or ``ts``
   (``missing``), a bad ``user_id``, ``ts``, ``cc`` (an unrecognized code
   skips the whole post) or ``tags``.
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -338,15 +338,15 @@ def _lines(path: str | Path, stats: LoadStats) -> Iterator[tuple[int, str]]:
 
 
 def _skip(stats: LoadStats, path: str | Path, lineno: int, exc: BadPost) -> None:
-    logger.warning("%s:%d skipped malformed post: %s", path, lineno, exc)
+    logger.debug("%s:%d skipped malformed post: %s", path, lineno, exc)
     stats.skip(exc.reason, lineno)
 
 
 def iter_posts(path: str | Path, stats: LoadStats | None = None) -> Iterator[Post]:
     """Stream posts from a JSONL file, skipping and counting malformed lines.
 
-    An unreadable file raises OSError; malformed lines are logged with their
-    line number and tallied in ``stats`` when provided.
+    An unreadable file raises OSError; malformed lines are logged at DEBUG
+    with their line number and counted in ``stats`` when provided.
     """
     stats = LoadStats() if stats is None else stats
     for lineno, line in _lines(path, stats):
@@ -426,10 +426,6 @@ class Corpus:
     def n_posts(self) -> int:
         return len(self.user)
 
-    def slot_post(self) -> np.ndarray:
-        """Index of the post owning each hashtag slot."""
-        return np.repeat(np.arange(self.n_posts), np.diff(self.offsets))
-
     def uses(self, year: int | None, users: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The hashtag uses that count, as ``(slots, user)``: slot indices, in slot order, and each slot's user.
 
@@ -440,9 +436,9 @@ class Corpus:
         post = np.ones(self.n_posts, dtype=bool) if year is None else self.year == year
         if users is not None:
             post &= users[self.user]
-        slot_post = self.slot_post()
-        slots = np.flatnonzero(post[slot_post] & (self.tags >= 0))
-        return slots, self.user[slot_post[slots]]
+        steps = np.diff(self.offsets)
+        slots = np.flatnonzero(np.repeat(post, steps) & (self.tags >= 0))
+        return slots, np.repeat(self.user, steps)[slots]
 
     @classmethod
     def from_posts(cls, posts: Iterable[Post] | Corpus) -> Corpus:
@@ -469,16 +465,6 @@ def distinct(keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return keys[first]
-
-
-def tally(keys: np.ndarray, names: Sequence) -> dict[int, dict]:
-    """Count ``group * len(names) + name`` keys into {group: {name: count}}."""
-    counts: dict[int, dict] = {}
-    values, n = np.unique(keys, return_counts=True)
-    for value, count in zip(values.tolist(), n.tolist()):
-        group, name = divmod(value, len(names))
-        counts.setdefault(group, {})[names[name]] = count
-    return counts
 
 
 _VOCABULARIES = ("users", "countries", "languages", "tokens")

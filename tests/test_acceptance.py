@@ -78,12 +78,11 @@ class MicroCorpora:
                 continue  # token absent from the atlas entirely
             atlas[token] = HashtagRecord(
                 token=token,
-                counts={assignment: 3} if assignment in self.COUNTRIES else {},
-                p={assignment: 1.0} if assignment in self.COUNTRIES else {},
-                entropy=float(rng.random()),
                 assignment=assignment,
+                entropy=float(rng.random()),
                 n_users=int(rng.integers(1, 9)),
-                top_fraction=float(rng.random()),
+                top_country_fraction=float(rng.random()),
+                p={assignment: 1.0} if assignment in self.COUNTRIES else {},
             )
 
         posts = []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import pytest
@@ -42,6 +41,8 @@ class TestComputeScores:
         assert compute_scores(posts, profiles, atlas, YEAR, min_hashtags=11) == []
         kept = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=10)
         assert len(kept) == 1
+        with pytest.raises(ValueError, match="min_hashtags must be >= 1, got 0"):
+            compute_scores(posts, profiles, atlas, YEAR, min_hashtags=0)
 
     def test_non_migrants_never_scored(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
@@ -69,7 +70,7 @@ class TestAtlasCoverage:
     def test_other_country(self, micro_pipeline):
         posts, profiles, atlas = micro_pipeline
         scores = compute_scores(posts, profiles, atlas, YEAR)
-        atlas = {**atlas, "pizza": dataclasses.replace(atlas["pizza"], assignment="FR")}
+        atlas = {**atlas, "pizza": atlas["pizza"]._replace(assignment="FR")}
         assert atlas_coverage(posts, scores, atlas, YEAR) == {
             "home": 3, "destination": 2, "other country": 4, "international": 0, "not in the atlas": 1,
         }

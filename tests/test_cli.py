@@ -326,6 +326,12 @@ class TestBadInput:
         err = self.exit_2_stderr(capsys, "null", "--out", tmp_path, "--replicates", 0)
         assert err.startswith("error: --replicates must be at least 1, got 0")
 
+    def test_unknown_shuffle_population_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shuffle_population": "none"}))
+        err = self.exit_2_stderr(capsys, "null", "--out", tmp_path, "--config", cfg)  # no input in tmp_path
+        assert err == 'error: --shuffle-population must be one of scored, all, got "none"\n'
+
     def test_negative_null_seed(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": -3}))
@@ -598,6 +604,15 @@ class TestBadInput:
             lines = [line for line in (tmp_path / FILES[key]).read_text().splitlines() if not line.startswith("#")]
             targets = {line.split(",")[0] for line in lines[1:]}
             assert targets == {"da"}, key
+
+    def test_correlate_with_every_group_below_the_minimum(self, chain_dir, tmp_path, capsys):
+        copy_chain(chain_dir, tmp_path)
+        assert run("correlate", "--out", tmp_path, "--min-group-size", 1000) == 0
+        err = capsys.readouterr().err
+        assert err == "grouped correlations skipped: need at least 3 groups of 1000+ users for ha, got 0\n"
+        grouped = read_table(tmp_path / FILES["correlations_grouped"], CORRELATION_COLUMNS)
+        individual = read_table(tmp_path / FILES["correlations_individual"], CORRELATION_COLUMNS)
+        assert list(grouped) == [] and len(list(individual)) > 0
 
     def test_hofstede_is_a_directory(self, chain_dir, tmp_path, capsys):
         err = self.exit_2_stderr(capsys, "correlate", "--out", chain_dir, "--hofstede", tmp_path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -209,7 +210,7 @@ class TestCorpus:
         assert corpus.day.tolist() == [17532, 17168, 17534]  # days since 1970-01-01
         assert corpus.offsets.tolist() == [0, 3, 4, 4]
         assert corpus.tags.tolist() == [0, -1, 0, 1]  # "x" is too short for a token
-        assert corpus.slot_post().tolist() == [0, 0, 0, 1]
+        assert [column.tolist() for column in corpus.uses(None)] == [[0, 2, 3], [0, 0, 1]]  # slots, and their users
 
     def test_canonicalizes_each_distinct_raw_tag_once(self, monkeypatch):
         calls = []
@@ -252,7 +253,10 @@ class TestCorpus:
 
     @pytest.mark.parametrize(
         "damage",
-        ["missing", "empty", "garbage", "truncated", "npy", "pickle", "bad ids", "float ids", "scalar column"],
+        [
+            "missing", "empty", "garbage", "truncated", "npy", "pickle",
+            "bad ids", "float ids", "scalar column", "short column", "bad offsets",
+        ],
     )
     def test_damaged_cache_is_not_loaded(self, tmp_path, damage):
         corpus = Corpus.from_posts(self.make_posts())
@@ -275,6 +279,12 @@ class TestCorpus:
             write_corpus(path, dataclasses.replace(corpus, tags=corpus.tags + 5), "a" * 64)
         elif damage == "float ids":
             write_corpus(path, dataclasses.replace(corpus, user=corpus.user.astype(float)), "a" * 64)
+        elif damage == "short column":
+            write_corpus(path, dataclasses.replace(corpus, year=corpus.year[:-1]), "a" * 64)
+        elif damage == "bad offsets":
+            offsets = corpus.offsets.copy()
+            offsets[-1] += 1  # past the last slot
+            write_corpus(path, dataclasses.replace(corpus, offsets=offsets), "a" * 64)
         else:
             write_corpus(path, dataclasses.replace(corpus, user=np.int32(0)), "a" * 64)
         assert read_corpus(path, "a" * 64) is None
@@ -346,6 +356,17 @@ class TestSkipReasons:
         reference = LoadStats()
         list(iter_posts(path, reference))
         assert reference == stats
+
+    def test_a_skipped_line_is_logged_at_debug_not_warning(self, tmp_path, caplog):
+        path = tmp_path / "posts.jsonl"
+        path.write_text(json.dumps({"user_id": "u1", "ts": "nope"}) + "\n", encoding="utf-8")
+        for load in (load_posts, lambda p: list(iter_posts(p))):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="homedest.corpus"):
+                load(path)
+            (record,) = caplog.records
+            assert record.levelno == logging.DEBUG
+            assert record.getMessage().startswith(f"{path}:1 skipped malformed post: bad timestamp 'nope'")
 
     def test_line_that_is_not_utf8_skipped_as_json(self, tmp_path):
         good = json.dumps({"user_id": "u1", "ts": "2018-06-01T08:30:00Z", "cc": "IT", "tags": ["roma"]}).encode()

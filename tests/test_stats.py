@@ -187,6 +187,25 @@ class TestSignedRank:
             max_w = n * (n + 1) / 2
             assert min(res.statistic, max_w - res.statistic) == ref.statistic
 
+    def test_normal_approximation_matches_scipy(self):
+        # Past the exact limit, or with tied |d|, both use the tie-corrected
+        # normal approximation with continuity correction.
+        rng = np.random.default_rng(29)
+        for case in range(40):
+            n = int(rng.integers(EXACT_LIMIT + 1, 400))
+            decimals = int(rng.integers(0, 2))  # coarse values: tied |d| and zero differences
+            x = rng.normal(size=n).round(decimals)
+            y = (x + rng.normal(0.1 * (case % 3), 1.0, size=n)).round(decimals)
+            if case == 0:
+                x, y = np.ones(n), np.zeros(n)  # every |d| in one tie block
+            d = (x - y)[x != y]
+            assert len(d) > EXACT_LIMIT or len(set(np.abs(d))) < len(d)  # never the exact path
+            res = wilcoxon_signed_rank(list(x), list(y))
+            ref = sps.wilcoxon(x, y, zero_method="wilcox", correction=True, method="approx")
+            assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12)
+            # scipy reports min(W+, W-); ours is W+.
+            assert min(res.statistic, len(d) * (len(d) + 1) / 2 - res.statistic) == ref.statistic
+
     def test_zero_differences_dropped(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0]
         y = [1.0, 2.0, 1.5, 1.0, 0.5]
@@ -303,6 +322,8 @@ class TestCorrelations:
     def test_too_few_pairs_rejected(self):
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [3.0, 4.0])
+        with pytest.raises(ValueError, match="equal length"):  # a value without its pair
+            pearson([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_stars_on_results(self):
         res = pearson([1.0, 2.0, 3.0, 4.0], [1.1, 1.9, 3.2, 3.9])

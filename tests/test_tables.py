@@ -127,9 +127,10 @@ def test_unterminated_quote_is_a_table_error(tmp_path, text, message):
 
 def test_a_keyless_row_that_breaks_a_rule_names_only_the_rule(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("# header\nid,x\na,1\nb,-1\n")
-    with pytest.raises(TableError, match=rf"^{re.escape(str(path))}: line 4: breaks the rule x >= 0$"):
-        list(read_table(path, {"x": int}, rules={"x >= 0": lambda row: row["x"] >= 0}))
+    for blank_lines, line in ((0, 4), (2, 6)):  # blank lines are skipped but counted
+        path.write_text("# header\nid,x\na,1\n" + "\n" * blank_lines + "b,-1\n")
+        with pytest.raises(TableError, match=rf"^{re.escape(str(path))}: line {line}: breaks the rule x >= 0$"):
+            list(read_table(path, {"x": int}, rules={"x >= 0": lambda row: row["x"] >= 0}))
 
 
 CELL_TYPES = {
