@@ -13,10 +13,11 @@ Input contracts:
   primary subtag and is treated as missing when that is not 2-8 letters.
   Blank lines and lines starting with ``#`` are ignored, and so are unknown
   fields. Any other line that breaks the contract is skipped, logged at
-  DEBUG and counted under the first reason that applies, in this order (the
-  SKIP_REASONS keys): not a UTF-8 JSON object (``json``), no ``user_id`` or ``ts``
-  (``missing``), a bad ``user_id``, ``ts``, ``cc`` (an unrecognized code
-  skips the whole post) or ``tags``.
+  DEBUG and counted under the first check it fails, in this order (the
+  SKIP_REASONS keys): a UTF-8 JSON object (``json``), ``user_id`` present
+  (``missing``) and a non-empty string (``user_id``), ``ts`` present
+  (``missing``) and valid (``ts``), ``cc`` (an unrecognized code skips the
+  whole post) and ``tags``. So ``{"user_id": 5}`` counts as a bad ``user_id``.
 * friends file: UTF-8 CSV with header ``user_id,friend_id``. Edges are
   directed (follower -> followed); duplicates collapse, self-loops drop.
 
@@ -623,17 +624,30 @@ def load_friends(path: str | Path) -> FriendGraph:
 
 
 def write_posts(path: str | Path, posts: Iterable[Post]) -> int:
-    """Serialize posts back to the JSONL contract; returns the line count."""
+    """Serialize posts back to the JSONL contract; returns the line count.
+
+    An aware timestamp is written as its UTC time and a naive one as it
+    stands, which the parser reads as UTC. Each distinct timestamp is
+    formatted once, and one encoder serves every line.
+    """
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    stamps: dict[datetime, str] = {}
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for post in posts:
+            ts = post.timestamp
+            try:
+                text = stamps[ts]
+            except KeyError:
+                utc = ts if ts.utcoffset() is None else ts.astimezone(timezone.utc)
+                text = stamps[ts] = utc.strftime("%Y-%m-%dT%H:%M:%SZ")
             record = {
                 "user_id": post.user_id,
-                "ts": post.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                "ts": text,
                 "cc": post.country,
                 "lang": post.language,
                 "tags": list(post.hashtags),
             }
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(encode(record) + "\n")
             n += 1
     return n

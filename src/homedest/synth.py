@@ -211,8 +211,18 @@ def generate_population(spec: PopulationSpec) -> Population:
             if j != i:
                 friend_rows.append((user_ids[i], user_ids[j]))
 
-    # Phase 3: posts, each at noon UTC on a day counted from January 1.
-    new_year = {y: datetime(y, 1, 1, 12, tzinfo=timezone.utc) for y in (spec.year - 1, spec.year)}
+    # Phase 3: posts, each at noon UTC on a day counted from January 1. The
+    # noon stamps and the token strings are built once and shared by every post.
+    now_noons, past_noons = (
+        [datetime(y, 1, 1, 12, tzinfo=timezone.utc) + timedelta(days=d) for d in range(365)]
+        for y in (spec.year, spec.year - 1)
+    )
+    # Indexed by a vocabulary draw in [0, max(COUNTRY_VOCAB, INTL_VOCAB)).
+    n_vocab = max(COUNTRY_VOCAB, INTL_VOCAB)
+    intl_tokens = [f"intl_tag_{i % INTL_VOCAB:0{VOCAB_DIGITS}d}" for i in range(n_vocab)]
+    country_tokens = {
+        c: [f"{c.lower()}_tag_{i % COUNTRY_VOCAB:0{VOCAB_DIGITS}d}" for i in range(n_vocab)] for c in countries
+    }
     posts: list[Post] = []
     truth: dict[str, TruthRow] = {}
     for i in range(spec.n_users):
@@ -223,44 +233,44 @@ def generate_population(spec: PopulationSpec) -> Population:
         ha_t, da_t = CLASS_TARGETS[cls] if migrant else (spec.country_tag_specificity, 0.0)
         dest_share = DEST_LANG_SHARE[cls] if spec.lang_alignment and migrant else 0.5
         home_lang, dest_lang = languages[home], languages[dest]
-
-        def post(year: int, day: int, country: str | None, tags: tuple[str, ...] = ()) -> None:
-            lang = dest_lang if rng.random() < dest_share else home_lang
-            posts.append(Post(user, new_year[year] + timedelta(days=day), country, lang, tags))
+        home_tokens, dest_tokens = country_tokens[home], country_tokens[dest]
 
         # Geo evidence: current-year days at the residence, prior-year days
         # at the origin. The prior-year block is the larger one, so all-time
         # geo evidence points home while the reference year points to the
-        # destination.
+        # destination. Each post then draws its language, in post order.
         n_now = int(rng.integers(GEO_DAYS[0], GEO_DAYS[1] + 1))
         n_past = int(rng.integers(HISTORY_GEO_DAYS[0], HISTORY_GEO_DAYS[1] + 1))
-        now_days = rng.choice(365, size=n_now, replace=False).tolist()
-        past_days = rng.choice(365, size=n_past, replace=False).tolist()
-        for day in sorted(now_days):
-            post(spec.year, day, dest)
-        for day in sorted(past_days):
-            post(spec.year - 1, day, home)
+        now_days = sorted(rng.choice(365, size=n_now, replace=False).tolist())
+        past_days = sorted(rng.choice(365, size=n_past, replace=False).tolist())
+        langs = rng.random(n_now + n_past).tolist()
+        for day, u in zip(now_days, langs):
+            posts.append(Post(user, now_noons[day], dest, dest_lang if u < dest_share else home_lang, ()))
+        for day, u in zip(past_days, langs[n_now:]):
+            posts.append(Post(user, past_noons[day], home, dest_lang if u < dest_share else home_lang, ()))
 
         # Hashtag uses, bundled into ungeotagged posts: each is noise, home, destination or shared.
         n_tags = int(rng.integers(spec.tags_per_user[0], spec.tags_per_user[1] + 1))
         draws = rng.random(n_tags).tolist()
-        noise_draws = rng.random(n_tags).tolist() if spec.noise > 0 else None
-        vocab_idx = rng.integers(0, max(COUNTRY_VOCAB, INTL_VOCAB), size=n_tags).tolist()
+        # Without noise none is drawn, and no stand-in 1.0 falls below it.
+        noise_draws = rng.random(n_tags).tolist() if spec.noise > 0 else [1.0] * n_tags
+        vocab_idx = rng.integers(0, n_vocab, size=n_tags).tolist()
         tokens: list[str] = []
-        for k, (u, idx) in enumerate(zip(draws, vocab_idx)):
-            if noise_draws is not None and noise_draws[k] < spec.noise:
-                country = countries[int(rng.integers(n_countries))]
+        for u, v, idx in zip(draws, noise_draws, vocab_idx):
+            if v < spec.noise:
+                tokens.append(country_tokens[countries[int(rng.integers(n_countries))]][idx])
             elif u < ha_t:
-                country = home
+                tokens.append(home_tokens[idx])
             elif u < ha_t + da_t:
-                country = dest
+                tokens.append(dest_tokens[idx])
             else:
-                tokens.append(f"intl_tag_{idx % INTL_VOCAB:0{VOCAB_DIGITS}d}")
-                continue
-            tokens.append(f"{country.lower()}_tag_{idx % COUNTRY_VOCAB:0{VOCAB_DIGITS}d}")
-        tag_days = rng.integers(0, 365, size=(n_tags + _TAGS_PER_POST - 1) // _TAGS_PER_POST).tolist()
-        for chunk, day in zip(range(0, n_tags, _TAGS_PER_POST), tag_days):
-            post(spec.year, day, None, tuple(tokens[chunk : chunk + _TAGS_PER_POST]))
+                tokens.append(intl_tokens[idx])
+        n_chunks = (n_tags + _TAGS_PER_POST - 1) // _TAGS_PER_POST
+        tag_days = rng.integers(0, 365, size=n_chunks).tolist()
+        langs = rng.random(n_chunks).tolist()
+        for chunk, day, u in zip(range(0, n_tags, _TAGS_PER_POST), tag_days, langs):
+            lang = dest_lang if u < dest_share else home_lang
+            posts.append(Post(user, now_noons[day], None, lang, tuple(tokens[chunk : chunk + _TAGS_PER_POST])))
 
         planted = (ha_t, da_t) if migrant else (None, None)
         truth[user] = TruthRow(user, dest, home, cls, *planted, n_tags)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import random
 import tempfile
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from homedest.corpus import (
     Corpus,
     FriendGraph,
     LoadStats,
+    Post,
     canonicalize_hashtag,
     iter_posts,
     load_friends,
@@ -152,6 +154,63 @@ class TestFiles:
         loaded = list(iter_posts(path, stats))
         assert stats.skipped == 0
         assert loaded == posts
+
+    def test_offset_timestamps_round_trip_as_utc(self, tmp_path):
+        noon = datetime(2018, 3, 1, 12, 0, 0)
+        stamps = [
+            noon.replace(tzinfo=timezone(timedelta(hours=2))),
+            noon.replace(tzinfo=timezone(timedelta(hours=-5))),
+            noon,  # naive: written as it stands and read as UTC
+            noon.replace(tzinfo=timezone.utc),
+            datetime(2018, 3, 1, 10, 0, 0, tzinfo=timezone.utc),  # the +02:00 instant again
+        ]
+        path = tmp_path / "posts.jsonl"
+        write_posts(path, [Post("u1", ts, None, None, ()) for ts in stamps])
+        written = [json.loads(line)["ts"] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert written == [
+            "2018-03-01T10:00:00Z",
+            "2018-03-01T17:00:00Z",
+            "2018-03-01T12:00:00Z",
+            "2018-03-01T12:00:00Z",
+            "2018-03-01T10:00:00Z",
+        ]
+        loaded = [post.timestamp for post in iter_posts(path)]
+        assert loaded == [ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc) for ts in stamps]
+
+    def test_writer_lines_match_one_json_dumps_per_post(self, tmp_path):
+        rng = random.Random(7)
+        tags = ["roma", "köln", "東京", "ça_va", "#Berlin", "a b", "x"]
+        start = datetime(2018, 1, 1, 12, tzinfo=timezone.utc)
+        stamps = [start, start + timedelta(seconds=1), start + timedelta(days=40), datetime(2017, 6, 1, 8, 30)]
+        posts = [
+            Post(
+                f"u{rng.randrange(5)}",
+                rng.choice(stamps),
+                rng.choice([None, "IT", "DE"]),
+                rng.choice([None, "it", "de"]),
+                tuple(rng.choices(tags, k=rng.randrange(4))),
+            )
+            for _ in range(200)
+        ]
+        assert {len(p.hashtags) for p in posts} == {0, 1, 2, 3} and len({p.timestamp for p in posts}) == len(stamps)
+        path = tmp_path / "posts.jsonl"
+        assert write_posts(path, posts) == len(posts)
+        expected = "".join(
+            json.dumps(
+                {
+                    "user_id": post.user_id,
+                    "ts": post.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                    "cc": post.country,
+                    "lang": post.language,
+                    "tags": list(post.hashtags),
+                },
+                ensure_ascii=False,
+                sort_keys=True,
+            )
+            + "\n"
+            for post in posts
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_load_friends_dedup_and_self_loops(self, tmp_path):
         path = tmp_path / "friends.csv"
@@ -367,6 +426,11 @@ class TestSkipReasons:
             (record,) = caplog.records
             assert record.levelno == logging.DEBUG
             assert record.getMessage().startswith(f"{path}:1 skipped malformed post: bad timestamp 'nope'")
+
+    def test_user_id_is_checked_before_ts_is_looked_at(self):
+        with pytest.raises(BadPost) as exc:
+            parse_post({"user_id": 5})
+        assert exc.value.reason == "user_id"
 
     def test_line_that_is_not_utf8_skipped_as_json(self, tmp_path):
         good = json.dumps({"user_id": "u1", "ts": "2018-06-01T08:30:00Z", "cc": "IT", "tags": ["roma"]}).encode()

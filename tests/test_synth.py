@@ -101,6 +101,23 @@ class TestGeneration:
             "the acceptance criteria rest on; never re-pin these digests without re-checking them"
         )
 
+    # Every user a migrant (no native friend pools), every token noise, and
+    # 5-9 tags per user, so some users' last tag post holds fewer than four.
+    PINNED_ALL_NOISE = {
+        "posts": "defe47d643581424870b54ff6966e5af7b18dbf68e19ff073c7b969cda7669ae",
+        "friends": "b6b28d4199cf8b456bf943ab2ec4aacfbfad843284df73e697355abddab9ecf0",
+        "ground_truth": "8d91bf7ecd449bb29b6fcba17dd9d0f77a33e8b3465c73be801abe0b70571d7a",
+        "pair_covariates": "88b5cfdf1fd5075fcd89d2661cc0046fd7c11148ccf4d24db9ccf696c6c29777",
+    }
+
+    def test_all_noise_draw_stream_is_pinned(self, tmp_path):
+        spec = small_spec(migrant_fraction=1.0, noise=1.0, countries=("DE", "FR", "IT"), tags_per_user=(5, 9))
+        population = generate_population(spec)
+        assert {len(post.hashtags) for post in population.posts} == {0, 1, 2, 3, 4}
+        paths = write_population(population, tmp_path)
+        digests = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
+        assert digests == self.PINNED_ALL_NOISE, "the synthetic files changed for a fixed spec: see PINNED"
+
     def test_seed_changes_output(self):
         a = generate_population(small_spec())
         b = generate_population(small_spec(seed=12))
