@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -500,7 +501,13 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return COMMANDS[args.command].func(_resolve(args.command, args))
+        status = COMMANDS[args.command].func(_resolve(args.command, args))
+        sys.stdout.flush()  # so a reader that has gone shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # Not an input error: silence stdout for the exit-time flush (the recipe in Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (TableError, OSError) as exc:
         _fail(str(exc))
 

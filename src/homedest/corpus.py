@@ -47,8 +47,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import chain
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -624,30 +625,63 @@ def load_friends(path: str | Path) -> FriendGraph:
 
 
 def write_posts(path: str | Path, posts: Iterable[Post]) -> int:
-    """Serialize posts back to the JSONL contract; returns the line count.
+    """Serialize posts to the JSONL contract; returns the line count.
 
-    An aware timestamp is written as its UTC time and a naive one as it
-    stands, which the parser reads as UTC. Each distinct timestamp is
-    formatted once, and one encoder serves every line.
+    Each line is ``json.dumps(record, ensure_ascii=False, sort_keys=True)``
+    of the post's ``cc``, ``lang``, ``tags``, ``ts`` and ``user_id``, written
+    from the fields: strings are quoted by json's own ``encode_basestring``
+    (the function that encoder calls), ``None`` is ``null``, and each
+    distinct value is encoded once. An aware timestamp is written as its UTC
+    time and a naive one as it stands, which the parser reads as UTC.
+
+    A field the parser would skip raises ValueError naming it and the post's
+    line: a ``user_id`` that is not a non-empty string, a ``cc`` or ``lang``
+    that is neither None nor a string, or a tag that is not a string.
     """
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    users: dict[str, str] = {}
+    codes: dict[str | None, str] = {None: "null"}
+    tags: dict[str, str] = {}
     stamps: dict[datetime, str] = {}
+
+    def line(post: Post) -> str:
+        return (
+            f'{{"cc": {codes[post.country]}, "lang": {codes[post.language]}, '
+            f'"tags": [{", ".join(map(tags.__getitem__, post.hashtags))}], '
+            f'"ts": {stamps[post.timestamp]}, "user_id": {users[post.user_id]}}}\n'
+        )
+
+    def learn(post: Post, lineno: int) -> None:
+        """Encode the fields of ``post`` not seen before, refusing those the parser would skip."""
+
+        def refuse(name: str, value, rule: str) -> NoReturn:
+            raise ValueError(f"posts line {lineno}: {name} must be {rule}, got {value!r}")
+
+        if not isinstance(post.user_id, str) or not post.user_id:
+            refuse("user_id", post.user_id, "a non-empty string")
+        if post.user_id not in users:
+            users[post.user_id] = encode_basestring(post.user_id)
+        for name, value in (("cc", post.country), ("lang", post.language)):
+            if value is not None and not isinstance(value, str):
+                refuse(name, value, "None or a string")
+            if value not in codes:
+                codes[value] = encode_basestring(value)
+        for tag in post.hashtags:
+            if not isinstance(tag, str):
+                refuse("a tag", tag, "a string")
+            if tag not in tags:
+                tags[tag] = encode_basestring(tag)
+        ts = post.timestamp
+        if ts not in stamps:
+            utc = ts if ts.utcoffset() is None else ts.astimezone(timezone.utc)
+            stamps[ts] = utc.strftime('"%Y-%m-%dT%H:%M:%SZ"')
+
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for post in posts:
-            ts = post.timestamp
+        for n, post in enumerate(posts, 1):
             try:
-                text = stamps[ts]
-            except KeyError:
-                utc = ts if ts.utcoffset() is None else ts.astimezone(timezone.utc)
-                text = stamps[ts] = utc.strftime("%Y-%m-%dT%H:%M:%SZ")
-            record = {
-                "user_id": post.user_id,
-                "ts": text,
-                "cc": post.country,
-                "lang": post.language,
-                "tags": list(post.hashtags),
-            }
-            fh.write(encode(record) + "\n")
-            n += 1
+                text = line(post)
+            except (KeyError, TypeError):  # a value not encoded yet, or one no memo can hold
+                learn(post, n)
+                text = line(post)
+            fh.write(text)
     return n

@@ -942,6 +942,14 @@ for argv in json.loads(sys.argv[2]):
 """
 
 
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_chain_probe(tmp_path, mode):
     """Every command in one subprocess; the (step, status, scipy modules) line of the import and each command."""
     ws = str(tmp_path)
@@ -952,12 +960,9 @@ def run_chain_probe(tmp_path, mode):
         *([step, "--out", ws] for step in ("stats", "correlate", "report")),
     ]
     assert [s[0] for s in steps] == list(COMMANDS)
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", CHAIN_PROBE, mode, json.dumps(steps)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=source_env(), capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     lines = [json.loads(line) for line in result.stdout.splitlines() if line.startswith('["')]
@@ -976,6 +981,20 @@ def test_chain_runs_without_scipy(tmp_path):
     for step, status, _ in run_chain_probe(tmp_path, "block"):
         assert status == 0, step
     assert (tmp_path / FILES["test_results"]).exists() and (tmp_path / FILES["correlations_grouped"]).exists()
+
+
+def test_a_closed_stdout_exits_1_quietly(chain_dir, tmp_path):
+    """A reader that has gone is not an input error: exit 1, nothing on stderr, and scores.csv as a normal run writes it."""
+    for key in ("posts", "profiles", "atlas", "lang_fractions"):
+        shutil.copy(chain_dir / FILES[key], tmp_path / FILES[key])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homedest", "score", "--out", str(tmp_path)],
+        env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes before the first line
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=300), stderr) == (1, b"")
+    assert (tmp_path / FILES["scores"]).read_bytes() == (chain_dir / FILES["scores"]).read_bytes()
 
 
 class TestConfig:

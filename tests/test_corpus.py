@@ -6,6 +6,7 @@ import dataclasses
 import json
 import logging
 import random
+import re
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -30,6 +31,7 @@ from homedest.corpus import (
     write_corpus,
     write_posts,
 )
+from homedest.synth import default_spec, generate_population
 
 from conftest import YEAR, make_post
 
@@ -125,6 +127,21 @@ class TestParsePost:
         assert parse_post(self.good(lang=None)).language is None
 
 
+# Text that json escapes, or that a hand-made writer could get wrong.
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "\u2028", "\u2029", "\U0001f600", '"}, {"'])
+_TEXT = st.lists(st.one_of(st.text(), _AWKWARD), max_size=4).map("".join)
+_posts = st.builds(
+    Post,
+    user_id=_TEXT.filter(bool),
+    timestamp=st.datetimes(
+        min_value=datetime(1970, 1, 1), max_value=datetime(2099, 12, 31), timezones=st.none() | st.just(timezone.utc)
+    ),
+    country=st.none() | _TEXT,
+    language=st.none() | _TEXT,
+    hashtags=st.lists(_TEXT, max_size=4).map(tuple),
+)
+
+
 class TestFiles:
     def test_iter_posts_skips_junk(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -211,6 +228,53 @@ class TestFiles:
             for post in posts
         )
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(posts=st.lists(_posts, max_size=8))
+    def test_writer_lines_equal_json_dumps_over_arbitrary_text(self, posts):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "posts.jsonl"
+            assert write_posts(path, posts) == len(posts)
+            lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines.pop() == ""
+        assert lines == [
+            json.dumps(
+                {
+                    "user_id": post.user_id,
+                    "ts": post.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                    "cc": post.country,
+                    "lang": post.language,
+                    "tags": list(post.hashtags),
+                },
+                ensure_ascii=False,
+                sort_keys=True,
+            )
+            for post in posts
+        ]
+
+    def test_written_synth_posts_load_as_the_same_corpus(self, tmp_path):
+        population = generate_population(default_spec(seed=3, n_users=150))
+        path = tmp_path / "posts.jsonl"
+        write_posts(path, population.posts)
+        corpus, stats = load_posts(path)
+        assert (stats.lines, stats.loaded, stats.skipped) == (len(population.posts), len(population.posts), 0)
+        assert _same_corpus(corpus, Corpus.from_posts(population.posts))
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("user_id", 5, "user_id must be a non-empty string, got 5"),
+            ("user_id", "", "user_id must be a non-empty string, got ''"),
+            ("country", 5, "cc must be None or a string, got 5"),
+            ("language", b"it", "lang must be None or a string, got b'it'"),
+            ("hashtags", ("roma", 7), "a tag must be a string, got 7"),
+        ],
+    )
+    def test_writer_refuses_a_field_the_parser_would_skip(self, tmp_path, name, value, message):
+        good = make_post("u1", 0, cc="IT", lang="it", tags=["roma"])
+        posts = [good, dataclasses.replace(good, **{name: value})]
+        with pytest.raises(ValueError, match=f"^posts line 2: {re.escape(message)}$"):
+            write_posts(tmp_path / "posts.jsonl", posts)
 
     def test_load_friends_dedup_and_self_loops(self, tmp_path):
         path = tmp_path / "friends.csv"

@@ -118,6 +118,21 @@ class TestGeneration:
         digests = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
         assert digests == self.PINNED_ALL_NOISE, "the synthetic files changed for a fixed spec: see PINNED"
 
+    # The benchmark's own input: the default spec at 1,000 users, seed 1 (the
+    # null_heavy workload at --seed 1), so a writer or draw change that moves
+    # the bytes the harness times shows here too.
+    PINNED_BENCH_INPUT = {
+        "posts": "db226a852fa5525df2f5a24b86dee2b15c05624335e77f9d6a41c772e01cab51",
+        "friends": "a41257281bf21113c0e05f95eb7d9e888fae5473a3992e306b911174c4f8413c",
+        "ground_truth": "d0abd6ca1c6a822a547eda5a0644518fc770b29dd17a0b373919df66d8da957d",
+        "pair_covariates": "fd98e2a298a17b41769ed4c2605cab5a0c26f29939f1af3063710583211009b8",
+    }
+
+    def test_benchmark_input_is_pinned(self, tmp_path):
+        paths = write_population(generate_population(default_spec(seed=1, n_users=1000)), tmp_path)
+        digests = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
+        assert digests == self.PINNED_BENCH_INPUT, "the synthetic files changed for a fixed spec: see PINNED"
+
     def test_seed_changes_output(self):
         a = generate_population(small_spec())
         b = generate_population(small_spec(seed=12))
