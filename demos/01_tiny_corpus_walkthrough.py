@@ -11,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 
 from homedest.atlas import build_atlas
 from homedest.attachment import compute_scores
-from homedest.corpus import FriendGraph, Post
+from homedest.corpus import Corpus, FriendGraph, Post
 from homedest.labeling import label_population
 
 YEAR = 2018
@@ -48,10 +48,11 @@ posts.append(post("marco", 132, lang="de", tags=["pizza", "pizza", "pizza", "piz
 posts.append(post("marco", 133, lang="de", tags=["xyzq"]))
 
 graph = FriendGraph.from_pairs([("marco", "ida"), ("marco", "ivo"), ("marco", "ines"), ("marco", "dora")])
+corpus = Corpus.from_posts(posts)  # interned once; every stage takes the columns
 
 # Step 1: labels. Residence is where you spent the most distinct days this
 # year; nationality blends all-time geotags with your friends' countries.
-profiles, summary = label_population(posts, graph, YEAR)
+profiles, summary = label_population(corpus, graph, YEAR)
 print(f"labeled {summary.n_users} users, {summary.n_migrants} migrant(s)")
 for uid in sorted(profiles):
     p = profiles[uid]
@@ -59,7 +60,7 @@ for uid in sorted(profiles):
 
 # Step 2: the atlas. Only non-migrants vote, each user once per tag.
 print()
-atlas = build_atlas(posts, profiles, YEAR)
+atlas = build_atlas(corpus, profiles, YEAR)
 for token in sorted(atlas):
     r = atlas[token]
     print(f"  #{token:<8s} -> {r.assignment:<13s} entropy={r.entropy:.3f} users={r.n_users}")
@@ -69,7 +70,7 @@ print("  (marco's #xyzq never appears: no non-migrant used it)")
 # 2 to his destination, so HA = 0.3 and DA = 0.2. The international
 # #pizza and the unknown #xyzq stay in the denominator.
 print()
-for s in compute_scores(posts, profiles, atlas, YEAR, min_hashtags=10):
+for s in compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=10):
     print(
         f"  {s.user_id}: HA={s.ha:.2f} DA={s.da:.2f} "
         f"({s.n_home} home + {s.n_dest} dest of {s.n_hashtags} uses)"

@@ -28,7 +28,7 @@ from homedest.atlas import build_atlas
 from homedest.labeling import UserProfile
 
 from datetime import datetime, timedelta, timezone
-from homedest.corpus import Post
+from homedest.corpus import Corpus, Post
 
 
 def tag_post(user, day, *tags):
@@ -44,10 +44,11 @@ for i in range(8):
 posts = [tag_post(f"u{i}", i, "ferragosto") for i in range(6)]          # 6 IT users
 posts += [tag_post(f"u{i}", 10 + i, "summer") for i in range(8)]        # everyone
 posts += [tag_post("u0", 20, "summer", "summer")]                       # repeats don't matter
+corpus = Corpus.from_posts(posts)
 
 print("\natlas at threshold 0.5 vs 1.0:")
 for threshold in (0.5, 1.0):
-    atlas = build_atlas(posts, profiles, 2018, threshold=threshold)
+    atlas = build_atlas(corpus, profiles, 2018, threshold=threshold)
     assignments = {t: r.assignment for t, r in atlas.items()}
     print(f"  threshold={threshold}: {assignments}")
 

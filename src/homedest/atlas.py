@@ -14,11 +14,11 @@ import math
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Post, distinct
+from .corpus import Corpus, distinct
 from .labeling import UserProfile
 from .tables import read_table, write_table
 
@@ -65,7 +65,7 @@ def normalized_entropy(p: Mapping[str, float]) -> float:
 
 
 def build_atlas(
-    posts: Iterable[Post] | Corpus,
+    corpus: Corpus,
     profiles: Mapping[str, UserProfile],
     year: int,
     threshold: float = DEFAULT_ENTROPY_THRESHOLD,
@@ -79,7 +79,6 @@ def build_atlas(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    corpus = Corpus.from_posts(posts)
     n_users = len(corpus.users)
     nationalities: dict[str | None, int] = {}
     nationality = np.full(n_users, -1, dtype=np.int64)
@@ -106,21 +105,6 @@ def build_atlas(
             assignment = min(c for c, count in counts.items() if count == best)
         records.append(HashtagRecord(corpus.tokens[t], assignment, entropy, total, best / total, p))
     return {record.token: record for record in sorted(records)}
-
-
-def build_distribution(
-    posts: Iterable[Post],
-    profiles: Mapping[str, UserProfile],
-    token: str,
-    year: int,
-) -> dict[str, float]:
-    """Nationality distribution of non-migrant users of ``token`` in ``year``.
-
-    Users are counted once per token. Tokens used by no eligible user give
-    an empty mapping.
-    """
-    record = build_atlas(posts, profiles, year).get(token)
-    return record.p if record is not None else {}
 
 
 def unit_histogram(values: Sequence[float] | np.ndarray) -> tuple[list[float], list[int]]:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .atlas import INTERNATIONAL, HashtagRecord
-from .corpus import Corpus, Post
+from .corpus import Corpus
 from .labeling import UserProfile
 from .tables import read_table, write_table
 
@@ -143,7 +143,7 @@ def coded_uses(
 
 
 def compute_scores(
-    posts: Iterable[Post] | Corpus,
+    corpus: Corpus,
     profiles: Mapping[str, UserProfile],
     atlas: Mapping[str, HashtagRecord],
     year: int,
@@ -156,7 +156,7 @@ def compute_scores(
     if min_hashtags < 1:
         raise ValueError(f"min_hashtags must be >= 1, got {min_hashtags}")
     who = sorted((user_id, p.nationality, p.residence) for user_id, p in profiles.items() if p.is_migrant)
-    codes, owned, row, home, dest = coded_uses(Corpus.from_posts(posts), atlas, year, who)
+    codes, owned, row, home, dest = coded_uses(corpus, atlas, year, who)
     n_total = np.bincount(row, minlength=len(who))
     n_home, n_dest = count_uses(row, codes[owned], home, dest, len(who))
     kept = np.flatnonzero(n_total >= min_hashtags)
@@ -165,7 +165,7 @@ def compute_scores(
 
 
 def atlas_coverage(
-    posts: Iterable[Post] | Corpus,
+    corpus: Corpus,
     scores: Sequence[AttachmentScore],
     atlas: Mapping[str, HashtagRecord],
     year: int,
@@ -177,7 +177,7 @@ def atlas_coverage(
     country, international, or not in the atlas. The counts sum to the uses.
     """
     who = [(s.user_id, s.nationality, s.residence) for s in scores]
-    codes, owned, row, home, dest = coded_uses(Corpus.from_posts(posts), atlas, year, who)
+    codes, owned, row, home, dest = coded_uses(corpus, atlas, year, who)
     drawn = codes[owned]
     n_home, n_dest = (int(n.sum()) for n in count_uses(row, drawn, home, dest, len(who)))
     n_international, n_absent = int((drawn == -2).sum()), int((drawn == -3).sum())

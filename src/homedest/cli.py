@@ -232,9 +232,9 @@ def cmd_synth(run) -> int:
 
 
 def cmd_label(run) -> int:
-    posts, stats = _load_corpus(run.posts, run.out)
+    corpus, stats = _load_corpus(run.posts, run.out)
     if stats is None:
-        print(f"posts: {posts.n_posts} loaded from {FILES['corpus']}")
+        print(f"posts: {corpus.n_posts} loaded from {FILES['corpus']}")
     else:
         print(f"posts: {stats.lines} lines, {stats.loaded} loaded, {stats.skipped_text()}")
     friends = load_friends(run.friends)
@@ -242,7 +242,7 @@ def cmd_label(run) -> int:
         f"friends: {friends.n_edges} edges, {friends.n_duplicates} duplicates, {friends.n_self_loops} self-loops "
         f"and {friends.n_empty} rows with an empty id dropped"
     )
-    profiles, summary = label_population(posts, friends, run.year)
+    profiles, summary = label_population(corpus, friends, run.year)
     print(
         f"friend edges: {summary.n_edges_without_posts} of {friends.n_edges} have an end with no posts "
         "and carry no evidence"
@@ -262,9 +262,9 @@ def cmd_label(run) -> int:
 
 
 def cmd_atlas(run) -> int:
-    posts, _ = _load_corpus(run.posts, run.out)
+    corpus, _ = _load_corpus(run.posts, run.out)
     profiles = read_profiles(run.profiles)
-    atlas = build_atlas(posts, profiles, run.year, threshold=run.entropy_threshold)
+    atlas = build_atlas(corpus, profiles, run.year, threshold=run.entropy_threshold)
     n_intl = sum(1 for r in atlas.values() if r.assignment == INTERNATIONAL)
     if n_intl == len(atlas):
         _fail(f"no hashtag of {run.year} is assigned to a country: {len(atlas)} hashtags, {n_intl} international")
@@ -274,14 +274,14 @@ def cmd_atlas(run) -> int:
 
 
 def cmd_score(run) -> int:
-    posts, _ = _load_corpus(run.posts, run.out)
+    corpus, _ = _load_corpus(run.posts, run.out)
     profiles = read_profiles(run.profiles, run.lang_fractions)
     atlas = read_atlas(run.atlas)
-    scores = compute_scores(posts, profiles, atlas, run.year, min_hashtags=run.min_hashtags)
+    scores = compute_scores(corpus, profiles, atlas, run.year, min_hashtags=run.min_hashtags)
     n_migrants = sum(profile.is_migrant is True for profile in profiles.values())
     if not scores:
         _fail(f"none of {n_migrants} labelled migrants passed the hashtag volume filter (--min-hashtags {run.min_hashtags})")
-    coverage = atlas_coverage(posts, scores, atlas, run.year)
+    coverage = atlas_coverage(corpus, scores, atlas, run.year)
     covered = f"atlas coverage of their {sum(coverage.values())} uses in {run.year}: " + ", ".join(
         f"{count} {kind}" for kind, count in coverage.items()
     )
@@ -311,10 +311,10 @@ def cmd_null(run) -> int:
     if not scores:
         _fail(f"{run.scores}: no scores to shuffle")
     atlas = read_atlas(run.atlas)
-    posts, _ = _load_corpus(run.posts, run.out)
+    corpus, _ = _load_corpus(run.posts, run.out)
     try:
         # The command's options are null_distribution's own parameters.
-        runs = null_distribution(posts, scores, atlas, **run.options)
+        runs = null_distribution(corpus, scores, atlas, **run.options)
     except ValueError as exc:  # a scores row that the posts, atlas and year do not give
         _fail(f"{run.scores}: {exc}")
     write_null_scores(run.null_scores, runs, run.header())
@@ -326,7 +326,7 @@ def cmd_stats(run) -> int:
     scores = read_scores(run.scores)
     ha = [s.ha for s in scores]
     da = [s.da for s in scores]
-    ha0, da0 = read_null_indices(run.null_scores)
+    ha0, da0 = read_null_indices(run.null_scores, [s.user_id for s in scores], run.scores)
 
     rows = []
     for comparison, x, y, tests in (
@@ -380,11 +380,15 @@ def cmd_correlate(run) -> int:
 
 def cmd_report(run) -> int:
     profiles = read_profiles(run.profiles)
+    if not profiles:
+        _fail(f"{run.profiles}: no profiles to report")
     atlas = read_atlas(run.atlas)
+    if not atlas:
+        _fail(f"{run.atlas}: no hashtags to report")
     scores = read_scores(run.scores)
     if not scores:
         _fail(f"{run.scores}: no scores to report")
-    null = read_null_indices(run.null_scores) if run.null_scores else None
+    null = read_null_indices(run.null_scores, [s.user_id for s in scores], run.scores) if run.null_scores else None
     if null is not None and not null[0].size:
         _fail(f"{run.null_scores}: no null scores to report")
 

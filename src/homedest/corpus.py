@@ -443,13 +443,8 @@ class Corpus:
         return slots, np.repeat(self.user, steps)[slots]
 
     @classmethod
-    def from_posts(cls, posts: Iterable[Post] | Corpus) -> Corpus:
-        """Intern posts into columns; a Corpus is returned unchanged.
-
-        ``canonicalize_hashtag`` runs once per distinct raw tag.
-        """
-        if isinstance(posts, Corpus):
-            return posts
+    def from_posts(cls, posts: Iterable[Post]) -> Corpus:
+        """Intern posts into columns; ``canonicalize_hashtag`` runs once per distinct raw tag."""
         return _intern(
             (post.user_id, post.country, post.language, post.year, post.timestamp.toordinal() - _EPOCH_ORDINAL, post.hashtags)
             for post in posts

@@ -186,7 +186,7 @@ def _pick(n_users: int, user: np.ndarray, country: np.ndarray, rank: np.ndarray,
 
 
 def label_population(
-    posts: Iterable[Post] | Corpus,
+    corpus: Corpus,
     friends: FriendGraph,
     year: int,
 ) -> tuple[dict[str, UserProfile], LabelSummary]:
@@ -199,7 +199,6 @@ def label_population(
     Deterministic under input reordering: all evidence is aggregated before
     any decision, and ties break on the country code.
     """
-    corpus = Corpus.from_posts(posts)
     n_users, n_countries = len(corpus.users), max(len(corpus.countries), 1)
     rank = np.argsort(np.argsort(np.array(corpus.countries, dtype=str)))
 

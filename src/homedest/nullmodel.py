@@ -32,7 +32,7 @@ import numpy as np
 from .atlas import HashtagRecord
 from .attachment import SCORE_COLUMNS, AttachmentScore, coded_uses, count_uses, score_rows
 from .corpus import Corpus, Post
-from .tables import read_table, write_table
+from .tables import TableError, read_table, write_table
 
 DEFAULT_REPLICATES = 5
 
@@ -108,7 +108,7 @@ def shuffle_hashtags(
 
 
 def null_distribution(
-    posts: Iterable[Post] | Corpus,
+    corpus: Corpus,
     scores: Sequence[AttachmentScore],
     atlas: Mapping[str, HashtagRecord],
     year: int,
@@ -134,7 +134,7 @@ def null_distribution(
     who = [(s.user_id, s.nationality, s.residence) for s in scores]
     n_hashtags = np.array([s.n_hashtags for s in scores], dtype=np.int64)
     everyone = shuffle_population == "all"
-    codes, owned, row, home, dest = coded_uses(Corpus.from_posts(posts), atlas, year, who, everyone)
+    codes, owned, row, home, dest = coded_uses(corpus, atlas, year, who, everyone)
 
     observed = np.stack([np.bincount(row, minlength=len(who)), *count_uses(row, codes[owned], home, dest, len(who))])
     expected = np.array([n_hashtags, [s.n_home for s in scores], [s.n_dest for s in scores]], dtype=np.int64)
@@ -174,11 +174,25 @@ def write_null_scores(path: str | Path, runs: Iterable[ShuffleRun], header: Sequ
     write_table(path, NULL_SCORE_COLUMNS, rows, header)
 
 
-def read_null_indices(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """The ``ha`` and ``da`` columns of a null scores table, as float arrays; no other cell is read.
+def read_null_indices(
+    path: str | Path, user_ids: Sequence[str], scores_path: str | Path
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``ha`` and ``da`` columns of the null of the migrants ``user_ids``, as float arrays.
 
-    R rows per migrant are kept as arrays, not row objects. A row that breaks NULL_SCORE_RULES is a TableError.
+    R rows per migrant are kept as arrays, not row objects. A row that breaks
+    NULL_SCORE_RULES is a TableError. So is a table whose rows are not whole
+    replicate blocks of ``user_ids`` in their order, the way
+    ``write_null_scores`` writes their null; the message names
+    ``scores_path``, the table those migrants come from.
     """
-    rows = read_table(path, {"ha": float, "da": float}, rules=NULL_SCORE_RULES)
-    values = np.fromiter(((row["ha"], row["da"]) for row in rows), dtype=[("ha", float), ("da", float)])
+    rows = read_table(path, {"user_id": str, "ha": float, "da": float}, rules=NULL_SCORE_RULES)
+    values = np.fromiter(
+        ((row["user_id"], row["ha"], row["da"]) for row in rows), dtype=[("user_id", object), ("ha", float), ("da", float)]
+    )
+    ids = values["user_id"].tolist()
+    if ids != list(user_ids) * (len(ids) // max(len(user_ids), 1)):
+        raise TableError(
+            f"{path}: its {len(ids)} rows are not whole replicate blocks of the {len(user_ids)} migrants of "
+            f"{scores_path}, in their order: run `homedest null` again"
+        )
     return values["ha"], values["da"]

@@ -9,7 +9,7 @@ import pytest
 
 from homedest.atlas import build_atlas
 from homedest.attachment import compute_scores
-from homedest.corpus import FriendGraph, Post
+from homedest.corpus import Corpus, FriendGraph, Post
 from homedest.labeling import label_population
 from homedest.nullmodel import null_distribution
 from homedest.synth import default_spec, generate_population
@@ -79,9 +79,10 @@ def micro_corpus():
 @pytest.fixture
 def micro_pipeline(micro_corpus):
     posts, graph = micro_corpus
-    profiles, _ = label_population(posts, graph, YEAR)
-    atlas = build_atlas(posts, profiles, YEAR)
-    return posts, profiles, atlas
+    corpus = Corpus.from_posts(posts)
+    profiles, _ = label_population(corpus, graph, YEAR)
+    atlas = build_atlas(corpus, profiles, YEAR)
+    return corpus, profiles, atlas
 
 
 class DefaultRun:
@@ -92,15 +93,12 @@ class DefaultRun:
         self.spec = default_spec()
         self.population = generate_population(self.spec)
         graph = FriendGraph.from_pairs(self.population.friend_rows)
-        self.profiles, self.summary = label_population(
-            self.population.posts, graph, self.spec.year
-        )
-        self.atlas = build_atlas(self.population.posts, self.profiles, self.spec.year)
-        self.scores = compute_scores(
-            self.population.posts, self.profiles, self.atlas, self.spec.year
-        )
+        self.corpus = Corpus.from_posts(self.population.posts)
+        self.profiles, self.summary = label_population(self.corpus, graph, self.spec.year)
+        self.atlas = build_atlas(self.corpus, self.profiles, self.spec.year)
+        self.scores = compute_scores(self.corpus, self.profiles, self.atlas, self.spec.year)
         self.null_runs = null_distribution(
-            self.population.posts,
+            self.corpus,
             self.scores,
             self.atlas,
             self.spec.year,

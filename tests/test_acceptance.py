@@ -27,7 +27,7 @@ from homedest.covariates import (
     join_covariates,
     load_country_languages,
 )
-from homedest.corpus import FriendGraph, Post
+from homedest.corpus import Corpus, FriendGraph
 from homedest.labeling import UserProfile, label_population
 from homedest.nullmodel import pooled
 from homedest.reporting import REPORT_COLUMNS
@@ -165,7 +165,7 @@ def test_c2_scores_equal_naive_recount_on_1000_micro_corpora(micro_corpora):
     mismatches = 0
     n_scored = 0
     for posts, profiles, atlas, min_hashtags in micro_corpora.corpora:
-        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=min_hashtags)
+        scores = compute_scores(Corpus.from_posts(posts), profiles, atlas, YEAR, min_hashtags=min_hashtags)
         expected = naive_recount(posts, profiles, atlas, min_hashtags)
         got = [(s.user_id, s.n_hashtags, s.n_home, s.n_dest, s.ha, s.da) for s in scores]
         if got != expected:
@@ -179,7 +179,7 @@ def test_c2_scores_equal_naive_recount_on_1000_micro_corpora(micro_corpora):
 def test_c3_invariants_hold_for_every_scored_user(micro_corpora, default_run):
     all_scores = []
     for posts, profiles, atlas, min_hashtags in micro_corpora.corpora:
-        all_scores.extend(compute_scores(posts, profiles, atlas, YEAR, min_hashtags=min_hashtags))
+        all_scores.extend(compute_scores(Corpus.from_posts(posts), profiles, atlas, YEAR, min_hashtags=min_hashtags))
     all_scores.extend(default_run.scores)
     for run in default_run.null_runs:
         all_scores.extend(run.scores0)
@@ -282,9 +282,10 @@ def test_c6_planted_truth_recovered(default_run):
     # planted-token oracle to the last bit.
     spec = default_spec(n_users=2_000, seed=7, country_tag_specificity=1.0, noise=0.0)
     pop = generate_population(spec)
-    profiles, _ = label_population(pop.posts, FriendGraph.from_pairs(pop.friend_rows), spec.year)
-    atlas = build_atlas(pop.posts, profiles, spec.year)
-    pipeline = compute_scores(pop.posts, profiles, atlas, spec.year)
+    corpus = Corpus.from_posts(pop.posts)
+    profiles, _ = label_population(corpus, FriendGraph.from_pairs(pop.friend_rows), spec.year)
+    atlas = build_atlas(corpus, profiles, spec.year)
+    pipeline = compute_scores(corpus, profiles, atlas, spec.year)
     oracle = oracle_scores(pop.truth, pop.posts, spec.year)
     assert len(pipeline) == len(oracle) > 0
     for mine, ref in zip(pipeline, oracle):

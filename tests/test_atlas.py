@@ -11,13 +11,12 @@ from homedest.atlas import (
     DEFAULT_ENTROPY_THRESHOLD,
     INTERNATIONAL,
     build_atlas,
-    build_distribution,
     normalized_entropy,
     read_atlas,
     unit_histogram,
     write_atlas,
 )
-from homedest.corpus import FriendGraph
+from homedest.corpus import Corpus, FriendGraph
 from homedest.labeling import label_population
 
 from conftest import YEAR, make_post
@@ -85,27 +84,27 @@ class TestBuildAtlas:
         assert atlas["roma"].entropy == 0.0
 
     def test_threshold_zero_assigns_only_pure_tokens(self, micro_pipeline):
-        posts, profiles, _ = micro_pipeline
-        atlas = build_atlas(posts, profiles, YEAR, threshold=0.0)
+        corpus, profiles, _ = micro_pipeline
+        atlas = build_atlas(corpus, profiles, YEAR, threshold=0.0)
         assert atlas["roma"].assignment == "IT"
         assert atlas["pizza"].assignment == INTERNATIONAL
 
     def test_threshold_one_assigns_everything(self, micro_pipeline):
-        posts, profiles, _ = micro_pipeline
-        atlas = build_atlas(posts, profiles, YEAR, threshold=1.0)
+        corpus, profiles, _ = micro_pipeline
+        atlas = build_atlas(corpus, profiles, YEAR, threshold=1.0)
         # Argmax of {IT: 3, DE: 2, FR: 1} despite maximal-entropy-ish spread.
         assert atlas["pizza"].assignment == "IT"
 
     def test_bad_threshold(self, micro_pipeline):
-        posts, profiles, _ = micro_pipeline
+        corpus, profiles, _ = micro_pipeline
         with pytest.raises(ValueError):
-            build_atlas(posts, profiles, YEAR, threshold=1.5)
+            build_atlas(corpus, profiles, YEAR, threshold=1.5)
         with pytest.raises(ValueError):
-            build_atlas(posts, profiles, YEAR, threshold=-0.1)
+            build_atlas(corpus, profiles, YEAR, threshold=-0.1)
 
     def test_year_filter(self, micro_pipeline):
-        posts, profiles, _ = micro_pipeline
-        atlas = build_atlas(posts, profiles, YEAR - 1, threshold=DEFAULT_ENTROPY_THRESHOLD)
+        corpus, profiles, _ = micro_pipeline
+        atlas = build_atlas(corpus, profiles, YEAR - 1, threshold=DEFAULT_ENTROPY_THRESHOLD)
         assert atlas == {}  # all hashtag posts sit in the reference year
 
     def test_argmax_tie_breaks(self):
@@ -118,18 +117,19 @@ class TestBuildAtlas:
         ):
             posts.append(make_post(user, 10 + i, cc=cc))
             posts.append(make_post(user, 100 + i, tags=["shared"]))
-        profiles, _ = label_population(posts, FriendGraph.from_pairs(()), YEAR)
-        atlas = build_atlas(posts, profiles, YEAR)
+        corpus = Corpus.from_posts(posts)
+        profiles, _ = label_population(corpus, FriendGraph.from_pairs(()), YEAR)
+        atlas = build_atlas(corpus, profiles, YEAR)
         assert atlas["shared"].assignment == INTERNATIONAL
-        atlas = build_atlas(posts, profiles, YEAR, threshold=1.0)
+        atlas = build_atlas(corpus, profiles, YEAR, threshold=1.0)
         assert atlas["shared"].assignment == "DE"
 
 
 def test_build_distribution(micro_pipeline):
-    posts, profiles, _ = micro_pipeline
-    dist = build_distribution(posts, profiles, "pizza", YEAR)
-    assert dist == {"IT": 0.5, "DE": 2 / 6, "FR": 1 / 6}
-    assert build_distribution(posts, profiles, "nope", YEAR) == {}
+    corpus, profiles, _ = micro_pipeline
+    atlas = build_atlas(corpus, profiles, YEAR)
+    assert atlas["pizza"].p == {"IT": 0.5, "DE": 2 / 6, "FR": 1 / 6}
+    assert "nope" not in atlas  # a token no eligible user posted has no distribution
 
 
 def test_entropy_histogram_binning():

@@ -28,8 +28,8 @@ from conftest import YEAR, make_post
 
 class TestComputeScores:
     def test_micro_corpus_values(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=10)
+        corpus, profiles, atlas = micro_pipeline
+        scores = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=10)
         assert len(scores) == 1
         s = scores[0]
         assert (s.user_id, s.nationality, s.residence) == ("m1", "IT", "DE")
@@ -37,41 +37,41 @@ class TestComputeScores:
         assert s.ha == 0.3 and s.da == 0.2
 
     def test_volume_filter_boundary(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        assert compute_scores(posts, profiles, atlas, YEAR, min_hashtags=11) == []
-        kept = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=10)
+        corpus, profiles, atlas = micro_pipeline
+        assert compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=11) == []
+        kept = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=10)
         assert len(kept) == 1
         with pytest.raises(ValueError, match="min_hashtags must be >= 1, got 0"):
-            compute_scores(posts, profiles, atlas, YEAR, min_hashtags=0)
+            compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=0)
 
     def test_non_migrants_never_scored(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
+        corpus, profiles, atlas = micro_pipeline
+        scores = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=1)
         assert [s.user_id for s in scores] == ["m1"]
 
     def test_unknown_tokens_stay_in_denominator(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        (s,) = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
+        corpus, profiles, atlas = micro_pipeline
+        (s,) = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=1)
         # xyzq is absent from the atlas but still one of the 10 uses.
         assert s.n_home + s.n_dest < s.n_hashtags
 
     def test_year_filter(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        assert compute_scores(posts, profiles, atlas, YEAR - 1, min_hashtags=1) == []
+        corpus, profiles, atlas = micro_pipeline
+        assert compute_scores(corpus, profiles, atlas, YEAR - 1, min_hashtags=1) == []
 
 
 class TestAtlasCoverage:
     def test_micro_corpus(self, micro_pipeline):
         # m1: roma x3 (home IT), berlin x2 (destination DE), pizza x4 (international), xyzq x1 (not in the atlas).
-        posts, profiles, atlas = micro_pipeline
-        scores = compute_scores(posts, profiles, atlas, YEAR)
-        assert list(atlas_coverage(posts, scores, atlas, YEAR).values()) == [3, 2, 0, 4, 1]
+        corpus, profiles, atlas = micro_pipeline
+        scores = compute_scores(corpus, profiles, atlas, YEAR)
+        assert list(atlas_coverage(corpus, scores, atlas, YEAR).values()) == [3, 2, 0, 4, 1]
 
     def test_other_country(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        scores = compute_scores(posts, profiles, atlas, YEAR)
+        corpus, profiles, atlas = micro_pipeline
+        scores = compute_scores(corpus, profiles, atlas, YEAR)
         atlas = {**atlas, "pizza": atlas["pizza"]._replace(assignment="FR")}
-        assert atlas_coverage(posts, scores, atlas, YEAR) == {
+        assert atlas_coverage(corpus, scores, atlas, YEAR) == {
             "home": 3, "destination": 2, "other country": 4, "international": 0, "not in the atlas": 1,
         }
 

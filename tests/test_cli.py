@@ -17,7 +17,7 @@ import pytest
 from homedest.atlas import read_atlas
 from homedest.attachment import SCORE_COLUMNS, compute_scores, read_scores
 from homedest.cli import COMMANDS, FILES, main
-from homedest.corpus import file_sha256, iter_posts, read_corpus
+from homedest.corpus import Corpus, file_sha256, iter_posts, read_corpus
 from homedest.labeling import read_profiles
 from homedest.nullmodel import NULL_SCORE_COLUMNS, shuffle_hashtags
 from homedest.reporting import REPORT_COLUMNS
@@ -46,17 +46,25 @@ def chain_dir(tmp_path_factory):
 
 
 def copy_chain(chain_dir, out, cells=lambda i: {}, n_rows=None):
-    """The chain's tables in ``out``; scores keep ``n_rows`` data rows, row i's cells set to ``cells(i)`` (column -> text)."""
-    for key in ("profiles", "atlas", "null_scores", "pair_covariates"):
+    """The chain's tables in ``out``; scores keep ``n_rows`` data rows, row i's cells set to ``cells(i)`` (column -> text).
+
+    The null scores keep the rows of the users kept in scores, so they stay that table's null.
+    """
+    for key in ("profiles", "atlas", "pair_covariates"):
         shutil.copy(chain_dir / FILES[key], out / FILES[key])
     lines = (chain_dir / FILES["scores"]).read_text().splitlines()
     start = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
     names = lines[start - 1].split(",")
     rows = [line.split(",") for line in lines[start:]][:n_rows]
+    kept = {row[0] for row in rows}
     for i, row in enumerate(rows):
         for name, text in cells(i).items():
             row[names.index(name)] = text
     (out / FILES["scores"]).write_text("\n".join(lines[:start] + [",".join(row) for row in rows]) + "\n")
+    null = (chain_dir / FILES["null_scores"]).read_text().splitlines(keepends=True)
+    (out / FILES["null_scores"]).write_text(
+        "".join(line for line in null if line.startswith(("#", "user_id,")) or line.partition(",")[0] in kept)
+    )
     return start + 1  # the line number of the first data row
 
 
@@ -466,6 +474,36 @@ class TestBadInput:
         assert err == f"error: {null}: no null scores to report\n"
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("key, message", [("profiles", "no profiles to report"), ("atlas", "no hashtags to report")])
+    def test_report_on_header_only_table(self, chain_dir, tmp_path, capsys, key, message):
+        copy_chain(chain_dir, tmp_path)
+        table = tmp_path / FILES[key]
+        lines = table.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))  # the column row
+        table.write_text("".join(lines[: first + 1]))
+        err = self.exit_2_stderr(capsys, "report", "--out", tmp_path)
+        assert err == f"error: {table}: {message}\n"
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("command", ["stats", "report"])
+    def test_null_of_the_migrants_of_an_earlier_score(self, chain_dir, tmp_path, capsys, command):
+        """``null``, then ``score`` with a higher --min-hashtags: the null table holds other migrants."""
+        shutil.copytree(chain_dir, tmp_path, dirs_exist_ok=True)
+        shutil.rmtree(tmp_path / "report")
+        (tmp_path / FILES["test_results"]).unlink()
+        scores, null = tmp_path / FILES["scores"], tmp_path / FILES["null_scores"]
+        counts = sorted(s.n_hashtags for s in read_scores(scores))
+        assert run("score", "--out", tmp_path, "--min-hashtags", counts[len(counts) // 2]) == 0
+        n_scored = len(read_scores(scores))
+        assert 0 < n_scored < len(counts)
+        capsys.readouterr()
+        err = self.exit_2_stderr(capsys, command, "--out", tmp_path)
+        assert err == (
+            f"error: {null}: its {2 * len(counts)} rows are not whole replicate blocks of the {n_scored} migrants "
+            f"of {scores}, in their order: run `homedest null` again\n"
+        )
+        assert not (tmp_path / FILES["test_results"]).exists() and not (tmp_path / "report").exists()
+
     def test_null_on_header_only_scores(self, chain_dir, tmp_path, capsys):
         copy_chain(chain_dir, tmp_path, n_rows=0)
         (tmp_path / FILES["null_scores"]).unlink()
@@ -788,14 +826,15 @@ class TestNullScoresOracle:
 
         posts = list(iter_posts(ws / FILES["posts"]))
         profiles, atlas = read_profiles(ws / FILES["profiles"]), read_atlas(ws / FILES["atlas"])
-        real = compute_scores(posts, profiles, atlas, year, min_hashtags=min_hashtags)
+        corpus = Corpus.from_posts(posts)
+        real = compute_scores(corpus, profiles, atlas, year, min_hashtags=min_hashtags)
         if min_hashtags > 10:  # the filter drops some migrants that have uses
-            assert len(real) < len(compute_scores(posts, profiles, atlas, year, min_hashtags=1))
+            assert len(real) < len(compute_scores(corpus, profiles, atlas, year, min_hashtags=1))
         users = {s.user_id for s in real} if population == "scored" else None
         rows = []
         for index in range(replicates):
             shuffled = shuffle_hashtags(posts, seed + index, year=year, users=users)
-            scores0 = compute_scores(shuffled, profiles, atlas, year, min_hashtags=min_hashtags)
+            scores0 = compute_scores(Corpus.from_posts(shuffled), profiles, atlas, year, min_hashtags=min_hashtags)
             rows += [(*attrgetter(*SCORE_COLUMNS)(s), index) for s in scores0]
         written = (ws / FILES["null_scores"]).read_text()
         header = [line[2:] for line in written.splitlines() if line.startswith("# ")]

@@ -347,10 +347,6 @@ class TestCorpus:
         Corpus.from_posts(posts)
         assert sorted(calls) == ["#Roma", "roma", "x"]
 
-    def test_from_posts_returns_a_corpus_unchanged(self):
-        corpus = Corpus.from_posts(self.make_posts())
-        assert Corpus.from_posts(corpus) is corpus
-
     def test_load_posts_builds_the_corpus(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         write_posts(path, self.make_posts())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homedest.corpus import FriendGraph
+from homedest.corpus import Corpus, FriendGraph
 from homedest.labeling import (
     assign_nationality,
     assign_residence,
@@ -94,7 +94,7 @@ def test_language_fractions():
 class TestLabelPopulation:
     def test_micro_corpus_labels(self, micro_corpus):
         posts, graph = micro_corpus
-        profiles, summary = label_population(posts, graph, YEAR)
+        profiles, summary = label_population(Corpus.from_posts(posts), graph, YEAR)
         m1 = profiles["m1"]
         assert (m1.residence, m1.nationality, m1.is_migrant) == ("DE", "IT", True)
         for uid in ("n_it1", "n_it2", "n_it3"):
@@ -106,10 +106,10 @@ class TestLabelPopulation:
 
     def test_order_invariant(self, micro_corpus):
         posts, graph = micro_corpus
-        reference, _ = label_population(posts, graph, YEAR)
+        reference, _ = label_population(Corpus.from_posts(posts), graph, YEAR)
         shuffled = posts[:]
         random.Random(13).shuffle(shuffled)
-        again, _ = label_population(shuffled, graph, YEAR)
+        again, _ = label_population(Corpus.from_posts(shuffled), graph, YEAR)
         assert {u: (p.residence, p.nationality) for u, p in reference.items()} == {
             u: (p.residence, p.nationality) for u, p in again.items()
         }
@@ -117,7 +117,7 @@ class TestLabelPopulation:
 
 def test_profile_round_trip(tmp_path, micro_corpus):
     posts, graph = micro_corpus
-    profiles, _ = label_population(posts, graph, YEAR)
+    profiles, _ = label_population(Corpus.from_posts(posts), graph, YEAR)
     ppath = tmp_path / "profiles.csv"
     lpath = tmp_path / "langs.csv"
     write_profiles(ppath, profiles, ["test header"])
@@ -138,7 +138,7 @@ def test_distinct_days_far_from_the_epoch():
     posts += [make_post("u", d, cc="IT", year=2200) for d in (0, 0, 0)]
     posts += [make_post("u", d, cc="FR", year=2200) for d in (1, 2)]
     assert dominant_country(posts) == "DE"
-    profiles, _ = label_population(posts, FriendGraph.from_pairs(()), 2200)
+    profiles, _ = label_population(Corpus.from_posts(posts), FriendGraph.from_pairs(()), 2200)
     assert profiles["u"].residence == "FR"  # two days beat three posts on one day
 
 
@@ -206,7 +206,7 @@ PLANTED = (
 @example([("g", 1, "DE", None, YEAR)] * 3 + [("g", 1, "IT", None, YEAR), ("g", 2, "IT", None, YEAR)], [])
 def test_label_population_equals_the_adapters(rows, pairs):
     posts = [make_post(user, day, cc=cc, lang=lang, year=year) for user, day, cc, lang, year in rows]
-    profiles, summary = label_population(posts, FriendGraph.from_pairs(pairs), YEAR)
+    profiles, summary = label_population(Corpus.from_posts(posts), FriendGraph.from_pairs(pairs), YEAR)
     own = {user: [p for p in posts if p.user_id == user] for user in dict.fromkeys(p.user_id for p in posts)}
     dominant = {user: c for user, mine in own.items() if (c := dominant_country(mine)) is not None}
     assert list(profiles) == sorted(own)
@@ -229,7 +229,7 @@ def test_label_population_equals_the_adapters(rows, pairs):
 
 def test_planted_ties_fall_on_the_code():
     profiles, summary = label_population(
-        [make_post(user, day, cc=cc, lang=lang, year=year) for user, day, cc, lang, year in PLANTED[0]],
+        Corpus.from_posts(make_post(user, day, cc=cc, lang=lang, year=year) for user, day, cc, lang, year in PLANTED[0]),
         FriendGraph.from_pairs(PLANTED[1]),
         YEAR,
     )

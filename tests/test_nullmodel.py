@@ -5,10 +5,20 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from homedest.attachment import compute_scores
-from homedest.nullmodel import null_distribution, pooled, shuffle_hashtags
+from homedest.corpus import Corpus
+from homedest.nullmodel import (
+    ShuffleRun,
+    null_distribution,
+    pooled,
+    read_null_indices,
+    shuffle_hashtags,
+    write_null_scores,
+)
+from homedest.tables import TableError
 
 from conftest import YEAR, make_post
 
@@ -88,9 +98,9 @@ class TestShuffle:
 
 class TestNullDistribution:
     def test_replicates_and_derived_seeds(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
-        runs = null_distribution(posts, scores, atlas, YEAR, replicates=3, seed=100)
+        corpus, profiles, atlas = micro_pipeline
+        scores = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=1)
+        runs = null_distribution(corpus, scores, atlas, YEAR, replicates=3, seed=100)
         assert [r.seed for r in runs] == [100, 101, 102]
         assert [r.replicate_index for r in runs] == [0, 1, 2]
         for run in runs:
@@ -98,21 +108,21 @@ class TestNullDistribution:
             assert run.scores0[0].n_hashtags == 10
 
     def test_scored_population_excludes_others(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        (real,) = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
-        runs = null_distribution(posts, [real], atlas, YEAR, replicates=1, seed=0)
+        corpus, profiles, atlas = micro_pipeline
+        (real,) = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=1)
+        runs = null_distribution(corpus, [real], atlas, YEAR, replicates=1, seed=0)
         # Only m1 is scored, so the shuffle is a permutation of m1's own
         # 10 uses: multiset unchanged, hence identical scores.
         (s0,) = runs[0].scores0
         assert (s0.ha, s0.da) == (real.ha, real.da)
 
     def test_all_population_mixes_tokens(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
+        corpus, profiles, atlas = micro_pipeline
+        scores = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=1)
         seen = set()
         for seed in range(20):
             runs = null_distribution(
-                posts,
+                corpus,
                 scores,
                 atlas,
                 YEAR,
@@ -125,21 +135,21 @@ class TestNullDistribution:
         assert len(seen) > 1  # non-migrant tokens now reach the migrant
 
     def test_validation(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
+        corpus, profiles, atlas = micro_pipeline
+        scores = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=1)
         with pytest.raises(ValueError):
-            null_distribution(posts, scores, atlas, YEAR, replicates=0)
+            null_distribution(corpus, scores, atlas, YEAR, replicates=0)
         with pytest.raises(ValueError):
-            null_distribution(posts, scores, atlas, YEAR, shuffle_population="some")
+            null_distribution(corpus, scores, atlas, YEAR, shuffle_population="some")
 
     @pytest.mark.parametrize("field, year", [("n_home", YEAR), ("n_dest", YEAR), ("n_hashtags", YEAR), (None, YEAR - 1)])
     def test_a_row_that_does_not_fit_is_refused(self, micro_pipeline, field, year):
-        posts, profiles, atlas = micro_pipeline
-        (real,) = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
+        corpus, profiles, atlas = micro_pipeline
+        (real,) = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=1)
         if field:
             setattr(real, field, getattr(real, field) + 1)
         with pytest.raises(ValueError, match=rf"^user_id m1: its row holds .* but the posts, atlas and year {year} give"):
-            null_distribution(posts, [real], atlas, year)
+            null_distribution(corpus, [real], atlas, year)
 
     @pytest.mark.parametrize("population", ["scored", "all"])
     def test_replicate_rescores_the_shuffled_posts(self, default_run, population):
@@ -147,23 +157,23 @@ class TestNullDistribution:
         posts = default_run.population.posts
         profiles, atlas, year = default_run.profiles, default_run.atlas, default_run.spec.year
         runs = null_distribution(
-            posts, default_run.scores, atlas, year, replicates=2, seed=7, shuffle_population=population
+            default_run.corpus, default_run.scores, atlas, year, replicates=2, seed=7, shuffle_population=population
         )
         users = None if population == "all" else {s.user_id for s in default_run.scores}
         for run in runs:
             shuffled = shuffle_hashtags(posts, run.seed, year=year, users=users)
-            assert run.scores0 == compute_scores(shuffled, profiles, atlas, year)
+            assert run.scores0 == compute_scores(Corpus.from_posts(shuffled), profiles, atlas, year)
 
     def test_pooled(self, micro_pipeline):
-        posts, profiles, atlas = micro_pipeline
-        scores = compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1)
-        runs = null_distribution(posts, scores, atlas, YEAR, replicates=4, seed=0)
+        corpus, profiles, atlas = micro_pipeline
+        scores = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=1)
+        runs = null_distribution(corpus, scores, atlas, YEAR, replicates=4, seed=0)
         assert len(pooled(runs, "ha")) == 4
         with pytest.raises(ValueError):
             pooled(runs, "zz")
 
 
-def test_shuffle_expectation_matches_enumeration(micro_pipeline):
+def test_shuffle_expectation_matches_enumeration(micro_corpus, micro_pipeline):
     """Average null HA over many replicates approaches the exact expectation.
 
     Under a uniform permutation each of m1's 10 slots holds a token drawn
@@ -171,7 +181,8 @@ def test_shuffle_expectation_matches_enumeration(micro_pipeline):
     E[HA0] is simply the pool fraction of home-assigned tokens (and E[DA0]
     the destination fraction).
     """
-    posts, profiles, atlas = micro_pipeline
+    posts, _ = micro_corpus
+    corpus, profiles, atlas = micro_pipeline
     pool = Counter()
     for post in posts:
         if post.year == YEAR:
@@ -181,8 +192,8 @@ def test_shuffle_expectation_matches_enumeration(micro_pipeline):
     expected_da = sum(n for t, n in pool.items() if atlas.get(t) and atlas[t].assignment == "DE") / total
 
     runs = null_distribution(
-        posts,
-        compute_scores(posts, profiles, atlas, YEAR, min_hashtags=1),
+        corpus,
+        compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=1),
         atlas,
         YEAR,
         replicates=400,
@@ -193,3 +204,30 @@ def test_shuffle_expectation_matches_enumeration(micro_pipeline):
     da0 = pooled(runs, "da")
     assert sum(ha0) / len(ha0) == pytest.approx(expected_ha, abs=0.03)
     assert sum(da0) / len(da0) == pytest.approx(expected_da, abs=0.03)
+
+
+class TestReadNullIndices:
+    """The null table is read only as the null of the migrants it is given, in their order."""
+
+    @staticmethod
+    def write(path):
+        who = [("a", "IT", "DE"), ("b", "DE", "FR"), ("c", "FR", "IT")]
+        n_hashtags, n_home, n_dest = np.array([4, 4, 4]), np.array([1, 2, 3]), np.array([0, 1, 1])
+        write_null_scores(path, [ShuffleRun(i, i, who, n_hashtags, n_home, n_dest) for i in range(2)])
+
+    def test_the_null_of_its_migrants(self, tmp_path):
+        self.write(tmp_path / "null.csv")
+        ha, da = read_null_indices(tmp_path / "null.csv", ["a", "b", "c"], "scores.csv")
+        assert ha.tolist() == [0.25, 0.5, 0.75] * 2
+        assert da.tolist() == [0.0, 0.25, 0.25] * 2
+
+    @pytest.mark.parametrize(
+        "user_ids",
+        [["a", "c", "b"], ["a", "b"], ["a", "b", "c", "d"], ["b", "c", "a"], []],
+        ids=["reordered", "fewer", "more", "rotated", "none"],
+    )
+    def test_the_null_of_other_migrants_is_refused(self, tmp_path, user_ids):
+        self.write(tmp_path / "null.csv")
+        message = f"null.csv: its 6 rows are not whole replicate blocks of the {len(user_ids)} migrants of scores.csv"
+        with pytest.raises(TableError, match=message):
+            read_null_indices(tmp_path / "null.csv", user_ids, "scores.csv")

@@ -8,7 +8,7 @@ import pytest
 
 from homedest.atlas import build_atlas
 from homedest.attachment import AttachmentScore, compute_scores
-from homedest.corpus import FriendGraph, Post
+from homedest.corpus import Corpus, FriendGraph
 from homedest.labeling import label_population
 from homedest.synth import (
     DEFAULT_COUNTRIES,
@@ -190,7 +190,7 @@ class TestLabelRecovery:
     def test_pipeline_labels_match_planted_truth(self):
         pop = generate_population(small_spec())
         graph = FriendGraph.from_pairs(pop.friend_rows)
-        profiles, summary = label_population(pop.posts, graph, YEAR)
+        profiles, summary = label_population(Corpus.from_posts(pop.posts), graph, YEAR)
         for user_id, row in pop.truth.items():
             profile = profiles[user_id]
             assert profile.residence == row.residence, user_id
@@ -280,9 +280,10 @@ class TestEndToEndOnSynthetic:
         spec = small_spec(country_tag_specificity=1.0, noise=0.0)
         pop = generate_population(spec)
         graph = FriendGraph.from_pairs(pop.friend_rows)
-        profiles, _ = label_population(pop.posts, graph, spec.year)
-        atlas = build_atlas(pop.posts, profiles, spec.year)
-        pipeline = compute_scores(pop.posts, profiles, atlas, spec.year)
+        corpus = Corpus.from_posts(pop.posts)
+        profiles, _ = label_population(corpus, graph, spec.year)
+        atlas = build_atlas(corpus, profiles, spec.year)
+        pipeline = compute_scores(corpus, profiles, atlas, spec.year)
         oracle = oracle_scores(pop.truth, pop.posts, spec.year)
         assert len(pipeline) == len(oracle) > 0
         for mine, ref in zip(pipeline, oracle):
