@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, distinct
+from .corpus import Corpus, blocks, counted, distinct
 from .labeling import UserProfile
 from .tables import read_table, write_table
 
@@ -81,17 +81,28 @@ def build_atlas(
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     n_users = len(corpus.users)
     nationalities: dict[str | None, int] = {}
-    nationality = np.full(n_users, -1, dtype=np.int64)
+    nationality = np.full(n_users, -1, dtype=np.int32)
     for index, user_id in enumerate(corpus.users):
         profile = profiles.get(user_id)
         if profile is not None and profile.is_migrant is False:
             nationality[index] = nationalities.setdefault(profile.nationality, len(nationalities))
-
-    slots, user = corpus.uses(year, nationality >= 0)
-    token_user = distinct(corpus.tags[slots].astype(np.int64) * n_users + user)
-    token, user = np.divmod(token_user, n_users)
     names = tuple(nationalities)
-    keys, n = np.unique(token * len(names) + nationality[user], return_counts=True)
+
+    # One int64 key per use, (token * len(names) + nationality) * n_users + user, written over its
+    # slot a block at a time. The distinct keys are the distinct (token, nationality, user); divided
+    # by n_users they stay sorted, and n counts the users of each (token, nationality).
+    keys, user = corpus.uses(year, nationality >= 0)
+    for block in blocks(len(keys)):
+        key, owner = corpus.tags[keys[block]].astype(np.int64), user[block]
+        key *= len(names)
+        key += nationality[owner]
+        key *= n_users
+        key += owner
+        keys[block] = key
+    del user
+    keys = distinct(keys)
+    keys //= n_users
+    keys, n = counted(keys)
     token, country = np.divmod(keys, len(names))
     records = []
     for t, group in groupby(zip(token.tolist(), country.tolist(), n.tolist()), key=itemgetter(0)):

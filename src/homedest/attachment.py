@@ -125,21 +125,25 @@ def coded_uses(
     the positions in the pool of the migrants' uses; each such use's row in
     ``who``; and that row's home and destination codes.
     """
+    # Codes and rows are int32, the width of the corpus's own ids.
     countries: dict[str, int] = {}
-    home = np.array([countries.setdefault(nationality, len(countries)) for _, nationality, _ in who], dtype=np.int64)
-    dest = np.array([countries.setdefault(residence, len(countries)) for _, _, residence in who], dtype=np.int64)
+    home = np.array([countries.setdefault(nationality, len(countries)) for _, nationality, _ in who], dtype=np.int32)
+    dest = np.array([countries.setdefault(residence, len(countries)) for _, _, residence in who], dtype=np.int32)
     row_of = {user_id: row for row, (user_id, _, _) in enumerate(who)}
-    user_row = np.array([row_of.get(user_id, -1) for user_id in corpus.users], dtype=np.int64)
+    user_row = np.array([row_of.get(user_id, -1) for user_id in corpus.users], dtype=np.int32)
     slots, user = corpus.uses(year, None if everyone else user_row >= 0)
-    owner = user_row[user]
-    owned = np.flatnonzero(owner >= 0)
-    row = owner[owned]
+    row = user_row[user]
+    del user
+    owned = np.flatnonzero(row >= 0)
+    row = row[owned]
     records = (atlas.get(token) for token in corpus.tokens)
     other = {INTERNATIONAL: -2}
     assignment = np.array(
-        [-3 if r is None else countries.get(r.assignment, other.get(r.assignment, -1)) for r in records], dtype=np.int64
+        [-3 if r is None else countries.get(r.assignment, other.get(r.assignment, -1)) for r in records], dtype=np.int32
     )
-    return assignment[corpus.tags[slots]], owned, row, home[row], dest[row]
+    codes = corpus.tags[slots]
+    del slots
+    return assignment[codes], owned, row, home[row], dest[row]
 
 
 def compute_scores(

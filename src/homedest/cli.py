@@ -276,6 +276,14 @@ def cmd_atlas(run) -> int:
 def cmd_score(run) -> int:
     corpus, _ = _load_corpus(run.posts, run.out)
     profiles = read_profiles(run.profiles, run.lang_fractions)
+    # `label` writes a fraction for every user with a language-tagged post.
+    if profiles and not any(profile.lang_fractions for profile in profiles.values()):
+        n_tagged = int((corpus.language >= 0).sum())
+        if n_tagged:
+            _fail(
+                f"{run.lang_fractions}: no language fraction for any of the {len(profiles)} users of {run.profiles}, "
+                f"though {n_tagged} of the {corpus.n_posts} posts carry a language tag; run `homedest label` again"
+            )
     atlas = read_atlas(run.atlas)
     scores = compute_scores(corpus, profiles, atlas, run.year, min_hashtags=run.min_hashtags)
     n_migrants = sum(profile.is_migrant is True for profile in profiles.values())

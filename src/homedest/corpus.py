@@ -164,17 +164,24 @@ class FriendGraph:
         """The graph of ``(user_id, friend_id)`` edges; self-loops and repeated edges are dropped and counted."""
         ids: defaultdict[str, int] = defaultdict()
         ids.default_factory = ids.__len__  # an id not seen before gets the next number
-        ends = array("i", map(ids.__getitem__, chain.from_iterable(pairs)))  # user, friend, user, friend, ...
+        # One row per pair: user, friend.
+        ends = np.frombuffer(array("i", map(ids.__getitem__, chain.from_iterable(pairs))), dtype=np.int32).reshape(-1, 2)
         n = max(len(ids), 1)
-        source, target = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-        loop = source == target
-        edges = distinct(source[~loop] * n + target[~loop])  # one key per edge, sorted by (source, target)
+        kept = ends[:, 0] != ends[:, 1]
+        n_pairs, n_self_loops = len(ends), len(ends) - int(np.count_nonzero(kept))
+        edges = ends[kept, 0].astype(np.int64)  # one key per edge: source * n + target
+        edges *= n
+        edges += ends[kept, 1]
+        del ends, kept
+        edges = distinct(edges)  # sorted by (source, target)
+        source, target = np.empty(len(edges), dtype=np.int32), np.empty(len(edges), dtype=np.int32)
+        np.divmod(edges, n, out=(source, target))
         return cls(
             ids=tuple(ids),
-            source=(edges // n).astype(np.int32),
-            target=(edges % n).astype(np.int32),
-            n_duplicates=len(source) - int(loop.sum()) - len(edges),
-            n_self_loops=int(loop.sum()),
+            source=source,
+            target=target,
+            n_duplicates=n_pairs - n_self_loops - len(edges),
+            n_self_loops=n_self_loops,
         )
 
 
@@ -386,19 +393,29 @@ def _intern(rows: Iterable[tuple]) -> Corpus:
                 token = canonical[raw] = -1 if cleaned is None else tokens.setdefault(cleaned, len(tokens))
             tags.append(token)
         offsets.append(len(tags))
+    # Each column is a view of its buffer, not a copy: the two are never alive together.
     return Corpus(
         users=tuple(users),
         countries=tuple(countries),
         languages=tuple(languages),
         tokens=tuple(tokens),
-        user=np.array(user, dtype=np.int32),
-        country=np.array(country, dtype=np.int16),
-        language=np.array(language, dtype=np.int32),
-        year=np.array(year, dtype=np.int16),
-        day=np.array(day, dtype=np.int32),
-        offsets=np.array(offsets, dtype=np.int64),
-        tags=np.array(tags, dtype=np.int32),
+        user=np.frombuffer(user, dtype=np.int32),
+        country=np.frombuffer(country, dtype=np.int16),
+        language=np.frombuffer(language, dtype=np.int32),
+        year=np.frombuffer(year, dtype=np.int16),
+        day=np.frombuffer(day, dtype=np.int32),
+        offsets=np.frombuffer(offsets, dtype=np.int64),
+        tags=np.frombuffer(tags, dtype=np.int32),
     )
+
+
+# Per-post and per-use work is done this many at a time where a whole-length temporary would set the memory peak.
+BLOCK = 1 << 14
+
+
+def blocks(n: int) -> Iterator[slice]:
+    """Slices that cover ``range(n)`` in order, BLOCK long but the last."""
+    return (slice(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,9 +455,22 @@ class Corpus:
         post = np.ones(self.n_posts, dtype=bool) if year is None else self.year == year
         if users is not None:
             post &= users[self.user]
-        steps = np.diff(self.offsets)
-        slots = np.flatnonzero(np.repeat(post, steps) & (self.tags >= 0))
-        return slots, np.repeat(self.user, steps)[slots]
+        # Index arrays as long as the posts or the uses are made a block at a time, so that none is
+        # alive beside the slots.
+        used = self.tags >= 0
+        for block in blocks(self.n_posts):
+            bounds = self.offsets[block.start : block.stop + 1]
+            used[bounds[0] : bounds[-1]] &= np.repeat(post[block], np.diff(bounds))
+        del post
+        slots = np.flatnonzero(used)
+        del used
+        user = np.empty(len(slots), dtype=self.user.dtype)
+        for block in blocks(len(slots)):
+            # A use's post is the last one starting at or before its slot.
+            post = np.searchsorted(self.offsets, slots[block], side="right")
+            post -= 1
+            user[block] = self.user[post]
+        return slots, user
 
     @classmethod
     def from_posts(cls, posts: Iterable[Post]) -> Corpus:
@@ -451,17 +481,40 @@ class Corpus:
         )
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True at the first element of each run of equal values of the vector ``keys``."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
 def distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``keys``, as ``np.unique(keys)`` gives them.
+    """The sorted distinct values of the integer vector ``keys``, as ``np.unique(keys)`` gives them.
 
     Sorting and keeping each value that differs from the one before avoids
     the hash table numpy 2.4's ``np.unique`` uses on integers: on 3M int64
-    keys, 0.05 s against 3.5 s (2-core x86-64 host).
+    keys, 0.05 s against 3.5 s (2-core x86-64 host). The values are kept
+    without a copy: ``keys`` is sorted in place, each repeat is set to the
+    dtype's largest value, and a second sort moves the repeats behind the
+    distinct values, so the result is a view of the front of ``keys``.
     """
-    keys = np.sort(keys, axis=None)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+    keys.sort()
+    repeat = _run_starts(keys)
+    np.logical_not(repeat, out=repeat)
+    n_distinct = len(keys) - int(np.count_nonzero(repeat))
+    keys[repeat] = np.iinfo(keys.dtype).max
+    del repeat
+    keys.sort()
+    return keys[:n_distinct]
+
+
+def counted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``keys`` and how often each occurs, as
+    ``np.unique(keys, return_counts=True)`` gives them; ``keys`` is sorted in place."""
+    keys.sort()
+    starts = np.flatnonzero(_run_starts(keys))
+    return keys[starts], np.diff(starts, append=len(keys))
 
 
 _VOCABULARIES = ("users", "countries", "languages", "tokens")
@@ -508,8 +561,8 @@ def _check(corpus: Corpus) -> None:
             floor = 0 if name == "user" else -1
             if column.min() < floor or column.max() >= len(getattr(corpus, vocabulary)):
                 raise ValueError(f"column {name} holds ids outside {vocabulary}")
-    steps = np.diff(corpus.offsets)
-    if corpus.offsets[0] != 0 or corpus.offsets[-1] != len(corpus.tags) or (steps < 0).any():
+    offsets = corpus.offsets
+    if offsets[0] != 0 or offsets[-1] != len(corpus.tags) or (offsets[1:] < offsets[:-1]).any():
         raise ValueError("offsets do not partition the hashtag slots")
 
 

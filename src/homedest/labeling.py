@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FriendGraph, Post, distinct
+from .corpus import Corpus, FriendGraph, Post, counted, distinct
 from .tables import read_table, write_table
 
 # Nationality blends the user's own geotag share and their friends' share equally.
@@ -89,12 +89,20 @@ def _geo_evidence(corpus: Corpus, group: np.ndarray, year: int | None) -> tuple[
     keep = corpus.country >= 0
     if year is not None:
         keep &= corpus.year == year
-    pairs = group[keep].astype(np.int64) * max(len(corpus.countries), 1) + corpus.country[keep]
-    # One int64 key per distinct (pair, day): days shifted to start at 0 fit below span.
-    day = corpus.day[keep] - corpus.day.min(initial=0)
+    pairs = group[keep].astype(np.int64)
+    pairs *= max(len(corpus.countries), 1)
+    pairs += corpus.country[keep]
+    # One int64 key per (pair, day): days shifted to start at 0 fit below span.
+    day = corpus.day[keep]
+    day -= corpus.day.min(initial=0)
     span = int(day.max(initial=0)) + 1
-    keys, posts = np.unique(pairs, return_counts=True)
-    return keys, np.unique(distinct(pairs * span + day) // span, return_counts=True)[1], posts
+    days = pairs * span
+    days += day
+    del keep, day
+    keys, posts = counted(pairs)
+    days = distinct(days)
+    days //= span  # still sorted: one pair key per distinct day
+    return keys, counted(days)[1], posts
 
 
 def _pooled_evidence(posts: Iterable[Post], year: int | None):
@@ -180,7 +188,7 @@ def _pick(n_users: int, user: np.ndarray, country: np.ndarray, rank: np.ndarray,
     user, country = user[order], country[order]
     first = np.ones(len(user), dtype=bool)
     first[1:] = user[1:] != user[:-1]
-    picked = np.full(n_users, -1, dtype=np.int64)
+    picked = np.full(n_users, -1, dtype=np.int32)
     picked[user[first]] = country[first]
     return picked
 
@@ -214,13 +222,20 @@ def label_population(
     # posts plus FRIEND_WEIGHT * count / n_friends over the dominant countries
     # of the friends that have one, a missing term adding 0.0.
     index = {user_id: i for i, user_id in enumerate(corpus.users)}
-    ends = np.array([index.get(i, -1) for i in friends.ids], dtype=np.int64)
+    ends = np.array([index.get(i, -1) for i in friends.ids], dtype=np.int32)
     source, target = ends[friends.source], ends[friends.target]
     posted = (source >= 0) & (target >= 0)
+    n_edges_without_posts = len(posted) - int(np.count_nonzero(posted))
     source, country = source[posted], dominant[target[posted]]
-    source, country = source[country >= 0], country[country >= 0]
-    friend_keys, friend_counts = np.unique(source * n_countries + country, return_counts=True)
+    del target, posted
+    labeled = country >= 0
+    source, country = source[labeled], country[labeled]
     n_friends = np.bincount(source, minlength=n_users)
+    friend_keys = source.astype(np.int64)
+    friend_keys *= n_countries
+    friend_keys += country
+    del source, country
+    friend_keys, friend_counts = counted(friend_keys)
     n_geo = np.bincount(self_keys // n_countries, weights=self_counts, minlength=n_users)
     keys = distinct(np.concatenate((self_keys, friend_keys)))
     own, theirs = np.zeros(len(keys)), np.zeros(len(keys))
@@ -231,9 +246,11 @@ def label_population(
     # Language-tagged posts per user * L + language key.
     n_languages = max(len(corpus.languages), 1)
     tagged = corpus.language >= 0
-    language_keys, language_counts = np.unique(
-        corpus.user[tagged].astype(np.int64) * n_languages + corpus.language[tagged], return_counts=True
-    )
+    language_keys = corpus.user[tagged].astype(np.int64)
+    language_keys *= n_languages
+    language_keys += corpus.language[tagged]
+    del tagged
+    language_keys, language_counts = counted(language_keys)
     fractions: list[dict[str, float]] = [{} for _ in range(n_users)]
     speaker = language_keys // n_languages
     shares = language_counts / np.bincount(speaker, weights=language_counts, minlength=n_users)[speaker]
@@ -254,7 +271,7 @@ def label_population(
         n_with_nationality=int((nationality >= 0).sum()),
         n_with_both=int(both.sum()),
         n_migrants=int((both & (residence != nationality)).sum()),
-        n_edges_without_posts=int((~posted).sum()),
+        n_edges_without_posts=n_edges_without_posts,
     )
     return profiles, summary
 

@@ -151,7 +151,7 @@ def null_distribution(
         derived = seed + index
         # Pooled use j receives the code of use order[j], as shuffle_hashtags deals them.
         order = np.random.default_rng(derived).permutation(len(codes))
-        n_home, n_dest = count_uses(row, codes[order[owned]], home, dest, len(who))
+        n_home, n_dest = count_uses(row, codes[order][owned], home, dest, len(who))
         runs.append(ShuffleRun(derived, index, who, n_hashtags, n_home, n_dest))
     return runs
 

@@ -616,6 +616,24 @@ class TestBadInput:
         assert err == f"error: {table}: {message}\n"
         assert not (tmp_path / FILES["scores"]).exists()
 
+    def test_score_on_header_only_lang_fractions_beside_language_tagged_posts(self, chain_dir, tmp_path, capsys):
+        # A fractions file that does not belong to profiles.csv must not read as posts without language tags.
+        copy_chain(chain_dir, tmp_path)
+        (tmp_path / FILES["scores"]).unlink()
+        table = tmp_path / FILES["lang_fractions"]
+        lines = (chain_dir / FILES["lang_fractions"]).read_text().splitlines(keepends=True)
+        table.write_text("".join(lines[: next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1]))
+        posts = list(iter_posts(chain_dir / FILES["posts"]))
+        n_tagged = sum(post.language is not None for post in posts)
+        n_users = len(read_profiles(tmp_path / FILES["profiles"]))
+        assert n_tagged and n_users
+        err = self.exit_2_stderr(capsys, "score", "--out", tmp_path, "--posts", chain_dir / FILES["posts"])
+        assert err == (
+            f"error: {table}: no language fraction for any of the {n_users} users of {tmp_path / FILES['profiles']}, "
+            f"though {n_tagged} of the {len(posts)} posts carry a language tag; run `homedest label` again\n"
+        )
+        assert not (tmp_path / FILES["scores"]).exists()
+
     @pytest.mark.parametrize("command", ["score", "null", "report"])
     def test_atlas_entropy_above_1(self, chain_dir, tmp_path, capsys, command):
         copy_chain(chain_dir, tmp_path)

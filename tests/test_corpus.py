@@ -16,13 +16,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import homedest.corpus as corpus_module
 from homedest.corpus import (
     BadPost,
     Corpus,
     FriendGraph,
     LoadStats,
     Post,
+    blocks,
     canonicalize_hashtag,
+    counted,
+    distinct,
     iter_posts,
     load_friends,
     load_posts,
@@ -408,6 +412,16 @@ class TestCorpus:
             write_corpus(path, dataclasses.replace(corpus, user=np.int32(0)), "a" * 64)
         assert read_corpus(path, "a" * 64) is None
 
+    def test_cache_with_decreasing_offsets_is_not_loaded(self, tmp_path):
+        corpus = Corpus.from_posts(self.make_posts())
+        offsets = corpus.offsets.copy()
+        assert offsets[2] > offsets[1]
+        offsets[1] = offsets[2] + 1  # the second post ends before it starts
+        offsets[2] = offsets[1] - 1
+        path = tmp_path / "corpus.npz"
+        write_corpus(path, dataclasses.replace(corpus, offsets=offsets), "a" * 64)
+        assert read_corpus(path, "a" * 64) is None
+
 
 class TestUses:
     """``Corpus.uses`` against a per-post loop over the posts the corpus was built from."""
@@ -448,6 +462,64 @@ class TestUses:
                     slots, user = corpus.uses(year, users)
                     owners = [corpus.users[u] for u in user.tolist()]
                     assert (slots.tolist(), owners) == self.naive(posts, year, selected)
+
+    def test_matches_a_per_post_loop_in_small_blocks(self, monkeypatch):
+        # Posts and uses are mapped a block at a time; blocks of two put boundaries everywhere.
+        monkeypatch.setattr(corpus_module, "BLOCK", 2)
+        self.test_matches_a_per_post_loop()
+
+    TAGGED, TAGLESS = ("#Roma", "x", "pizza"), ()
+    EDGE_CASES = {
+        "no posts": [],
+        "no slots": [("u0", 0, YEAR, TAGLESS), ("u1", 1, YEAR, TAGLESS)],
+        "only tags that canonicalize to nothing": [("u0", 0, YEAR, ("x", "#")), ("u1", 1, YEAR, (" ",))],
+        "tagless posts first": [("u0", 0, YEAR, TAGLESS), ("u1", 1, YEAR, TAGLESS), ("u0", 2, YEAR, TAGGED)],
+        "tagless posts last": [("u1", 0, YEAR, TAGGED), ("u0", 1, YEAR, TAGLESS), ("u1", 2, YEAR, TAGLESS)],
+        "tagless posts in runs": [
+            ("u0", 0, YEAR, TAGGED), ("u1", 1, YEAR, TAGLESS), ("u1", 2, YEAR, TAGLESS), ("u2", 3, YEAR - 1, TAGGED),
+            ("u0", 4, YEAR, TAGLESS), ("u0", 5, YEAR, TAGLESS), ("u0", 6, YEAR, TAGLESS), ("u1", 7, YEAR, ("pizza",)),
+        ],
+    }
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1 << 14])
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_cases_match_a_per_post_loop(self, monkeypatch, case, block):
+        monkeypatch.setattr(corpus_module, "BLOCK", block)
+        posts = [make_post(user, day, year=year, tags=tags) for user, day, year, tags in self.EDGE_CASES[case]]
+        corpus = Corpus.from_posts(posts)
+        nobody = np.zeros(len(corpus.users), dtype=bool)
+        everybody = np.ones(len(corpus.users), dtype=bool)
+        for year in (None, YEAR, YEAR - 1, YEAR - 5):  # no post is from YEAR - 5
+            for users, selected in ((None, None), (nobody, set()), (everybody, set(corpus.users))):
+                slots, user = corpus.uses(year, users)
+                assert user.dtype == corpus.user.dtype
+                owners = [corpus.users[u] for u in user.tolist()]
+                assert (slots.tolist(), owners) == self.naive(posts, year, selected)
+
+
+class TestSortedKeys:
+    """``distinct`` and ``counted`` against ``np.unique``, and ``blocks`` against ``range``."""
+
+    EXTREMES = (np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max)  # the largest value is distinct's filler
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(EXTREMES), st.integers(-(2**63), 2**63 - 1))))
+    def test_distinct_and_counted_are_np_unique(self, values):
+        for dtype in (np.int64, np.int32):
+            keys = np.array(values, dtype=np.int64).astype(dtype)  # int32 wraps, which is still a key set
+            expected, counts = np.unique(keys, return_counts=True)
+            assert distinct(keys.copy()).tolist() == expected.tolist()
+            got, got_counts = counted(keys.copy())
+            assert (got.tolist(), got_counts.tolist()) == (expected.tolist(), counts.tolist())
+            assert distinct(keys.copy()).dtype == counted(keys.copy())[0].dtype == dtype
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_blocks_cover_the_range_in_order(self, monkeypatch, block):
+        monkeypatch.setattr(corpus_module, "BLOCK", block)
+        for n in range(0, 16):
+            parts = list(blocks(n))
+            assert [i for part in parts for i in range(n)[part]] == list(range(n))
+            assert all(part.stop - part.start == block for part in parts[:-1])
 
 
 class TestSkipReasons:
