@@ -24,7 +24,7 @@ import numpy as np
 
 from .atlas import INTERNATIONAL, HashtagRecord
 from .corpus import Corpus
-from .labeling import UserProfile
+from .labeling import UserProfile, language_shares
 from .tables import read_table, write_table
 
 DEFAULT_MIN_HASHTAGS = 10
@@ -224,18 +224,23 @@ def apply_acculturation(scores: Iterable[AttachmentScore]) -> tuple[float, float
 
 
 def language_cohorts(
-    scores: Iterable[AttachmentScore],
-    profiles: Mapping[str, UserProfile],
+    scores: Sequence[AttachmentScore],
+    corpus: Corpus,
     dest_lang_table: Mapping[str, str],
 ) -> CohortSplit:
     """Split scored migrants by destination-language proficiency.
 
     Speakers post at least SPEAKER_SHARE of their language-tagged posts in
-    the official language of the residence country; non-speakers at most
-    NON_SPEAKER_SHARE. Everyone else stays unclassified, as do users whose
-    residence is missing from the language table (``n_missing_language``)
-    and users without a language-tagged post (``n_untagged``).
+    the corpus (``language_shares``) in the official language of the
+    residence country; non-speakers at most NON_SPEAKER_SHARE. Everyone else
+    stays unclassified, as do users whose residence is missing from the
+    language table (``n_missing_language``) and users without a
+    language-tagged post (``n_untagged``).
     """
+    shares: dict[str, dict[str, float]] = {score.user_id: {} for score in scores}
+    for user_id, language, share in language_shares(corpus):
+        if user_id in shares:
+            shares[user_id][language] = share
     split = CohortSplit(speakers=[], non_speakers=[], unclassified=[])
     for score in scores:
         dest_lang = dest_lang_table.get(score.residence)
@@ -243,7 +248,7 @@ def language_cohorts(
             split.n_missing_language += 1
             split.unclassified.append(score)
             continue
-        fractions = profiles[score.user_id].lang_fractions
+        fractions = shares[score.user_id]
         if not fractions:
             split.n_untagged += 1
             split.unclassified.append(score)

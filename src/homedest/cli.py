@@ -256,7 +256,7 @@ def cmd_label(run) -> int:
         _fail(f"no user has both a residence in {run.year} and a nationality: {funnel}")
     header = run.header()
     write_profiles(run.profiles, profiles, header)
-    write_lang_fractions(run.lang_fractions, profiles, header)
+    write_lang_fractions(run.lang_fractions, corpus, header)
     print(f"labeled {funnel}")
     return 0
 
@@ -275,15 +275,7 @@ def cmd_atlas(run) -> int:
 
 def cmd_score(run) -> int:
     corpus, _ = _load_corpus(run.posts, run.out)
-    profiles = read_profiles(run.profiles, run.lang_fractions)
-    # `label` writes a fraction for every user with a language-tagged post.
-    if profiles and not any(profile.lang_fractions for profile in profiles.values()):
-        n_tagged = int((corpus.language >= 0).sum())
-        if n_tagged:
-            _fail(
-                f"{run.lang_fractions}: no language fraction for any of the {len(profiles)} users of {run.profiles}, "
-                f"though {n_tagged} of the {corpus.n_posts} posts carry a language tag; run `homedest label` again"
-            )
+    profiles = read_profiles(run.profiles)
     atlas = read_atlas(run.atlas)
     scores = compute_scores(corpus, profiles, atlas, run.year, min_hashtags=run.min_hashtags)
     n_migrants = sum(profile.is_migrant is True for profile in profiles.values())
@@ -299,7 +291,7 @@ def cmd_score(run) -> int:
             f"destination; {covered}"
         )
     ha_split, da_split = apply_acculturation(scores)
-    cohorts = language_cohorts(scores, profiles, load_country_languages())
+    cohorts = language_cohorts(scores, corpus, load_country_languages())
     write_scores(run.scores, scores, run.header(ha_split=ha_split, da_split=da_split))
     print(
         f"scored {len(scores)} migrants of {n_migrants} labelled, {n_migrants - len(scores)} below "
@@ -444,7 +436,7 @@ COMMANDS = {
     ),
     "score": Command(
         cmd_score, "compute attachment scores",
-        inputs=("posts", "profiles", "atlas", "lang_fractions"), outputs=("scores",),
+        inputs=("posts", "profiles", "atlas"), outputs=("scores",),
         options=(
             YEAR,
             Option("min_hashtags", int, DEFAULT_MIN_HASHTAGS, "minimum in-year hashtag uses", low=1),

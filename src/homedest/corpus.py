@@ -208,6 +208,8 @@ def _decode(line: str) -> dict:
         record, end = _JSON.raw_decode(line)
     except ValueError as exc:
         raise BadPost("json", f"bad JSON: {exc}") from None
+    except RecursionError:
+        raise BadPost("json", "bad JSON: nested too deeply") from None
     if end != len(line):
         raise BadPost("json", f"bad JSON: extra data at column {end + 1}")
     if not isinstance(record, dict):

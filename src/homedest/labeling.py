@@ -10,10 +10,9 @@ is pinned to zero.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,15 +34,8 @@ LANG_KEY = ("user_id", "lang")
 LANG_RULES = {"0 <= fraction <= 1": lambda row: 0 <= row["fraction"] <= 1}
 
 
-@dataclass
-class UserProfile:
-    """Per-user label bundle."""
-
-    user_id: str
-    residence: str | None = None
-    nationality: str | None = None
-    is_migrant: bool | None = None
-    lang_fractions: dict[str, float] = field(default_factory=dict)
+# One user's labels: a row of profiles.csv.
+UserProfile = NamedTuple("UserProfile", PROFILE_COLUMNS.items())
 
 
 @dataclass
@@ -243,27 +235,12 @@ def label_population(
     theirs[np.searchsorted(keys, friend_keys)] = FRIEND_WEIGHT * friend_counts / n_friends[friend_keys // n_countries]
     nationality = pick(keys, -(own + theirs))
 
-    # Language-tagged posts per user * L + language key.
-    n_languages = max(len(corpus.languages), 1)
-    tagged = corpus.language >= 0
-    language_keys = corpus.user[tagged].astype(np.int64)
-    language_keys *= n_languages
-    language_keys += corpus.language[tagged]
-    del tagged
-    language_keys, language_counts = counted(language_keys)
-    fractions: list[dict[str, float]] = [{} for _ in range(n_users)]
-    speaker = language_keys // n_languages
-    shares = language_counts / np.bincount(speaker, weights=language_counts, minlength=n_users)[speaker]
-    for user, language, share in zip(speaker.tolist(), (language_keys % n_languages).tolist(), shares.tolist()):
-        fractions[user][corpus.languages[language]] = share
-
     codes = (*corpus.countries, None)  # id -1 is None
-    profiles: dict[str, UserProfile] = {}
-    resident, national = residence.tolist(), nationality.tolist()
-    for i in sorted(range(n_users), key=corpus.users.__getitem__):
-        profile = UserProfile(corpus.users[i], codes[resident[i]], codes[national[i]], lang_fractions=fractions[i])
-        profile.is_migrant = _is_migrant(profile.residence, profile.nationality)
-        profiles[profile.user_id] = profile
+    labels = zip(corpus.users, map(codes.__getitem__, residence.tolist()), map(codes.__getitem__, nationality.tolist()))
+    profiles = {
+        user_id: UserProfile(user_id, resident, national, _is_migrant(resident, national))
+        for user_id, resident, national in sorted(labels)
+    }
     both = (residence >= 0) & (nationality >= 0)
     summary = LabelSummary(
         n_users=n_users,
@@ -276,32 +253,36 @@ def label_population(
     return profiles, summary
 
 
+def language_shares(corpus: Corpus) -> Iterator[tuple[str, str, float]]:
+    """Each user's share of their language-tagged posts in each language, as ``(user_id, language, share)``.
+
+    A user without a language-tagged post has no share. The shares come in
+    the order of the corpus's user and language ids, not of their names.
+    """
+    # Language-tagged posts per user * L + language key.
+    n_languages = max(len(corpus.languages), 1)
+    tagged = corpus.language >= 0
+    language_keys = corpus.user[tagged].astype(np.int64)
+    language_keys *= n_languages
+    language_keys += corpus.language[tagged]
+    del tagged
+    language_keys, language_counts = counted(language_keys)
+    speaker = language_keys // n_languages
+    shares = language_counts / np.bincount(speaker, weights=language_counts)[speaker]
+    for user, language, share in zip(speaker.tolist(), (language_keys % n_languages).tolist(), shares.tolist()):
+        yield corpus.users[user], corpus.languages[language], share
+
+
 def write_profiles(path: str | Path, profiles: Mapping[str, UserProfile], header: Sequence[str] = ()) -> None:
     """Persist profiles as CSV ``user_id,residence,nationality,is_migrant``."""
-    records = (profiles[user_id] for user_id in sorted(profiles))
-    write_table(path, PROFILE_COLUMNS, map(attrgetter(*PROFILE_COLUMNS), records), header)
+    write_table(path, PROFILE_COLUMNS, (profiles[user_id] for user_id in sorted(profiles)), header)
 
 
-def write_lang_fractions(path: str | Path, profiles: Mapping[str, UserProfile], header: Sequence[str] = ()) -> None:
-    """Persist language fractions as CSV ``user_id,lang,fraction``."""
-    rows = (
-        (user_id, lang, fraction)
-        for user_id in sorted(profiles)
-        for lang, fraction in sorted(profiles[user_id].lang_fractions.items())
-    )
-    write_table(path, LANG_COLUMNS, rows, header)
+def write_lang_fractions(path: str | Path, corpus: Corpus, header: Sequence[str] = ()) -> None:
+    """Persist ``language_shares`` as CSV ``user_id,lang,fraction``, by user and then language."""
+    write_table(path, LANG_COLUMNS, sorted(language_shares(corpus)), header)
 
 
-def read_profiles(path: str | Path, lang_path: str | Path | None = None) -> dict[str, UserProfile]:
-    """Load profiles (and optionally language fractions) back from CSV.
-
-    A row that breaks PROFILE_KEY, PROFILE_RULES, LANG_KEY or LANG_RULES is a TableError.
-    """
-    rows = read_table(path, PROFILE_COLUMNS, PROFILE_KEY, PROFILE_RULES)
-    profiles = {row["user_id"]: UserProfile(**row) for row in rows}
-    if lang_path is not None:
-        for row in read_table(lang_path, LANG_COLUMNS, LANG_KEY, LANG_RULES):
-            profile = profiles.get(row["user_id"])
-            if profile is not None:
-                profile.lang_fractions[row["lang"]] = row["fraction"]
-    return profiles
+def read_profiles(path: str | Path) -> dict[str, UserProfile]:
+    """Load profiles back from CSV; a row that breaks PROFILE_KEY or PROFILE_RULES is a TableError."""
+    return {row["user_id"]: UserProfile(**row) for row in read_table(path, PROFILE_COLUMNS, PROFILE_KEY, PROFILE_RULES)}

@@ -309,9 +309,7 @@ def test_c6_planted_truth_recovered(default_run):
 
 
 def test_c7_destination_language_speakers_lean_toward_destination(default_run):
-    split = language_cohorts(
-        default_run.scores, default_run.profiles, load_country_languages()
-    )
+    split = language_cohorts(default_run.scores, default_run.corpus, load_country_languages())
     assert len(split.speakers) >= 30
     assert len(split.non_speakers) >= 30
 

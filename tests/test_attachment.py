@@ -20,7 +20,7 @@ from homedest.attachment import (
     read_scores,
     write_scores,
 )
-from homedest.labeling import UserProfile
+from homedest.corpus import Corpus
 from homedest.tables import TableError
 
 from conftest import YEAR, make_post
@@ -122,27 +122,28 @@ def _score(user, ha, da, nationality="IT", residence="DE", n_hashtags=20):
     )
 
 
-def _profile(user, langs):
-    return UserProfile(
-        user_id=user,
-        residence="DE",
-        nationality="IT",
-        is_migrant=True,
-        lang_fractions=langs,
-    )
+def _corpus(**posts_in):
+    """A Corpus where each user posts ``n`` times in each language of their {language: n}; None is untagged."""
+    posts = [
+        make_post(user, day, lang=lang)
+        for user, counts in posts_in.items()
+        for lang, n in counts.items()
+        for day in range(n)
+    ]
+    return Corpus.from_posts(posts)
 
 
 class TestLanguageCohorts:
     def test_split_rules(self):
         scores = [_score(u, 0.3, 0.3) for u in ("hi", "lo", "mid", "edge_hi", "edge_lo")]
-        profiles = {
-            "hi": _profile("hi", {"de": 0.95, "it": 0.05}),
-            "lo": _profile("lo", {"de": 0.02, "it": 0.98}),
-            "mid": _profile("mid", {"de": 0.5, "it": 0.5}),
-            "edge_hi": _profile("edge_hi", {"de": 0.9, "it": 0.1}),
-            "edge_lo": _profile("edge_lo", {"de": 0.1, "it": 0.9}),
-        }
-        split = language_cohorts(scores, profiles, {"DE": "de"})
+        corpus = _corpus(
+            hi={"de": 19, "it": 1},
+            lo={"de": 1, "it": 49},
+            mid={"de": 1, "it": 1},
+            edge_hi={"de": 9, "it": 1},  # exactly 0.9
+            edge_lo={"de": 1, "it": 9},  # exactly 0.1
+        )
+        split = language_cohorts(scores, corpus, {"DE": "de"})
         assert sorted(s.user_id for s in split.speakers) == ["edge_hi", "hi"]
         assert sorted(s.user_id for s in split.non_speakers) == ["edge_lo", "lo"]
         assert [s.user_id for s in split.unclassified] == ["mid"]
@@ -151,15 +152,13 @@ class TestLanguageCohorts:
 
     def test_missing_residence_language(self):
         scores = [_score("u", 0.3, 0.3, residence="ZW")]
-        profiles = {"u": _profile("u", {"de": 1.0})}
-        split = language_cohorts(scores, profiles, {"DE": "de"})
+        split = language_cohorts(scores, _corpus(u={"de": 1}), {"DE": "de"})
         assert split.n_missing_language == 1
         assert split.unclassified == scores
 
     def test_a_migrant_without_a_language_tagged_post_is_unclassified(self):
         scores = [_score("untagged", 0.3, 0.3), _score("lo", 0.3, 0.3)]
-        profiles = {"untagged": _profile("untagged", {}), "lo": _profile("lo", {"it": 1.0})}
-        split = language_cohorts(scores, profiles, {"DE": "de"})
+        split = language_cohorts(scores, _corpus(untagged={None: 3}, lo={"it": 1}), {"DE": "de"})
         assert [s.user_id for s in split.unclassified] == ["untagged"]
         assert [s.user_id for s in split.non_speakers] == ["lo"]
         assert (split.n_untagged, split.n_missing_language) == (1, 0)

@@ -249,16 +249,15 @@ class TestMissingPrerequisites:
         assert "run `homedest atlas` first" in capsys.readouterr().err
 
 
-    def test_score_without_lang_fractions(self, tmp_path, capsys):
-        assert run("synth", "--out", tmp_path, "--users", 40) == 0
-        assert run("label", "--out", tmp_path) == 0
-        assert run("atlas", "--out", tmp_path) == 0
-        (tmp_path / FILES["lang_fractions"]).unlink()
-        with pytest.raises(SystemExit) as exc:
-            run("score", "--out", tmp_path)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "lang_fractions.csv not found" in err and "run `homedest label` first" in err
+    @pytest.mark.parametrize("junk", [None, "user_id,lang,fraction\nnobody,xx,half\nnobody,xx,7.5\n"], ids=["absent", "junk"])
+    def test_score_reads_no_lang_fractions(self, chain_dir, tmp_path, junk):
+        # score counts each migrant's language shares from the posts, so label's record of them is not an input.
+        for key in ("posts", "profiles", "atlas"):
+            shutil.copy(chain_dir / FILES[key], tmp_path / FILES[key])
+        if junk is not None:
+            (tmp_path / FILES["lang_fractions"]).write_text(junk)
+        assert run("score", "--out", tmp_path) == 0
+        assert (tmp_path / FILES["scores"]).read_bytes() == (chain_dir / FILES["scores"]).read_bytes()
 
     def test_correlate_with_missing_hofstede(self, chain_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -375,8 +374,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("international", [False, True], ids=["header-only", "all-international"])
     def test_score_without_a_home_or_destination_use(self, chain_dir, tmp_path, capsys, international):
-        for key in ("profiles", "lang_fractions"):
-            shutil.copy(chain_dir / FILES[key], tmp_path / FILES[key])
+        shutil.copy(chain_dir / FILES["profiles"], tmp_path / FILES["profiles"])
         lines = (chain_dir / FILES["atlas"]).read_text().splitlines()
         rows = [line.split(",") for line in lines[2:]] if international else []
         atlas = tmp_path / FILES["atlas"]
@@ -597,47 +595,9 @@ class TestBadInput:
         assert err == f"error: {message.format(n=n)}\n"
         assert not (tmp_path / FILES["test_results"]).exists()
 
-    @pytest.mark.parametrize("repeat", [True, False], ids=["repeated user and language", "fraction above 1"])
-    def test_bad_lang_fractions_row(self, chain_dir, tmp_path, capsys, repeat):
-        copy_chain(chain_dir, tmp_path)
-        (tmp_path / FILES["scores"]).unlink()
-        table = tmp_path / FILES["lang_fractions"]
-        lines = (chain_dir / FILES["lang_fractions"]).read_text().splitlines()
-        at = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1  # the first data row
-        user, lang, _ = lines[at].split(",")
-        if repeat:
-            lines.insert(at + 1, f"{user},{lang},0.0")
-            message = f"line {at + 2}: user_id {user}, lang {lang} repeats line {at + 1}"
-        else:
-            lines[at] = f"{user},{lang},7.5"
-            message = f"line {at + 1}: user_id {user}, lang {lang} breaks the rule 0 <= fraction <= 1"
-        table.write_text("\n".join(lines) + "\n")
-        err = self.exit_2_stderr(capsys, "score", "--out", tmp_path, "--posts", chain_dir / FILES["posts"])
-        assert err == f"error: {table}: {message}\n"
-        assert not (tmp_path / FILES["scores"]).exists()
-
-    def test_score_on_header_only_lang_fractions_beside_language_tagged_posts(self, chain_dir, tmp_path, capsys):
-        # A fractions file that does not belong to profiles.csv must not read as posts without language tags.
-        copy_chain(chain_dir, tmp_path)
-        (tmp_path / FILES["scores"]).unlink()
-        table = tmp_path / FILES["lang_fractions"]
-        lines = (chain_dir / FILES["lang_fractions"]).read_text().splitlines(keepends=True)
-        table.write_text("".join(lines[: next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1]))
-        posts = list(iter_posts(chain_dir / FILES["posts"]))
-        n_tagged = sum(post.language is not None for post in posts)
-        n_users = len(read_profiles(tmp_path / FILES["profiles"]))
-        assert n_tagged and n_users
-        err = self.exit_2_stderr(capsys, "score", "--out", tmp_path, "--posts", chain_dir / FILES["posts"])
-        assert err == (
-            f"error: {table}: no language fraction for any of the {n_users} users of {tmp_path / FILES['profiles']}, "
-            f"though {n_tagged} of the {len(posts)} posts carry a language tag; run `homedest label` again\n"
-        )
-        assert not (tmp_path / FILES["scores"]).exists()
-
     @pytest.mark.parametrize("command", ["score", "null", "report"])
     def test_atlas_entropy_above_1(self, chain_dir, tmp_path, capsys, command):
         copy_chain(chain_dir, tmp_path)
-        shutil.copy(chain_dir / FILES["lang_fractions"], tmp_path / FILES["lang_fractions"])
         outputs = [tmp_path / FILES[key] for key in COMMANDS[command].outputs] + [tmp_path / "report"]
         for path in outputs:
             path.unlink(missing_ok=True)
@@ -1042,14 +1002,15 @@ def test_chain_runs_without_scipy(tmp_path):
 
 def test_a_closed_stdout_exits_1_quietly(chain_dir, tmp_path):
     """A reader that has gone is not an input error: exit 1, nothing on stderr, and scores.csv as a normal run writes it."""
-    for key in ("posts", "profiles", "atlas", "lang_fractions"):
+    for key in ("posts", "profiles", "atlas"):
         shutil.copy(chain_dir / FILES[key], tmp_path / FILES[key])
     proc = subprocess.Popen(
         [sys.executable, "-m", "homedest", "score", "--out", str(tmp_path)],
         env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     proc.stdout.close()  # the reader goes before the first line
-    stderr = proc.stderr.read()
+    with proc.stderr:
+        stderr = proc.stderr.read()
     assert (proc.wait(timeout=300), stderr) == (1, b"")
     assert (tmp_path / FILES["scores"]).read_bytes() == (chain_dir / FILES["scores"]).read_bytes()
 

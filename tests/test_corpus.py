@@ -576,6 +576,19 @@ class TestSkipReasons:
         assert len(list(iter_posts(path, reference))) == 2
         assert reference == stats
 
+    @pytest.mark.parametrize("nest", ["[", '{"a": '], ids=["array", "object"])
+    def test_a_line_nested_too_deeply_skipped_as_json(self, tmp_path, nest):
+        good = json.dumps({"user_id": "u1", "ts": "2018-06-01T08:30:00Z", "cc": "IT", "tags": ["roma"]})
+        path = tmp_path / "posts.jsonl"
+        path.write_text("\n".join([good] * 50 + [nest * 100_000]) + "\n", encoding="utf-8")
+        corpus, stats = load_posts(path)
+        assert (stats.lines, stats.loaded, stats.skipped, corpus.n_posts) == (51, 50, 1, 50)
+        assert stats.reasons == {"json": 1}
+        assert stats.first_lines["json"] == [51]
+        reference = LoadStats()
+        assert len(list(iter_posts(path, reference))) == 50
+        assert reference == stats
+
     def test_parse_post_names_the_reason(self):
         with pytest.raises(BadPost) as exc:
             parse_post({"user_id": "u1", "ts": "2018-06-01T08:30:00Z", "cc": "XX"})

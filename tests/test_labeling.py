@@ -11,17 +11,21 @@ from hypothesis import strategies as st
 
 from homedest.corpus import Corpus, FriendGraph
 from homedest.labeling import (
+    LANG_COLUMNS,
+    LANG_KEY,
+    LANG_RULES,
     assign_nationality,
     assign_residence,
     dominant_country,
     label_population,
     language_fractions,
+    language_shares,
     pick_country,
     read_profiles,
     write_lang_fractions,
     write_profiles,
 )
-from homedest.tables import TableError
+from homedest.tables import TableError, read_table
 
 from conftest import YEAR, make_post
 
@@ -117,19 +121,31 @@ class TestLabelPopulation:
 
 def test_profile_round_trip(tmp_path, micro_corpus):
     posts, graph = micro_corpus
-    profiles, _ = label_population(Corpus.from_posts(posts), graph, YEAR)
+    corpus = Corpus.from_posts(posts)
+    profiles, _ = label_population(corpus, graph, YEAR)
     ppath = tmp_path / "profiles.csv"
     lpath = tmp_path / "langs.csv"
     write_profiles(ppath, profiles, ["test header"])
-    write_lang_fractions(lpath, profiles, ["test header"])
-    loaded = read_profiles(ppath, lpath)
-    assert set(loaded) == set(profiles)
-    for uid, original in profiles.items():
-        restored = loaded[uid]
-        assert restored.residence == original.residence
-        assert restored.nationality == original.nationality
-        assert restored.is_migrant == original.is_migrant
-        assert restored.lang_fractions == original.lang_fractions
+    write_lang_fractions(lpath, corpus, ["test header"])
+    assert read_profiles(ppath) == profiles
+    rows = [tuple(row.values()) for row in read_table(lpath, LANG_COLUMNS, LANG_KEY, LANG_RULES)]
+    assert rows == sorted(language_shares(corpus))
+    assert {(user, lang) for user, lang, _ in rows} == {(p.user_id, p.language) for p in posts if p.language}
+
+
+def test_language_shares_do_not_depend_on_post_order(micro_corpus):
+    posts, _ = micro_corpus
+    shuffled = posts[:]
+    random.Random(13).shuffle(shuffled)
+    assert sorted(language_shares(Corpus.from_posts(shuffled))) == sorted(language_shares(Corpus.from_posts(posts)))
+
+
+def test_a_corpus_without_language_tags_has_no_shares(tmp_path):
+    corpus = Corpus.from_posts([make_post("u", 0, cc="DE"), make_post("v", 1, cc="IT")])
+    assert list(language_shares(corpus)) == []
+    path = tmp_path / "langs.csv"
+    write_lang_fractions(path, corpus)
+    assert path.read_text() == "user_id,lang,fraction\n"
 
 
 def test_distinct_days_far_from_the_epoch():
@@ -206,16 +222,20 @@ PLANTED = (
 @example([("g", 1, "DE", None, YEAR)] * 3 + [("g", 1, "IT", None, YEAR), ("g", 2, "IT", None, YEAR)], [])
 def test_label_population_equals_the_adapters(rows, pairs):
     posts = [make_post(user, day, cc=cc, lang=lang, year=year) for user, day, cc, lang, year in rows]
-    profiles, summary = label_population(Corpus.from_posts(posts), FriendGraph.from_pairs(pairs), YEAR)
+    corpus = Corpus.from_posts(posts)
+    profiles, summary = label_population(corpus, FriendGraph.from_pairs(pairs), YEAR)
     own = {user: [p for p in posts if p.user_id == user] for user in dict.fromkeys(p.user_id for p in posts)}
     dominant = {user: c for user, mine in own.items() if (c := dominant_country(mine)) is not None}
+    shares = {user: {} for user in own}
+    for user, language, share in language_shares(corpus):
+        shares[user][language] = share
     assert list(profiles) == sorted(own)
     for user, mine in own.items():
         profile = profiles[user]
         assert profile.residence == assign_residence(mine, YEAR)
         friends = {friend for source, friend in pairs if source == user and friend != user}
         assert profile.nationality == assign_nationality(mine, friends, dominant)
-        assert profile.lang_fractions == language_fractions(mine)
+        assert shares[user] == language_fractions(mine)
     edges = {(u, f) for u, f in pairs if u != f}
     assert summary.n_edges_without_posts == sum(u not in own or f not in own for u, f in edges)
     labelled = profiles.values()

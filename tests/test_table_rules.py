@@ -32,13 +32,12 @@ from homedest.covariates import (
     PAIR_RULES,
     packaged_data_path,
 )
-from homedest.labeling import LANG_KEY, LANG_RULES, PROFILE_KEY, PROFILE_RULES
+from homedest.labeling import PROFILE_KEY, PROFILE_RULES
 from homedest.nullmodel import NULL_SCORE_RULES
 
 # Each table's declared key and rules, by the input name its commands give it.
 CONTRACTS = {
     "profiles": (PROFILE_KEY, PROFILE_RULES),
-    "lang_fractions": (LANG_KEY, LANG_RULES),
     "atlas": (ATLAS_KEY, ATLAS_RULES),
     "scores": (SCORE_KEY, SCORE_RULES),
     "hofstede": (HOFSTEDE_KEY, HOFSTEDE_RULES),
@@ -104,7 +103,6 @@ def indices_over_one(draw, row):
 # the first in declared order, which is the one read_table names.
 BREAKERS = {
     ("profiles", "is_migrant is empty without both countries, else residence != nationality"): wrong_migrant_flag,
-    ("lang_fractions", "0 <= fraction <= 1"): lambda draw, row: {"fraction": repr(draw(outside(0.0, 1.0)))},
     ("atlas", "0 <= entropy <= 1"): lambda draw, row: {"entropy": repr(draw(outside(0.0, 1.0)))},
     ("atlas", "0 < top_country_fraction <= 1"): lambda draw, row: {
         "top_country_fraction": repr(draw(st.one_of(st.just(0.0), outside(0.0, 1.0))))

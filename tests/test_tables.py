@@ -52,16 +52,11 @@ def test_readers_reject_a_bad_flag(tmp_path):
         read_scores(scores)
 
 
-PROFILES = "user_id,residence,nationality,is_migrant\nu1,DE,IT,true\n"
-
-
 # Each reader's file with one bad cell: (reader, file, text, column, value).
 BAD_CELLS = [
     (read_scores, "scores.csv",
      "user_id,nationality,residence,ha,da,n_hashtags,n_home,n_dest,acc_class,speaks_dest_lang\n"
      "u1,IT,DE,abc,0.25,4,2,1,integration,true\n", "ha", "abc"),
-    (lambda path: read_profiles(path.with_name("profiles.csv"), path), "lang_fractions.csv",
-     "user_id,lang,fraction\nu1,it,half\n", "fraction", "half"),
     (read_atlas, "atlas.csv",
      "token,assignment,entropy,n_users,top_country_fraction\nroma,IT,0.0,three,1.0\n", "n_users", "three"),
     (read_ground_truth, "ground_truth.csv",
@@ -75,8 +70,6 @@ BAD_CELLS = [
     (read_scores, "scores_nan.csv",
      "user_id,nationality,residence,ha,da,n_hashtags,n_home,n_dest,acc_class,speaks_dest_lang\n"
      "u1,IT,DE,nan,0.25,4,2,1,integration,true\n", "ha", "nan"),
-    (lambda path: read_profiles(path.with_name("profiles.csv"), path), "lang_fractions_inf.csv",
-     "user_id,lang,fraction\nu1,it,inf\n", "fraction", "inf"),
     (load_hofstede, "hofstede_-inf.csv", "country,pdi,idv,mas,uai,lto,ivr\nAR,49,46,56,86,20,-inf\n", "ivr", "-inf"),
     (load_pair_covariates, "pair_covariates_1e999.csv",
      "country_a,country_b,distcap,contig,comlang_off,csl,cnl\nDE,IT,1e999,0,0,0.1,0.2\n", "distcap", "1e999"),
@@ -87,7 +80,6 @@ BAD_CELLS = [
     "reader, name, text, column, value", BAD_CELLS, ids=[case[1] for case in BAD_CELLS]
 )
 def test_every_reader_names_the_bad_cell(tmp_path, reader, name, text, column, value):
-    (tmp_path / "profiles.csv").write_text(PROFILES)
     path = tmp_path / name
     path.write_text(text)
     with pytest.raises(TableError) as exc:
