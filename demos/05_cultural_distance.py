@@ -48,7 +48,7 @@ print(f"\njoined {len(rows)} users ({dropped} dropped)")
 def show(results, label):
     print(f"\n{label}:")
     for r in results:
-        if r.covariate == "hof_pdi" or (r.target, r.covariate) == ("ha", "da"):
+        if r.covariate == "hof_pdi":
             print(f"  {r.target} ~ {r.covariate:<7s} {r.method:<8s} r={r.r:+.3f} p={r.p_value:.3g} {r.stars}")
 
 show(individual_correlations(rows), "per-user correlations (noisy)")
@@ -57,9 +57,6 @@ show(individual_correlations(rows), "per-user correlations (noisy)")
 # residence grouping needs 3+ countries too, so this demo spreads a few
 # users over two more destinations first.
 for i, score in enumerate(scores[:60]):
-    scores[i] = AttachmentScore(
-        score.user_id, score.nationality, ("NL", "GB")[i % 2], score.ha, score.da,
-        score.n_hashtags, score.n_home, score.n_dest,
-    )
+    scores[i] = score._replace(residence=("NL", "GB")[i % 2])
 rows, _ = join_covariates(scores, hofstede=hofstede)
 show(grouped_correlations(rows, min_group_size=10), "per-country correlations (sharp)")

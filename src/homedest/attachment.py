@@ -15,8 +15,7 @@ null (``nullmodel.null_distribution``) both count from it with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from collections import namedtuple
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -52,31 +51,8 @@ SCORE_RULES = {
 }
 
 
-@dataclass
-class AttachmentScore:
-    """Attachment indices and counts for one scored migrant."""
-
-    user_id: str
-    nationality: str
-    residence: str
-    ha: float
-    da: float
-    n_hashtags: int
-    n_home: int
-    n_dest: int
-    acc_class: str | None = None
-    speaks_dest_lang: bool | None = None
-
-
-@dataclass
-class CohortSplit:
-    """Destination-language proficiency split of scored migrants."""
-
-    speakers: list[AttachmentScore]
-    non_speakers: list[AttachmentScore]
-    unclassified: list[AttachmentScore]
-    n_missing_language: int = 0
-    n_untagged: int = 0
+# One scored migrant's attachment indices and counts: a row of scores.csv, without a class or cohort until one is set.
+AttachmentScore = namedtuple("AttachmentScore", SCORE_COLUMNS, defaults=(None, None))
 
 
 def count_uses(
@@ -94,8 +70,8 @@ def count_uses(
 
 def score_rows(
     who: Iterable[tuple[str, str, str]], n_total: np.ndarray, n_home: np.ndarray, n_dest: np.ndarray
-) -> Iterator[tuple]:
-    """Scores-table rows, in SCORE_COLUMNS order, of migrants from their use counts.
+) -> Iterator[AttachmentScore]:
+    """Each migrant's score, from its use counts.
 
     ``who`` gives each migrant's (user_id, nationality, residence) and the
     arrays give their counts, in the same order; no class or cohort is set
@@ -105,7 +81,7 @@ def score_rows(
     da = (n_dest / n_total).tolist()
     counts = zip(n_total.tolist(), n_home.tolist(), n_dest.tolist())
     for (user_id, nationality, residence), h, d, (total, home, dest) in zip(who, ha, da, counts, strict=True):
-        yield user_id, nationality, residence, h, d, total, home, dest, None, None
+        yield AttachmentScore(user_id, nationality, residence, h, d, total, home, dest)
 
 
 def coded_uses(
@@ -165,7 +141,7 @@ def compute_scores(
     n_home, n_dest = count_uses(row, codes[owned], home, dest, len(who))
     kept = np.flatnonzero(n_total >= min_hashtags)
     scored = [who[i] for i in kept.tolist()]
-    return [AttachmentScore(*r) for r in score_rows(scored, n_total[kept], n_home[kept], n_dest[kept])]
+    return list(score_rows(scored, n_total[kept], n_home[kept], n_dest[kept]))
 
 
 def atlas_coverage(
@@ -207,8 +183,8 @@ def classify_acculturation(ha: float, da: float, ha_split: float, da_split: floa
     return MARGINALISATION
 
 
-def apply_acculturation(scores: Iterable[AttachmentScore]) -> tuple[float, float]:
-    """Fill ``acc_class`` on every score; returns the (ha, da) splits used.
+def apply_acculturation(scores: Iterable[AttachmentScore]) -> tuple[list[AttachmentScore], float, float]:
+    """The scores with ``acc_class`` set, and the (ha, da) splits used.
 
     The splits are the population medians of HA and DA over the given
     scores, since no fixed thresholds are defined for the quadrant taxonomy.
@@ -218,56 +194,49 @@ def apply_acculturation(scores: Iterable[AttachmentScore]) -> tuple[float, float
         raise ValueError("no scores to classify")
     ha_split = float(np.median([s.ha for s in scores]))
     da_split = float(np.median([s.da for s in scores]))
-    for score in scores:
-        score.acc_class = classify_acculturation(score.ha, score.da, ha_split, da_split)
-    return ha_split, da_split
+    classified = [s._replace(acc_class=classify_acculturation(s.ha, s.da, ha_split, da_split)) for s in scores]
+    return classified, ha_split, da_split
 
 
 def language_cohorts(
     scores: Sequence[AttachmentScore],
     corpus: Corpus,
     dest_lang_table: Mapping[str, str],
-) -> CohortSplit:
-    """Split scored migrants by destination-language proficiency.
+) -> tuple[list[AttachmentScore], int, int]:
+    """The scores with ``speaks_dest_lang`` set by destination-language proficiency, and two unclassified counts.
 
-    Speakers post at least SPEAKER_SHARE of their language-tagged posts in
-    the corpus (``language_shares``) in the official language of the
-    residence country; non-speakers at most NON_SPEAKER_SHARE. Everyone else
-    stays unclassified, as do users whose residence is missing from the
-    language table (``n_missing_language``) and users without a
-    language-tagged post (``n_untagged``).
+    Speakers (True) post at least SPEAKER_SHARE of their language-tagged
+    posts in the corpus (``language_shares``) in the official language of the
+    residence country; non-speakers (False) at most NON_SPEAKER_SHARE.
+    Everyone else stays unclassified (None), as do users whose residence is
+    missing from the language table and users without a language-tagged
+    post; the counts returned are of these two.
     """
     shares: dict[str, dict[str, float]] = {score.user_id: {} for score in scores}
     for user_id, language, share in language_shares(corpus):
         if user_id in shares:
             shares[user_id][language] = share
-    split = CohortSplit(speakers=[], non_speakers=[], unclassified=[])
+    rows = []
+    n_missing_language = n_untagged = 0
     for score in scores:
         dest_lang = dest_lang_table.get(score.residence)
-        if dest_lang is None:
-            split.n_missing_language += 1
-            split.unclassified.append(score)
-            continue
         fractions = shares[score.user_id]
-        if not fractions:
-            split.n_untagged += 1
-            split.unclassified.append(score)
-            continue
-        fraction = fractions.get(dest_lang, 0.0)
-        if fraction >= SPEAKER_SHARE:
-            score.speaks_dest_lang = True
-            split.speakers.append(score)
+        speaks = None
+        if dest_lang is None:
+            n_missing_language += 1
+        elif not fractions:
+            n_untagged += 1
+        elif (fraction := fractions.get(dest_lang, 0.0)) >= SPEAKER_SHARE:
+            speaks = True
         elif fraction <= NON_SPEAKER_SHARE:
-            score.speaks_dest_lang = False
-            split.non_speakers.append(score)
-        else:
-            split.unclassified.append(score)
-    return split
+            speaks = False
+        rows.append(score._replace(speaks_dest_lang=speaks))
+    return rows, n_missing_language, n_untagged
 
 
 def write_scores(path: str | Path, scores: Iterable[AttachmentScore], header: Sequence[str] = ()) -> None:
     """Persist scores as CSV."""
-    write_table(path, SCORE_COLUMNS, map(attrgetter(*SCORE_COLUMNS), scores), header)
+    write_table(path, SCORE_COLUMNS, scores, header)
 
 
 def read_scores(path: str | Path) -> list[AttachmentScore]:

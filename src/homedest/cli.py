@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
@@ -185,8 +186,9 @@ class Run(SimpleNamespace):
 def _resolve(name: str, args: argparse.Namespace) -> Run:
     """The run of command ``name``: its options, then its workspace, then its inputs.
 
-    A missing required input names the command that writes it; a missing
-    optional input is None.
+    A missing input is an error that names the command writing it, if one
+    does. Only an optional input that no flag names may be absent: it is
+    then None.
     """
     command = COMMANDS[name]
     config = _load_config(args.config)
@@ -196,9 +198,10 @@ def _resolve(name: str, args: argparse.Namespace) -> Run:
     for key in command.outputs:
         setattr(run, key, run.out / FILES[key])
     for key in command.inputs + command.optional:
-        path = Path(getattr(args, key, None) or _default_input(run.out, key))
+        named = getattr(args, key, None)
+        path = Path(named or _default_input(run.out, key))
         if not path.exists():
-            if key in command.optional:
+            if key in command.optional and not named:
                 path = None
             else:
                 producer = next((n for n, c in COMMANDS.items() if key in c.outputs), None)
@@ -290,18 +293,19 @@ def cmd_score(run) -> int:
             f"{run.atlas}: no hashtag use of the {len(scores)} scored migrants is assigned to their home or "
             f"destination; {covered}"
         )
-    ha_split, da_split = apply_acculturation(scores)
-    cohorts = language_cohorts(scores, corpus, load_country_languages())
+    scores, ha_split, da_split = apply_acculturation(scores)
+    scores, n_missing_language, n_untagged = language_cohorts(scores, corpus, load_country_languages())
     write_scores(run.scores, scores, run.header(ha_split=ha_split, da_split=da_split))
+    cohorts = Counter(score.speaks_dest_lang for score in scores)
     print(
         f"scored {len(scores)} migrants of {n_migrants} labelled, {n_migrants - len(scores)} below "
         f"--min-hashtags {run.min_hashtags} (median splits ha={ha_split:.4f}, da={da_split:.4f})"
     )
     print(covered)
     print(
-        f"language cohorts: {len(cohorts.speakers)} speakers, {len(cohorts.non_speakers)} non-speakers, "
-        f"{len(cohorts.unclassified)} unclassified, of which {cohorts.n_missing_language} "
-        f"with a residence missing from the language table and {cohorts.n_untagged} with no language-tagged post"
+        f"language cohorts: {cohorts[True]} speakers, {cohorts[False]} non-speakers, "
+        f"{cohorts[None]} unclassified, of which {n_missing_language} "
+        f"with a residence missing from the language table and {n_untagged} with no language-tagged post"
     )
     return 0
 

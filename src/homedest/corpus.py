@@ -49,7 +49,7 @@ from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -531,10 +531,10 @@ _COLUMNS = {
 }
 
 
-def _pack(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
-    ends = np.cumsum([len(b) for b in encoded], dtype=np.int64)
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), ends
+def _pack(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    # Each string is encoded twice, so that no list of encoded copies is held.
+    ends = np.cumsum([len(s.encode("utf-8", "surrogatepass")) for s in strings], dtype=np.int64)
+    return np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"), dtype=np.uint8), ends
 
 
 def _unpack(blob: np.ndarray, ends: np.ndarray) -> tuple[str, ...]:
@@ -594,7 +594,9 @@ def write_corpus(path: str | Path, corpus: Corpus, source_sha256: str) -> None:
             for name, value in arrays.items():
                 entry = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
                 with archive.open(entry, "w", force_zip64=True) as handle:
-                    np.lib.format.write_array(handle, value, allow_pickle=False)
+                    # write_array would copy the column through tobytes, as a zip member is not a real file.
+                    np.lib.format.write_array_header_1_0(handle, np.lib.format.header_data_from_array_1_0(value))
+                    handle.write(memoryview(value).cast("B"))
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)

@@ -164,13 +164,13 @@ def _correlate_pairs(
 def individual_correlations(joined: Joined) -> list[CorrelationRow]:
     """Per-user correlations of ha and da against every covariate, each over the users that have it.
 
-    Also reports the ha-vs-da correlation. A pair with fewer than three
-    complete values or a constant side is skipped; fewer than three joined
-    users is an error.
+    ha against da is not among them: ``test_results.csv`` holds it, as
+    ``ha_vs_da``. A pair with fewer than three complete values or a constant
+    side is skipped; fewer than three joined users is an error.
     """
     if len(joined) < 3:
         raise ValueError(f"fewer than 3 users joined to any covariate: {len(joined)} joined")
-    out = _correlate_pairs("ha", "da", joined.ha, joined.da)
+    out = []
     for name, column in joined.columns():
         has = ~np.isnan(column)
         for target in ("ha", "da"):

@@ -65,7 +65,7 @@ class ShuffleRun:
     @cached_property
     def scores0(self) -> list[AttachmentScore]:
         """The replicate's scores, built on first use."""
-        return [AttachmentScore(*row) for row in score_rows(self.who, self.n_hashtags, self.n_home, self.n_dest)]
+        return list(score_rows(self.who, self.n_hashtags, self.n_home, self.n_dest))
 
 
 def shuffle_hashtags(

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from numbers import Integral
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,21 +137,8 @@ def default_spec(**overrides) -> PopulationSpec:
     return PopulationSpec(**overrides)
 
 
-@dataclass(frozen=True)
-class TruthRow:
-    """Planted facts about one user."""
-
-    user_id: str
-    residence: str
-    nationality: str
-    acc_class: str | None
-    planted_ha: float | None
-    planted_da: float | None
-    n_tags: int
-
-    @property
-    def is_migrant(self) -> bool:
-        return self.residence != self.nationality
+# Planted facts about one user: a row of ground_truth.csv.
+TruthRow = NamedTuple("TruthRow", TRUTH_COLUMNS.items())
 
 
 @dataclass
@@ -315,7 +302,7 @@ def write_population(population: Population, out_dir: str | Path) -> dict[str, P
     write_posts(paths["posts"], population.posts)
     write_table(paths["friends"], FRIEND_COLUMNS, population.friend_rows)
     truth = (population.truth[user_id] for user_id in sorted(population.truth))
-    write_table(paths["ground_truth"], TRUTH_COLUMNS, map(attrgetter(*TRUTH_COLUMNS), truth))
+    write_table(paths["ground_truth"], TRUTH_COLUMNS, truth)
     write_table(paths["pair_covariates"], PAIR_COLUMNS, map(itemgetter(*PAIR_COLUMNS), population.pair_rows))
     return paths
 
@@ -348,7 +335,7 @@ def oracle_scores(
     totals: dict[str, int] = {}
     for post in posts:
         row = truth.get(post.user_id)
-        if row is None or not row.is_migrant or post.year != year:
+        if row is None or row.residence == row.nationality or post.year != year:
             continue
         for raw in post.hashtags:
             token = canonicalize_hashtag(raw)

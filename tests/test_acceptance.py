@@ -300,8 +300,8 @@ def test_c6_planted_truth_recovered(default_run):
 
     # Default specificity (0.8): median splits recover at least 90% of the
     # planted acculturation classes.
-    apply_acculturation(default_run.scores)
-    recovery = class_recovery(default_run.scores, default_run.population.truth)
+    classified, _, _ = apply_acculturation(default_run.scores)
+    recovery = class_recovery(classified, default_run.population.truth)
     assert recovery >= 0.90
 
     local = time.perf_counter() - start
@@ -309,15 +309,24 @@ def test_c6_planted_truth_recovered(default_run):
 
 
 def test_c7_destination_language_speakers_lean_toward_destination(default_run):
-    split = language_cohorts(default_run.scores, default_run.corpus, load_country_languages())
-    assert len(split.speakers) >= 30
-    assert len(split.non_speakers) >= 30
+    scores, _, _ = language_cohorts(default_run.scores, default_run.corpus, load_country_languages())
+    speakers = [s for s in scores if s.speaks_dest_lang is True]
+    non_speakers = [s for s in scores if s.speaks_dest_lang is False]
+    assert len(speakers) >= 30
+    assert len(non_speakers) >= 30
 
     def mean(values):
         return sum(values) / len(values)
 
-    assert mean([s.da for s in split.speakers]) > mean([s.da for s in split.non_speakers])
-    assert mean([s.ha for s in split.speakers]) < mean([s.ha for s in split.non_speakers])
+    assert mean([s.da for s in speakers]) > mean([s.da for s in non_speakers])
+    assert mean([s.ha for s in speakers]) < mean([s.ha for s in non_speakers])
+
+
+def test_c6_and_c7_leave_the_shared_scores_as_computed(default_run):
+    # Runs after c6 and c7, which classify the session's scores: each got new rows back.
+    fresh = compute_scores(default_run.corpus, default_run.profiles, default_run.atlas, default_run.spec.year)
+    assert default_run.scores == fresh
+    assert all(s.acc_class is None and s.speaks_dest_lang is None for s in default_run.scores)
 
 
 def test_c8_grouping_amplifies_the_planted_covariate_correlation():

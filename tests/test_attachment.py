@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import re
 
 import pytest
@@ -95,14 +96,17 @@ class TestQuadrants:
             _score("c", ha=0.4, da=0.4),
             _score("d", ha=0.05, da=0.05),
         ]
-        ha_split, da_split = apply_acculturation(scores)
+        before = copy.deepcopy(scores)
+        classified, ha_split, da_split = apply_acculturation(scores)
         assert ha_split == 0.25 and da_split == 0.25
-        assert [s.acc_class for s in scores] == [
+        assert [s.acc_class for s in classified] == [
             SEPARATION,
             ASSIMILATION,
             INTEGRATION,
             MARGINALISATION,
         ]
+        assert classified == [s._replace(acc_class=c.acc_class) for s, c in zip(scores, classified)]
+        assert scores == before and all(s.acc_class is None for s in scores)
 
     def test_apply_empty_raises(self):
         with pytest.raises(ValueError):
@@ -143,35 +147,33 @@ class TestLanguageCohorts:
             edge_hi={"de": 9, "it": 1},  # exactly 0.9
             edge_lo={"de": 1, "it": 9},  # exactly 0.1
         )
-        split = language_cohorts(scores, corpus, {"DE": "de"})
-        assert sorted(s.user_id for s in split.speakers) == ["edge_hi", "hi"]
-        assert sorted(s.user_id for s in split.non_speakers) == ["edge_lo", "lo"]
-        assert [s.user_id for s in split.unclassified] == ["mid"]
-        assert split.speakers[0].speaks_dest_lang is True
-        assert split.non_speakers[0].speaks_dest_lang is False
+        before = copy.deepcopy(scores)
+        rows, n_missing_language, n_untagged = language_cohorts(scores, corpus, {"DE": "de"})
+        assert [(s.user_id, s.speaks_dest_lang) for s in rows] == [
+            ("hi", True), ("lo", False), ("mid", None), ("edge_hi", True), ("edge_lo", False),
+        ]
+        assert rows == [s._replace(speaks_dest_lang=r.speaks_dest_lang) for s, r in zip(scores, rows)]
+        assert (n_missing_language, n_untagged) == (0, 0)
+        assert scores == before and all(s.speaks_dest_lang is None for s in scores)
 
     def test_missing_residence_language(self):
         scores = [_score("u", 0.3, 0.3, residence="ZW")]
-        split = language_cohorts(scores, _corpus(u={"de": 1}), {"DE": "de"})
-        assert split.n_missing_language == 1
-        assert split.unclassified == scores
+        assert language_cohorts(scores, _corpus(u={"de": 1}), {"DE": "de"}) == (scores, 1, 0)
 
     def test_a_migrant_without_a_language_tagged_post_is_unclassified(self):
         scores = [_score("untagged", 0.3, 0.3), _score("lo", 0.3, 0.3)]
-        split = language_cohorts(scores, _corpus(untagged={None: 3}, lo={"it": 1}), {"DE": "de"})
-        assert [s.user_id for s in split.unclassified] == ["untagged"]
-        assert [s.user_id for s in split.non_speakers] == ["lo"]
-        assert (split.n_untagged, split.n_missing_language) == (1, 0)
-        assert scores[0].speaks_dest_lang is None
+        rows, n_missing_language, n_untagged = language_cohorts(
+            scores, _corpus(untagged={None: 3}, lo={"it": 1}), {"DE": "de"}
+        )
+        assert [(s.user_id, s.speaks_dest_lang) for s in rows] == [("untagged", None), ("lo", False)]
+        assert (n_untagged, n_missing_language) == (1, 0)
 
 
 def test_scores_round_trip(tmp_path):
     scores = [
-        _score("a", ha=0.25, da=0.5),
+        _score("a", ha=0.25, da=0.5)._replace(acc_class=ASSIMILATION, speaks_dest_lang=True),
         _score("b", ha=1 / 3, da=0.0, n_hashtags=3),
     ]
-    scores[0].acc_class = ASSIMILATION
-    scores[0].speaks_dest_lang = True
     path = tmp_path / "scores.csv"
     write_scores(path, scores, ["header"])
     loaded = read_scores(path)
@@ -198,8 +200,8 @@ def test_scores_with_a_repeated_user_refused(tmp_path):
 )
 def test_scores_with_counts_that_cannot_be_a_score_refused(tmp_path, counts, rule):
     path = tmp_path / "scores.csv"
-    score = _score("b", 0.0, 0.0)
-    score.n_hashtags, score.n_home, score.n_dest = counts
+    n_hashtags, n_home, n_dest = counts
+    score = _score("b", 0.0, 0.0)._replace(n_hashtags=n_hashtags, n_home=n_home, n_dest=n_dest)
     write_scores(path, [_score("a", 0.1, 0.2), score], ["h"])
     with pytest.raises(TableError, match=f"^{re.escape(str(path))}: line 4: user_id b breaks the rule {re.escape(rule)}$"):
         read_scores(path)

@@ -9,13 +9,12 @@ import re
 import shutil
 import subprocess
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 from homedest.atlas import read_atlas
-from homedest.attachment import SCORE_COLUMNS, compute_scores, read_scores
+from homedest.attachment import compute_scores, read_scores
 from homedest.cli import COMMANDS, FILES, main
 from homedest.corpus import Corpus, file_sha256, iter_posts, read_corpus
 from homedest.labeling import read_profiles
@@ -88,7 +87,7 @@ class TestChain:
 
     def test_scores_cover_all_migrants(self, chain_dir):
         truth = read_ground_truth(chain_dir / FILES["ground_truth"])
-        n_migrants = sum(t.is_migrant for t in truth.values())
+        n_migrants = sum(t.residence != t.nationality for t in truth.values())
         lines = [
             line
             for line in (chain_dir / FILES["scores"]).read_text().splitlines()
@@ -129,18 +128,18 @@ class TestChain:
             lines = (chain_dir / "report" / name).read_text().splitlines()
             assert next(line for line in lines if not line.startswith("#")) == ",".join(columns), name
 
-    def test_individual_correlations_include_score_pair(self, chain_dir):
-        text = (chain_dir / FILES["correlations_individual"]).read_text()
-        assert "ha,da,pearson" in text
-        assert "ha,da,spearman" in text
+    def test_individual_correlations_hold_covariates_only(self, chain_dir):
+        # ha against da is written once, as test_results.csv's ha_vs_da rows.
+        rows = list(read_table(chain_dir / FILES["correlations_individual"], CORRELATION_COLUMNS))
+        assert rows and not any(row["covariate"] == "da" for row in rows)
 
     def test_report_without_null_scores(self, chain_dir, tmp_path):
-        missing = tmp_path / "nope.csv"
-        assert run("report", "--out", chain_dir, "--null-scores", missing) == 0
-        text = (chain_dir / "report" / "attachment_distributions.csv").read_text()
-        assert "ha_null" not in text
-        # restore the full report for any test that runs after this one
-        assert run("report", "--out", chain_dir) == 0
+        for key in ("profiles", "atlas", "scores"):
+            shutil.copy(chain_dir / FILES[key], tmp_path / FILES[key])
+        assert run("report", "--out", tmp_path) == 0
+        name = "attachment_distributions.csv"
+        rows = read_table(tmp_path / "report" / name, REPORT_COLUMNS[name])
+        assert {row["series"] for row in rows} == {"ha", "da"}  # no null histograms
 
 
 def holed(source, target, drop, blank):
@@ -190,15 +189,15 @@ class TestCorrelationBytes:
     # them. A refactor of the join or of the group means must keep every r and p to the bit.
     PINNED = {
         "default": (
-            "7d4ac55da383cc2ddc02f76347a020cee3ce528da9058054685feb179f8503c3",
+            "6b66c8d008aeaeec424d0ca2062195b9294836becee29a78f687ea30bd696465",
             "6748ee0d5a32d7b7eb21090458494e6edb7198d6f216910d89556c88862d3fa8",
         ),
         "signed": (
-            "2f5ac301da4259c04baf5e878b165b1b480c7b4600ce200922bea234774ef51f",
+            "41e74f2cfe32eaf762919c4b5d4cbd6391e15e2d9bd8559bc518d7e1a2e660d2",
             "5a3780ab2ecc8dbd1b6aab0c5f1bd09c80180c2447a7186efdc8dfbab5e414d1",
         ),
         "holed": (
-            "3f72d847bde5bf2dbe3128f573ad0476d13b66c7080a0182b18649a6930dc29f",
+            "694026652a030e2fb3d04880789697d5d89eb104681a7312889f159cf6b56815",
             "71e452d924d76db47bd98e71c2d34add914d5a5d007df4c198735eb4b46c2e9d",
         ),
     }
@@ -264,6 +263,22 @@ class TestMissingPrerequisites:
             run("correlate", "--out", chain_dir, "--hofstede", tmp_path / "nope.csv")
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'nope.csv'} not found\n"
+
+    @pytest.mark.parametrize(
+        "command, key, producer",
+        [("correlate", "pair_covariates", "synth"), ("report", "null_scores", "null")],
+    )
+    def test_optional_input_named_by_a_flag_must_exist(self, chain_dir, tmp_path, capsys, command, key, producer):
+        # Only an optional input's workspace default may be absent; a file a flag names is read or refused.
+        copied = sorted(FILES[name] for name in ("profiles", "atlas", "scores"))
+        for name in copied:
+            shutil.copy(chain_dir / name, tmp_path / name)
+        missing = tmp_path / "typo.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--out", tmp_path, f"--{key.replace('_', '-')}", missing)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {missing} not found; run `homedest {producer}` first\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == copied  # nothing written
 
 
 class TestBadInput:
@@ -813,7 +828,7 @@ class TestNullScoresOracle:
         for index in range(replicates):
             shuffled = shuffle_hashtags(posts, seed + index, year=year, users=users)
             scores0 = compute_scores(Corpus.from_posts(shuffled), profiles, atlas, year, min_hashtags=min_hashtags)
-            rows += [(*attrgetter(*SCORE_COLUMNS)(s), index) for s in scores0]
+            rows += [(*s, index) for s in scores0]
         written = (ws / FILES["null_scores"]).read_text()
         header = [line[2:] for line in written.splitlines() if line.startswith("# ")]
         write_table(tmp_path / "expected.csv", NULL_SCORE_COLUMNS, rows, header)
@@ -991,6 +1006,16 @@ def test_no_command_imports_scipy(tmp_path):
     """Every p-value is computed with numpy and math; importing scipy cost stats and correlate ~0.27 s and ~20 MB each (2-core host)."""
     for step, status, loaded in run_chain_probe(tmp_path, "watch"):
         assert (status, loaded) == (0, []), step
+
+
+def test_importing_the_cli_loads_no_test_dependency():
+    """numpy is the one runtime dependency: the test extras stay out of a command's process."""
+    probe = "import json, sys, homedest.cli; print(json.dumps(sorted({m.partition('.')[0] for m in sys.modules})))"
+    result = subprocess.run([sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout))
+    assert "numpy" in loaded
+    assert loaded & {"scipy", "mpmath", "hypothesis", "pytest", "_pytest"} == set()
 
 
 def test_chain_runs_without_scipy(tmp_path):

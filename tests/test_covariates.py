@@ -200,12 +200,11 @@ def _joined_population(n=40, seed=5):
 
 
 class TestIndividualCorrelations:
-    def test_includes_score_pair_and_both_methods(self):
+    def test_covariates_only_with_both_methods(self):
         rows = _joined_population()
         out = individual_correlations(rows)
         kinds = {(r.target, r.covariate, r.method) for r in out}
-        assert ("ha", "da", "pearson") in kinds
-        assert ("ha", "da", "spearman") in kinds
+        assert not any(covariate == "da" for _, covariate, _ in kinds)  # ha against da is stats' ha_vs_da
         assert ("ha", "hof_idv", "pearson") in kinds
         assert ("da", "hof_pdi", "spearman") in kinds
 
@@ -220,11 +219,10 @@ class TestIndividualCorrelations:
 
     def test_degenerate_covariate_skipped(self):
         # Single origin/destination pair: every delta is constant, so the
-        # covariate columns are silently dropped but ha-vs-da survives.
+        # covariate columns are silently dropped, and no row is left.
         scores = [_score(f"u{i}", "IT", "DE", 0.1 * i, 0.05 * i + 0.01) for i in range(1, 6)]
         rows, _ = join_covariates(scores, hofstede=load_hofstede())
-        out = individual_correlations(rows)
-        assert {(r.target, r.covariate) for r in out} == {("ha", "da")}
+        assert individual_correlations(rows) == []
 
 
 class TestGroupedCorrelations:

@@ -18,19 +18,20 @@ import pytest
 
 from homedest.atlas import build_atlas
 from homedest.attachment import compute_scores
-from homedest.corpus import load_friends, load_posts
+from homedest.corpus import load_friends, load_posts, write_corpus
 from homedest.labeling import label_population, language_shares, read_profiles, write_profiles
 from homedest.synth import PopulationSpec, generate_population, write_population
 
 SPEC = PopulationSpec(n_users=1000, seed=11)
 
-# Measured: 12.4 and 13.5 bytes per post, 14.7 per non-migrant use in the year, 6.4 and 14.0 per post, 272 per user.
+# Measured: 12.4 and 13.5 bytes per post, 14.7 per non-migrant use in the year, 6.4, 14.0 and 2.3 per post, 272 per user.
 BUDGETS = {
     "load_posts": 17.0,  # bytes per post
     "label_population": 16.0,  # bytes per post
     "build_atlas": 20.0,  # bytes per use by a non-migrant in the year
     "compute_scores": 9.0,  # bytes per post
     "language_shares": 19.0,  # bytes per post
+    "write_corpus": 3.1,  # bytes per post; a copy of the offsets column alone is 8
     "read_profiles": 363.0,  # bytes kept per user
 }
 
@@ -62,6 +63,7 @@ def measured(tmp_path_factory):
     atlas, _, atlas_bytes = traced(build_atlas, corpus, profiles, SPEC.year)
     _, _, score = traced(compute_scores, corpus, profiles, atlas, SPEC.year)
     _, _, shares = traced(list, language_shares(corpus))
+    _, _, written = traced(write_corpus, out / "corpus.npz", corpus, "0" * 64)
     write_profiles(out / "profiles.csv", profiles)
     _, kept_profiles, _ = traced(read_profiles, out / "profiles.csv")
     natives = np.array([profiles[user_id].is_migrant is False for user_id in corpus.users])
@@ -72,6 +74,7 @@ def measured(tmp_path_factory):
         "build_atlas": (atlas_bytes, n_native_uses),
         "compute_scores": (score, corpus.n_posts),
         "language_shares": (shares, corpus.n_posts),
+        "write_corpus": (written, corpus.n_posts),
         "read_profiles": (kept_profiles, len(profiles)),
     }
 

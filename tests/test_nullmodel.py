@@ -147,7 +147,7 @@ class TestNullDistribution:
         corpus, profiles, atlas = micro_pipeline
         (real,) = compute_scores(corpus, profiles, atlas, YEAR, min_hashtags=1)
         if field:
-            setattr(real, field, getattr(real, field) + 1)
+            real = real._replace(**{field: getattr(real, field) + 1})
         with pytest.raises(ValueError, match=rf"^user_id m1: its row holds .* but the posts, atlas and year {year} give"):
             null_distribution(corpus, [real], atlas, year)
 

@@ -141,7 +141,7 @@ class TestGeneration:
     def test_truth_shape(self):
         spec = small_spec(migrant_fraction=0.25)
         pop = generate_population(spec)
-        migrants = [t for t in pop.truth.values() if t.is_migrant]
+        migrants = [t for t in pop.truth.values() if t.residence != t.nationality]
         assert len(pop.truth) == spec.n_users
         assert len(migrants) == round(spec.n_users * 0.25)
         for row in migrants:
@@ -151,7 +151,7 @@ class TestGeneration:
             assert row.residence in spec.countries
             assert spec.tags_per_user[0] <= row.n_tags <= spec.tags_per_user[1]
         for row in pop.truth.values():
-            if not row.is_migrant:
+            if row.residence == row.nationality:
                 assert row.acc_class is None
                 assert row.planted_ha is None
 
@@ -195,8 +195,8 @@ class TestLabelRecovery:
             profile = profiles[user_id]
             assert profile.residence == row.residence, user_id
             assert profile.nationality == row.nationality, user_id
-            assert profile.is_migrant == row.is_migrant, user_id
-        assert summary.n_migrants == sum(t.is_migrant for t in pop.truth.values())
+            assert profile.is_migrant == (row.residence != row.nationality), user_id
+        assert summary.n_migrants == sum(t.residence != t.nationality for t in pop.truth.values())
 
 
 class TestTokenCountry:
