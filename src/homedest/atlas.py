@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, blocks, counted, distinct
+from .corpus import Corpus, blocks, counted, distinct, packed
 from .labeling import UserProfile
 from .tables import read_table, write_table
 
@@ -93,12 +93,8 @@ def build_atlas(
     # by n_users they stay sorted, and n counts the users of each (token, nationality).
     keys, user = corpus.uses(year, nationality >= 0)
     for block in blocks(len(keys)):
-        key, owner = corpus.tags[keys[block]].astype(np.int64), user[block]
-        key *= len(names)
-        key += nationality[owner]
-        key *= n_users
-        key += owner
-        keys[block] = key
+        owner = user[block]
+        keys[block] = packed(packed(corpus.tags[keys[block]], nationality[owner], len(names)), owner, n_users)
     del user
     keys = distinct(keys)
     keys //= n_users

@@ -186,9 +186,9 @@ class Run(SimpleNamespace):
 def _resolve(name: str, args: argparse.Namespace) -> Run:
     """The run of command ``name``: its options, then its workspace, then its inputs.
 
-    A missing input is an error that names the command writing it, if one
-    does. Only an optional input that no flag names may be absent: it is
-    then None.
+    A missing input is an error; when the path is the workspace default, the
+    error names the command writing it, if one does. Only an optional input
+    that no flag names may be absent: it is then None.
     """
     command = COMMANDS[name]
     config = _load_config(args.config)
@@ -198,13 +198,13 @@ def _resolve(name: str, args: argparse.Namespace) -> Run:
     for key in command.outputs:
         setattr(run, key, run.out / FILES[key])
     for key in command.inputs + command.optional:
-        named = getattr(args, key, None)
-        path = Path(named or _default_input(run.out, key))
+        named, default = getattr(args, key, None), _default_input(run.out, key)
+        path = Path(named or default)
         if not path.exists():
             if key in command.optional and not named:
                 path = None
             else:
-                producer = next((n for n, c in COMMANDS.items() if key in c.outputs), None)
+                producer = next((n for n, c in COMMANDS.items() if key in c.outputs and path == default), None)
                 _fail(f"{path} not found" + (f"; run `homedest {producer}` first" if producer else ""))
         setattr(run, key, path)
     return run
@@ -367,6 +367,8 @@ def cmd_correlate(run) -> int:
         individual = individual_correlations(joined)
     except ValueError as exc:  # fewer than 3 users joined
         _fail(f"{exc}, {dropped} dropped")
+    if not individual:
+        _fail(f"no covariate varies over the {len(joined)} joined migrants, {dropped} dropped")
     header = run.header()
     write_table(run.correlations_individual, CORRELATION_COLUMNS, individual, header)
     try:

@@ -169,9 +169,7 @@ class FriendGraph:
         n = max(len(ids), 1)
         kept = ends[:, 0] != ends[:, 1]
         n_pairs, n_self_loops = len(ends), len(ends) - int(np.count_nonzero(kept))
-        edges = ends[kept, 0].astype(np.int64)  # one key per edge: source * n + target
-        edges *= n
-        edges += ends[kept, 1]
+        edges = packed(ends[:, 0], ends[:, 1], n, kept)  # one key per edge
         del ends, kept
         edges = distinct(edges)  # sorted by (source, target)
         source, target = np.empty(len(edges), dtype=np.int32), np.empty(len(edges), dtype=np.int32)
@@ -370,6 +368,19 @@ def iter_posts(path: str | Path, stats: LoadStats | None = None) -> Iterator[Pos
         yield post
 
 
+_VOCABULARIES = ("users", "countries", "languages", "tokens")
+# Each Corpus column's vocabulary (None: its values are not ids) and dtype, in the order ``_intern`` fills them.
+_COLUMNS = {
+    "user": ("users", np.int32),
+    "country": ("countries", np.int16),
+    "language": ("languages", np.int32),
+    "year": (None, np.int16),
+    "day": (None, np.int32),
+    "offsets": (None, np.int64),
+    "tags": ("tokens", np.int32),
+}
+
+
 def _intern(rows: Iterable[tuple]) -> Corpus:
     """Columns from ``(user_id, country, language, year, day, hashtags)`` rows.
 
@@ -380,8 +391,9 @@ def _intern(rows: Iterable[tuple]) -> Corpus:
     languages: dict[str, int] = {}
     tokens: dict[str, int] = {}
     canonical: dict[str, int] = {}
-    user, country, language = array("i"), array("h"), array("i")
-    year, day, offsets, tags = array("h"), array("i"), array("q", [0]), array("i")
+    buffers = {name: array(np.dtype(dtype).char) for name, (_, dtype) in _COLUMNS.items()}
+    user, country, language, year, day, offsets, tags = buffers.values()
+    offsets.append(0)
     for user_id, country_code, language_code, post_year, post_day, hashtags in rows:
         user.append(users.setdefault(user_id, len(users)))
         country.append(-1 if country_code is None else countries.setdefault(country_code, len(countries)))
@@ -401,13 +413,7 @@ def _intern(rows: Iterable[tuple]) -> Corpus:
         countries=tuple(countries),
         languages=tuple(languages),
         tokens=tuple(tokens),
-        user=np.frombuffer(user, dtype=np.int32),
-        country=np.frombuffer(country, dtype=np.int16),
-        language=np.frombuffer(language, dtype=np.int32),
-        year=np.frombuffer(year, dtype=np.int16),
-        day=np.frombuffer(day, dtype=np.int32),
-        offsets=np.frombuffer(offsets, dtype=np.int64),
-        tags=np.frombuffer(tags, dtype=np.int32),
+        **{name: np.frombuffer(buffer, dtype=_COLUMNS[name][1]) for name, buffer in buffers.items()},
     )
 
 
@@ -483,7 +489,17 @@ class Corpus:
         )
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
+def packed(major: np.ndarray, minor: np.ndarray, n: int, where=slice(None)) -> np.ndarray:
+    """The keys ``major[where] * n + minor[where]`` as a new int64 vector; with ``0 <= minor < n`` they sort by
+    (major, minor) and ``np.divmod(keys, n)`` splits them. Built in place, with ``minor[where]`` taken only once
+    ``major[where]`` is widened, so that neither selection is held beside the other."""
+    keys = major[where].astype(np.int64)
+    keys *= n
+    keys += minor[where]
+    return keys
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
     """True at the first element of each run of equal values of the vector ``keys``."""
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
@@ -502,7 +518,7 @@ def distinct(keys: np.ndarray) -> np.ndarray:
     distinct values, so the result is a view of the front of ``keys``.
     """
     keys.sort()
-    repeat = _run_starts(keys)
+    repeat = run_starts(keys)
     np.logical_not(repeat, out=repeat)
     n_distinct = len(keys) - int(np.count_nonzero(repeat))
     keys[repeat] = np.iinfo(keys.dtype).max
@@ -515,20 +531,8 @@ def counted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of ``keys`` and how often each occurs, as
     ``np.unique(keys, return_counts=True)`` gives them; ``keys`` is sorted in place."""
     keys.sort()
-    starts = np.flatnonzero(_run_starts(keys))
+    starts = np.flatnonzero(run_starts(keys))
     return keys[starts], np.diff(starts, append=len(keys))
-
-
-_VOCABULARIES = ("users", "countries", "languages", "tokens")
-_COLUMNS = {
-    "user": ("users", np.int32),
-    "country": ("countries", np.int16),
-    "language": ("languages", np.int32),
-    "year": (None, np.int16),
-    "day": (None, np.int32),
-    "offsets": (None, np.int64),
-    "tags": ("tokens", np.int32),
-}
 
 
 def _pack(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FriendGraph, Post, counted, distinct
+from .corpus import Corpus, FriendGraph, Post, counted, distinct, packed, run_starts
 from .tables import read_table, write_table
 
 # Nationality blends the user's own geotag share and their friends' share equally.
@@ -71,8 +71,8 @@ def _is_migrant(residence: str | None, nationality: str | None) -> bool | None:
     return None if residence is None or nationality is None else residence != nationality
 
 
-def _geo_evidence(corpus: Corpus, group: np.ndarray, year: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Geo evidence rows ``(key, days, posts)``: distinct-day and post counts per ``group * C + country`` key.
+def _geo_evidence(corpus: Corpus, year: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Geo evidence rows ``(key, days, posts)``: distinct-day and post counts per ``user * C + country`` key.
 
     C is ``len(corpus.countries)`` (at least 1). With ``year`` set, only posts
     from that year count; with None, all-time. Keys are sorted, and a key
@@ -81,15 +81,12 @@ def _geo_evidence(corpus: Corpus, group: np.ndarray, year: int | None) -> tuple[
     keep = corpus.country >= 0
     if year is not None:
         keep &= corpus.year == year
-    pairs = group[keep].astype(np.int64)
-    pairs *= max(len(corpus.countries), 1)
-    pairs += corpus.country[keep]
+    pairs = packed(corpus.user, corpus.country, max(len(corpus.countries), 1), keep)
     # One int64 key per (pair, day): days shifted to start at 0 fit below span.
     day = corpus.day[keep]
     day -= corpus.day.min(initial=0)
     span = int(day.max(initial=0)) + 1
-    days = pairs * span
-    days += day
+    days = packed(pairs, day, span)
     del keep, day
     keys, posts = counted(pairs)
     days = distinct(days)
@@ -178,8 +175,7 @@ def _pick(n_users: int, user: np.ndarray, country: np.ndarray, rank: np.ndarray,
     """
     order = np.lexsort((rank[country], *reversed(keys), user))
     user, country = user[order], country[order]
-    first = np.ones(len(user), dtype=bool)
-    first[1:] = user[1:] != user[:-1]
+    first = run_starts(user)
     picked = np.full(n_users, -1, dtype=np.int32)
     picked[user[first]] = country[first]
     return picked
@@ -205,9 +201,9 @@ def label_population(
     def pick(keys, *order):
         return _pick(n_users, keys // n_countries, keys % n_countries, rank, *order)
 
-    self_keys, days, self_counts = _geo_evidence(corpus, corpus.user, None)
+    self_keys, days, self_counts = _geo_evidence(corpus, None)
     dominant = pick(self_keys, -days, -self_counts)
-    keys, days, counts = _geo_evidence(corpus, corpus.user, year)
+    keys, days, counts = _geo_evidence(corpus, year)
     residence = pick(keys, -days, -counts)
 
     # Nationality: SELF_WEIGHT * count / n_geo over the user's own geotagged
@@ -223,9 +219,7 @@ def label_population(
     labeled = country >= 0
     source, country = source[labeled], country[labeled]
     n_friends = np.bincount(source, minlength=n_users)
-    friend_keys = source.astype(np.int64)
-    friend_keys *= n_countries
-    friend_keys += country
+    friend_keys = packed(source, country, n_countries)
     del source, country
     friend_keys, friend_counts = counted(friend_keys)
     n_geo = np.bincount(self_keys // n_countries, weights=self_counts, minlength=n_users)
@@ -262,9 +256,7 @@ def language_shares(corpus: Corpus) -> Iterator[tuple[str, str, float]]:
     # Language-tagged posts per user * L + language key.
     n_languages = max(len(corpus.languages), 1)
     tagged = corpus.language >= 0
-    language_keys = corpus.user[tagged].astype(np.int64)
-    language_keys *= n_languages
-    language_keys += corpus.language[tagged]
+    language_keys = packed(corpus.user, corpus.language, n_languages, tagged)
     del tagged
     language_keys, language_counts = counted(language_keys)
     speaker = language_keys // n_languages

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from homedest.atlas import read_atlas
-from homedest.attachment import compute_scores, read_scores
+from homedest.attachment import AttachmentScore, compute_scores, read_scores, write_scores
 from homedest.cli import COMMANDS, FILES, main
 from homedest.corpus import Corpus, file_sha256, iter_posts, read_corpus
 from homedest.labeling import read_profiles
@@ -266,18 +266,25 @@ class TestMissingPrerequisites:
 
     @pytest.mark.parametrize(
         "command, key, producer",
-        [("correlate", "pair_covariates", "synth"), ("report", "null_scores", "null")],
+        [
+            ("correlate", "pair_covariates", "synth"),
+            ("report", "null_scores", "null"),
+            ("score", "atlas", "atlas"),
+            ("stats", "null_scores", "null"),
+        ],
     )
     def test_optional_input_named_by_a_flag_must_exist(self, chain_dir, tmp_path, capsys, command, key, producer):
         # Only an optional input's workspace default may be absent; a file a flag names is read or refused.
-        copied = sorted(FILES[name] for name in ("profiles", "atlas", "scores"))
+        # The producer writes the workspace default, not the named path, so it is not named.
+        copied = sorted(FILES[name] for name in ("posts", "profiles", "atlas", "scores"))
         for name in copied:
             shutil.copy(chain_dir / name, tmp_path / name)
         missing = tmp_path / "typo.csv"
         with pytest.raises(SystemExit) as exc:
             run(command, "--out", tmp_path, f"--{key.replace('_', '-')}", missing)
         assert exc.value.code == 2
-        assert capsys.readouterr().err == f"error: {missing} not found; run `homedest {producer}` first\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {missing} not found\n" and f"homedest {producer}" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == copied  # nothing written
 
 
@@ -408,6 +415,14 @@ class TestBadInput:
         err = self.exit_2_stderr(capsys, "correlate", "--out", tmp_path, "--hofstede", hofstede)
         assert err == f"error: fewer than 3 users joined to any covariate: 0 joined, {n_scores} dropped\n"
         assert not (tmp_path / FILES["correlations_individual"]).exists()
+
+    def test_correlate_without_a_varying_covariate(self, tmp_path, capsys):
+        # One origin and one destination: every cultural delta is the same, so no covariate can be correlated.
+        scores = [AttachmentScore(f"u{i}", "IT", "DE", i / 10, 1 / 10, 10, i, 1) for i in range(1, 6)]
+        write_scores(tmp_path / FILES["scores"], scores)
+        err = self.exit_2_stderr(capsys, "correlate", "--out", tmp_path)
+        assert err == "error: no covariate varies over the 5 joined migrants, 0 dropped\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [FILES["scores"]]  # no correlation file written
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -30,8 +30,10 @@ from homedest.corpus import (
     iter_posts,
     load_friends,
     load_posts,
+    packed,
     parse_post,
     read_corpus,
+    run_starts,
     write_corpus,
     write_posts,
 )
@@ -498,7 +500,8 @@ class TestUses:
 
 
 class TestSortedKeys:
-    """``distinct`` and ``counted`` against ``np.unique``, and ``blocks`` against ``range``."""
+    """``distinct`` and ``counted`` against ``np.unique``, ``packed`` and ``run_starts`` against
+    Python arithmetic, and ``blocks`` against ``range``."""
 
     EXTREMES = (np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max)  # the largest value is distinct's filler
 
@@ -512,6 +515,51 @@ class TestSortedKeys:
             got, got_counts = counted(keys.copy())
             assert (got.tolist(), got_counts.tolist()) == (expected.tolist(), counts.tolist())
             assert distinct(keys.copy()).dtype == counted(keys.copy())[0].dtype == dtype
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_packed_is_major_times_n_plus_minor(self, data):
+        n = data.draw(st.integers(1, 2**31), label="n")
+        size = data.draw(st.integers(0, 12), label="size")
+        columns = []
+        for high in (2**31, n):  # major, then minor below n
+            dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
+            values = st.integers(0, min(high, np.iinfo(dtype).max + 1) - 1)
+            columns.append(np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype))
+        major, minor = columns
+        bound = st.none() | st.integers(-size - 1, size + 1)
+        index = st.integers(-size, size - 1) if size else st.nothing()
+        where = data.draw(
+            st.builds(slice, bound, bound)
+            | st.lists(st.booleans(), min_size=size, max_size=size).map(lambda b: np.array(b, dtype=bool))
+            | st.lists(index, max_size=size).map(lambda i: np.array(i, dtype=np.intp)),
+            label="where",
+        )
+        before = major.copy(), minor.copy()
+        keys = packed(major, minor, n, where)
+        assert keys.dtype == np.int64
+        expected = [a * n + b for a, b in zip(major[where].tolist(), minor[where].tolist())]
+        assert keys.tolist() == expected
+        assert [q.tolist() for q in np.divmod(keys, n)] == [major[where].tolist(), minor[where].tolist()]
+        assert np.array_equal(major, before[0]) and np.array_equal(minor, before[1])
+        assert major.dtype == before[0].dtype and minor.dtype == before[1].dtype
+        assert not np.shares_memory(keys, major) and not np.shares_memory(keys, minor)
+
+    @pytest.mark.parametrize(
+        "keys, expected",
+        [
+            ([], []),
+            ([5], [True]),
+            ([3, 3, 3, 3], [True, False, False, False]),
+            ([1, 2, 1, 2, 1], [True] * 5),
+            ([0, 0, 1, 1, 0], [True, False, True, False, True]),
+        ],
+        ids=["empty", "one", "all-equal", "alternating", "runs"],
+    )
+    def test_run_starts(self, keys, expected):
+        for dtype in (np.int64, np.int32):
+            first = run_starts(np.array(keys, dtype=dtype))
+            assert first.dtype == bool and first.tolist() == expected
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_blocks_cover_the_range_in_order(self, monkeypatch, block):
