@@ -22,6 +22,12 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
 
+# Importing numpy loads OpenBLAS, which starts one thread per core that
+# busy-waits after start-up: about 0.1 s of CPU per command on two cores.
+# No command calls BLAS, so it runs on one thread, unless the caller set
+# the variable. This must precede the first import of numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .atlas import DEFAULT_ENTROPY_THRESHOLD, INTERNATIONAL, build_atlas, read_atlas, write_atlas
 from .attachment import (
@@ -33,7 +39,16 @@ from .attachment import (
     read_scores,
     write_scores,
 )
-from .corpus import Corpus, LoadStats, file_sha256, load_friends, load_posts, read_corpus, write_corpus
+from .corpus import (
+    POPULATION_FILES,
+    Corpus,
+    LoadStats,
+    file_sha256,
+    load_friends,
+    load_posts,
+    read_corpus,
+    write_corpus,
+)
 from .covariates import (
     CORRELATION_COLUMNS,
     DEFAULT_MIN_GROUP_SIZE,
@@ -49,7 +64,6 @@ from .labeling import label_population, read_profiles, write_lang_fractions, wri
 from .nullmodel import DEFAULT_REPLICATES, null_distribution, read_null_indices, write_null_scores
 from .reporting import REPORT_COLUMNS, report_rows
 from .stats import TEST_RESULT_COLUMNS, ks_two_sample, pearson, spearman, wilcoxon_rank_sum
-from .synth import POPULATION_FILES, PopulationSpec, generate_population, write_population
 from .tables import TableError, write_table
 
 logger = logging.getLogger(__name__)
@@ -184,17 +198,17 @@ class Run(SimpleNamespace):
 
 
 def _resolve(name: str, args: argparse.Namespace) -> Run:
-    """The run of command ``name``: its options, then its workspace, then its inputs.
+    """The run of command ``name``: its options, then its inputs, then its workspace.
 
     A missing input is an error; when the path is the workspace default, the
     error names the command writing it, if one does. Only an optional input
-    that no flag names may be absent: it is then None.
+    that no flag names may be absent: it is then None. The workspace is
+    created only once every input has passed its check.
     """
     command = COMMANDS[name]
     config = _load_config(args.config)
     options = {o.name: o.resolve(getattr(args, o.name), config) for o in command.options}
     run = Run(command=name, options=options, out=Path(args.out), **options)
-    run.out.mkdir(parents=True, exist_ok=True)
     for key in command.outputs:
         setattr(run, key, run.out / FILES[key])
     for key in command.inputs + command.optional:
@@ -207,6 +221,7 @@ def _resolve(name: str, args: argparse.Namespace) -> Run:
                 producer = next((n for n, c in COMMANDS.items() if key in c.outputs and path == default), None)
                 _fail(f"{path} not found" + (f"; run `homedest {producer}` first" if producer else ""))
         setattr(run, key, path)
+    run.out.mkdir(parents=True, exist_ok=True)
     return run
 
 
@@ -214,6 +229,8 @@ def _resolve(name: str, args: argparse.Namespace) -> Run:
 
 
 def cmd_synth(run) -> int:
+    from .synth import PopulationSpec, generate_population, write_population  # only this command needs it
+
     countries = tuple(c.strip().upper() for c in (run.countries or "").split(",") if c.strip())
     try:
         spec = PopulationSpec(

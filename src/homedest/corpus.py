@@ -135,6 +135,14 @@ class LoadStats:
         return f"{self.skipped} skipped" + (f" ({'; '.join(parts)})" if parts else "")
 
 
+# The four input files of a synthetic population, by the input name the commands give each.
+POPULATION_FILES = {
+    "posts": "posts.jsonl",
+    "friends": "friends.csv",
+    "ground_truth": "ground_truth.csv",
+    "pair_covariates": "pair_covariates.csv",
+}
+
 # A friends file's columns: one directed edge per row.
 FRIEND_COLUMNS = {"user_id": str, "friend_id": str}
 

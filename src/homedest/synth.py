@@ -40,7 +40,7 @@ from .attachment import (
     SEPARATION,
     AttachmentScore,
 )
-from .corpus import FRIEND_COLUMNS, Post, canonicalize_hashtag, write_posts
+from .corpus import FRIEND_COLUMNS, POPULATION_FILES, Post, canonicalize_hashtag, write_posts
 from .countries import normalize_alpha2
 from .covariates import PAIR_COLUMNS, load_country_languages
 from .tables import read_table, write_table
@@ -78,13 +78,6 @@ USER_PREFIX = "u"
 VOCAB_DIGITS = max(4, len(str(max(COUNTRY_VOCAB, INTL_VOCAB))))
 _TAGS_PER_POST = 4
 
-# The four files a population is written as, by the input name the commands give each.
-POPULATION_FILES = {
-    "posts": "posts.jsonl",
-    "friends": "friends.csv",
-    "ground_truth": "ground_truth.csv",
-    "pair_covariates": "pair_covariates.csv",
-}
 TRUTH_COLUMNS = {
     "user_id": str, "residence": str, "nationality": str, "acc_class": str | None,
     "planted_ha": float | None, "planted_da": float | None, "n_tags": int,

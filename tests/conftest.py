@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import time
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,14 @@ from homedest.nullmodel import null_distribution
 from homedest.synth import default_spec, generate_population
 
 YEAR = 2018
+
+
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for a test's subprocess."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
 
 
 def make_post(user, day, cc=None, lang=None, tags=(), year=YEAR):

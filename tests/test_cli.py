@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -23,6 +22,8 @@ from homedest.reporting import REPORT_COLUMNS
 from homedest.covariates import CORRELATION_COLUMNS, packaged_data_path
 from homedest.synth import read_ground_truth
 from homedest.tables import read_table, write_table
+
+from conftest import source_env
 
 
 def run(*argv):
@@ -286,6 +287,22 @@ class TestMissingPrerequisites:
         err = capsys.readouterr().err
         assert err == f"error: {missing} not found\n" and f"homedest {producer}" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == copied  # nothing written
+
+    @pytest.mark.parametrize("command", [name for name, c in COMMANDS.items() if c.inputs])
+    def test_a_missing_input_creates_no_workspace(self, tmp_path, capsys, command):
+        # A mistyped --out fails on its first missing input and leaves no empty directory behind.
+        typo = tmp_path / "typo_ws"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--out", typo)
+        assert exc.value.code == 2
+        assert "not found" in capsys.readouterr().err
+        assert not typo.exists()
+
+    def test_a_new_workspace_is_created_once_the_inputs_are_found(self, chain_dir, tmp_path):
+        out = tmp_path / "new" / "ws"
+        assert run("stats", "--out", out, "--scores", chain_dir / FILES["scores"],
+                   "--null-scores", chain_dir / FILES["null_scores"]) == 0
+        assert (out / FILES["test_results"]).read_bytes() == (chain_dir / FILES["test_results"]).read_bytes()
 
 
 class TestBadInput:
@@ -989,14 +1006,6 @@ for argv in json.loads(sys.argv[2]):
 """
 
 
-def source_env():
-    """The environment with this checkout's ``src`` first on PYTHONPATH."""
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    return env
-
-
 def run_chain_probe(tmp_path, mode):
     """Every command in one subprocess; the (step, status, scipy modules) line of the import and each command."""
     ws = str(tmp_path)
@@ -1031,6 +1040,41 @@ def test_importing_the_cli_loads_no_test_dependency():
     loaded = set(json.loads(result.stdout))
     assert "numpy" in loaded
     assert loaded & {"scipy", "mpmath", "hypothesis", "pytest", "_pytest"} == set()
+
+
+BLAS_PROBE = """
+import json, os, homedest.cli
+task = "/proc/self/task"
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir(task)) if os.path.isdir(task) else None]))
+"""
+
+
+@pytest.mark.parametrize("caller", [None, "3"], ids=["unset", "set"])
+def test_the_cli_runs_blas_on_one_thread_unless_the_caller_sets_it(caller):
+    """OpenBLAS's pool busy-waits about 0.1 s of CPU per command on two cores, and no command calls BLAS."""
+    env = source_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    result = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    setting, threads = json.loads(result.stdout)
+    assert setting == (caller or "1")
+    if caller is None and threads is not None:
+        assert threads == 1  # numpy is loaded, and its BLAS started no thread
+
+
+def test_an_analysis_command_loads_no_synth(chain_dir, tmp_path):
+    """Only `synth` needs the generator, and it imports it itself."""
+    for key in ("scores", "null_scores"):
+        shutil.copy(chain_dir / FILES[key], tmp_path / FILES[key])
+    probe = "import sys; from homedest.cli import main; status = main(sys.argv[1:]); print(status, 'homedest.synth' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "stats", "--out", str(tmp_path)],
+        env=source_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_chain_runs_without_scipy(tmp_path):
